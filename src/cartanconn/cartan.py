@@ -341,15 +341,16 @@ class CartanStructure:
         x0 = seg0.point(seg0.t0)
         h0 = self.frame_at(x0)
         lifted = horizontal_lift(self.conn, path, h0, step, tol=tol)
+        tag = self.spec.tag
         segments = path.segments
         j = 0
         values = []
-        for t, g in zip(lifted.ts, lifted.elements):
+        for t, g in zip(lifted.ts, lifted.mats):
             while j < len(segments) - 1 and t > segments[j].t1 + 1e-15:
                 j += 1
             xt = segments[j].point(min(max(t, segments[j].t0), segments[j].t1))
-            mover = lg.compose(lg.compose(h0, lg.inverse(g)), self.frame_at(xt))
-            values.append(self.spec.act(mover, self.spec.origin))
+            mover = h0.mat @ lg.inverse_matrix(tag, g) @ self.frame_at(xt).mat
+            values.append(self.spec.act(lg.GroupElement(tag, mover), self.spec.origin))
         return DevelopedPath(lifted.ts.copy(), np.array(values), x0)
 
     # -- parallelization -------------------------------------------------------------------

@@ -24,7 +24,7 @@ class DomainError(GeometryError):
 
 
 class LiftDivergedError(GeometryError):
-    """Horizontal lift failed to meet the residual tolerance after refinement."""
+    """Horizontal lift produced a non-finite node or left the group manifold."""
 
 
 class LoopNotClosedError(GeometryError):

@@ -36,7 +36,6 @@ structured groups).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -293,8 +292,10 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     """Re-project a matrix that drifted off the group under floating arithmetic.
 
     O(p, q) uses the generalized polar (Newton) iteration with respect to
-    eta; SO(n) the orthogonal polar factor; the structured groups rebuild
-    their exact patterns; PGL normalizes the representative.
+    eta, raising :class:`InvalidElementError` when an iterate is singular or
+    the last residual exceeds the default structural tolerance; SO(n) the
+    orthogonal polar factor; the structured groups rebuild their exact
+    patterns; PGL normalizes the representative.
     """
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
@@ -312,11 +313,21 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     if kind is GroupKind.ORTHOGONAL:
         eta = eta_matrix(tag)
         x = mat
+        residual = np.max(np.abs(x.T @ eta @ x - eta))
         for _ in range(50):
-            residual = np.max(np.abs(x.T @ eta @ x - eta))
             if residual < 1e-15:
                 break
-            x = 0.5 * (x + eta @ np.linalg.inv(x).T @ eta)
+            try:
+                x = 0.5 * (x + eta @ np.linalg.inv(x).T @ eta)
+            except np.linalg.LinAlgError as exc:
+                raise InvalidElementError(
+                    f"polar projection onto {tag.name} hit a singular iterate"
+                ) from exc
+            residual = np.max(np.abs(x.T @ eta @ x - eta))
+        if not residual <= DEFAULT_TOLERANCES.structural:
+            raise InvalidElementError(
+                f"polar projection onto {tag.name} did not converge: residual {residual:.3e}"
+            )
         return x
     if kind is GroupKind.AFF:
         out = mat.copy()
@@ -450,24 +461,6 @@ def inverse(g: GroupElement) -> GroupElement:
     return group_element(g.tag, inverse_matrix(g.tag, g.mat), project=True)
 
 
-def _expm_taylor(mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a 13-term series."""
-    norm = np.linalg.norm(mat, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm / 0.5)))
-    b = mat / (2.0 ** squarings)
-    n = mat.shape[0]
-    total = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 14):
-        term = term @ b / k
-        total = total + term
-    for _ in range(squarings):
-        total = total @ total
-    return total
-
-
 def _expm_nilpotent(mat: np.ndarray) -> np.ndarray:
     """Exact exponential of a nilpotent matrix (terminating series)."""
     n = mat.shape[0]
@@ -481,21 +474,19 @@ def _expm_nilpotent(mat: np.ndarray) -> np.ndarray:
     return total
 
 
-def exp(xi: AlgebraElement) -> GroupElement:
-    """Exponential map onto the group.
-
-    Exact (terminating series) for the nilpotent Galileo algebras; elsewhere
-    scaling-and-squaring with a truncated series, followed by re-projection.
-    """
-    tag = xi.tag
+def expm_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
+    """Matrix exponential of an algebra matrix of ``tag``, without checks:
+    a terminating series for the nilpotent Galileo algebras,
+    ``scipy.linalg.expm`` elsewhere."""
     if tag.kind is GroupKind.GALILEO:
-        return group_element(tag, _expm_nilpotent(xi.mat), project=True)
-    if tag.kind is GroupKind.PRODUCT:
-        out = np.zeros_like(xi.mat)
-        for sl, f in _product_slices(tag):
-            out[sl, sl] = exp(AlgebraElement(f, xi.mat[sl, sl])).mat
-        return group_element(tag, out, project=True)
-    return group_element(tag, _expm_taylor(xi.mat), project=True)
+        return _expm_nilpotent(mat)
+    return scipy.linalg.expm(mat)
+
+
+def exp(xi: AlgebraElement) -> GroupElement:
+    """Exponential map onto the group (:func:`expm_matrix`), followed by
+    re-projection."""
+    return group_element(xi.tag, expm_matrix(xi.tag, xi.mat), project=True)
 
 
 def _logm_principal(mat: np.ndarray) -> np.ndarray:
@@ -515,9 +506,9 @@ def _logm_principal(mat: np.ndarray) -> np.ndarray:
 
 
 def log(g: GroupElement) -> AlgebraElement:
-    """Principal logarithm into the algebra; inverse of :func:`exp` for
-    elements with spectral radius of ``g - identity`` below the declared
-    log radius.
+    """Principal logarithm into the algebra, the inverse of :func:`exp` on
+    the principal branch: no eigenvalue of ``g`` may lie on the closed
+    negative real axis (for PGL, of ``g`` or ``-g``).
 
     Raises :class:`NoPrincipalLogarithmError` outside the principal branch
     (e.g. for an O(p, q) element with an eigenvalue on the negative real

@@ -15,26 +15,22 @@ class Tolerances:
 
     structural      defining-relation residual accepted when an element of a
                     matrix group (or its algebra) is constructed
-    roundtrip       exp/log and transport round-trip agreement
+    roundtrip       exp/log and transport round-trip agreement, and the group
+                    defect accepted at the nodes of a horizontal lift
     axiom           connection-form axiom residuals accepted by audits
-    horizontality   residual of the connection form on lifted-path tangents
     rank            singular-value threshold deciding kernel/rank questions
     loop_closure    absolute coordinate gap accepted for a closed loop
     fd_step         default step of central finite differences
     path_check      derivative-consistency bound for user-supplied paths
-    log_radius      spectral radius of (g - identity) inside which the
-                    principal matrix logarithm round-trips with exp
     """
 
     structural: float = 1e-10
     roundtrip: float = 1e-9
     axiom: float = 1e-8
-    horizontality: float = 1e-7
     rank: float = 1e-8
     loop_closure: float = 1e-12
     fd_step: float = 1e-5
     path_check: float = 1e-5
-    log_radius: float = 0.9
 
     def with_(self, **kwargs) -> "Tolerances":
         """Copy of the record with the given fields replaced."""

@@ -315,3 +315,13 @@ def test_orthogonal_projection_restores_group():
     fixed = lg.project_to_group(tag, drifted)
     assert lg.group_defect(tag, fixed) < 1e-12
     assert np.max(np.abs(fixed - g.mat)) < 1e-4
+
+
+def test_orthogonal_projection_raises_when_it_cannot_converge():
+    # far from O(3, 1) the polar iteration stalls (residual 13.7 for this
+    # seed); a singular iterate must not escape as a numpy LinAlgError
+    mat = np.random.default_rng(0).standard_normal((4, 4))
+    with pytest.raises(InvalidElementError, match="did not converge"):
+        lg.project_to_group(lg.orthogonal_tag(3, 1), mat)
+    with pytest.raises(InvalidElementError, match="singular"):
+        lg.project_to_group(lg.orthogonal_tag(1, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartanconn import liegroup as lg
 from cartanconn import principal as pr
@@ -69,11 +70,33 @@ def test_flat_connection_lift_stays_at_start():
         assert np.max(np.abs(g.mat - np.eye(3))) < 1e-12
 
 
-def test_lift_horizontality_residuals_small():
-    conn = gravity_connection(lambda t, x: 9.81 + 0.3 * x)
-    lifted = tp.horizontal_lift(conn, perturbed_freefall_path(), step=1e-3)
-    assert np.max(lifted.horizontality_residuals()) < 1e-7
-    assert np.max(lifted.group_defects()) < 1e-9
+@pytest.mark.parametrize("tag", [lg.so_tag(3), lg.orthogonal_tag(3, 1)], ids=lambda t: t.name)
+def test_constant_coefficient_lift_is_exponential_and_stays_on_group(tag):
+    # A(x, dx) = sum_k dx_k A_k with fixed A_k: along a straight line the
+    # lift from the identity ends at expm(-sum_k v_k A_k), and 10,000
+    # unprojected steps keep every node on the group
+    rng = np.random.default_rng(12)
+    gens = [lg.random_algebra(tag, rng, scale=0.8).mat for _ in range(2)]
+    conn = pr.LocalConnection(
+        pr.ChartDomain.unbounded(2),
+        tag,
+        lambda x, d: lg.AlgebraElement(tag, d[0] * gens[0] + d[1] * gens[1]),
+    )
+    p, q = np.array([0.2, -0.1]), np.array([-0.9, 1.3])
+    lifted = tp.horizontal_lift(conn, tp.line_segment(p, q, 0.0, 1.0), step=1e-4)
+    assert len(lifted.ts) == 10_001
+    v = q - p
+    expected = scipy.linalg.expm(-(v[0] * gens[0] + v[1] * gens[1]))
+    assert np.max(np.abs(lifted.end.mat - expected)) < 1e-11
+    assert np.max(lifted.group_defects()) < 1e-11
+
+
+def test_effective_step_never_exceeds_requested():
+    conn = gravity_connection(lambda t, x: 9.81)
+    leg = tp.line_segment([0.0, 0.0], [0.5, 0.1], 0.0, 0.5)
+    lifted = tp.horizontal_lift(conn, leg, step=0.2)
+    assert np.max(np.diff(lifted.ts)) <= 0.2
+    assert len(lifted.ts) == 4
 
 
 def test_richardson_agreement_freefall():
