@@ -286,12 +286,6 @@ class LiftedPath:
         return np.array([lg.group_defect(self.tag, m) for m in self.mats])
 
 
-def _step_count(span: float, step: float) -> int:
-    """Fewest equal steps no longer than ``step``; the relative slack keeps
-    round-off in ``span / step`` from adding a step."""
-    return max(1, math.ceil(span / step * (1.0 - 1e-9)))
-
-
 def _magnus_segment(conn, seg: SmoothPath, g: np.ndarray, step: float):
     """Nodes after ``(seg.t0, g)`` of the lift over one smooth segment.
 
@@ -301,7 +295,10 @@ def _magnus_segment(conn, seg: SmoothPath, g: np.ndarray, step: float):
     ``M0``, so it costs two coefficient evaluations.
     """
     tag = conn.tag
-    n_steps = _step_count(seg.t1 - seg.t0, step)
+    # fewest equal steps no longer than ``step``; the relative slack keeps
+    # round-off in span / step (0.07 / 0.0025 = 28.000000000000004) from
+    # adding a step
+    n_steps = max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9)))
     h = (seg.t1 - seg.t0) / n_steps
 
     def generator(t: float) -> np.ndarray:
