@@ -342,16 +342,20 @@ class CartanStructure:
         h0 = self.frame_at(x0)
         lifted = horizontal_lift(self.conn, path, h0, step, tol=tol)
         tag = self.spec.tag
-        segments = path.segments
-        j = 0
-        values = []
-        for t, g in zip(lifted.ts, lifted.mats):
-            while j < len(segments) - 1 and t > segments[j].t1 + 1e-15:
-                j += 1
-            xt = segments[j].point(min(max(t, segments[j].t0), segments[j].t1))
-            mover = h0.mat @ lg.inverse_matrix(tag, g) @ self.frame_at(xt).mat
-            values.append(self.spec.act(lg.GroupElement(tag, mover), self.spec.origin))
-        return DevelopedPath(lifted.ts.copy(), np.array(values), x0)
+        movers = lg.inverse_matrix(tag, lifted.mats)
+        # without a frame section h' is the identity everywhere
+        if self.frame_section is not None:
+            movers = h0.mat @ movers
+            segments, j = path.segments, 0
+            for i, t in enumerate(lifted.ts):
+                while j < len(segments) - 1 and t > segments[j].t1 + 1e-15:
+                    j += 1
+                xt = segments[j].point(min(max(t, segments[j].t0), segments[j].t1))
+                movers[i] = movers[i] @ self.frame_at(xt).mat
+        values = np.empty((len(movers), self.spec.fiber_dim))
+        for i, mover in enumerate(movers):
+            values[i] = self.spec.act(lg.GroupElement(tag, mover), self.spec.origin)
+        return DevelopedPath(lifted.ts.copy(), values, x0)
 
     # -- parallelization -------------------------------------------------------------------
 

@@ -16,13 +16,16 @@ operators to the left. Known functions are sin, cos, sqrt, exp and abs;
 ``pi`` is predefined. Any other name is a free variable to be supplied at
 evaluation time (conventionally t, x, y, z plus named constants).
 
-Parsing reports syntax errors with byte offsets; evaluation raises on
-unbound variables, division by zero and square roots of negative numbers.
+Parsing reports syntax errors with byte offsets. Each tree is compiled
+once, on its first evaluation, into a closure that it keeps; evaluation
+raises ``ExprEvalError`` on every failure (unbound variable, division by
+zero, overflow, a non-real power, a function outside its domain).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -181,41 +184,59 @@ def parse(src: str) -> Expr:
 
 
 def evaluate(expr: Expr, env: Mapping[str, float] | None = None) -> float:
-    """Evaluate an expression tree with the given variable bindings."""
-    env = env or {}
+    """Evaluate an expression tree with the given variable bindings; the
+    first evaluation compiles the tree into a closure that the tree keeps."""
+    fn = expr.__dict__.get("_compiled")
+    if fn is None:
+        fn = _compile(expr)
+        object.__setattr__(expr, "_compiled", fn)
+    return fn(env or {})
+
+
+def _compile(expr: Expr):
+    """Closure ``env -> value`` for a tree."""
     if isinstance(expr, Num):
-        return expr.value
+        return lambda env, value=expr.value: value
     if isinstance(expr, Var):
-        if expr.name in env:
-            return float(env[expr.name])
-        if expr.name in CONSTANTS:
-            return CONSTANTS[expr.name]
-        raise ExprEvalError(f"unbound variable {expr.name!r}")
+        return lambda env, name=expr.name: _variable(name, env)
     if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
+        operand = _compile(expr.operand)
+        return lambda env: -operand(env)
     if isinstance(expr, Call):
-        value = evaluate(expr.arg, env)
-        if expr.func == "sqrt" and value < 0:
-            raise ExprEvalError(f"square root of negative number {value!r}")
-        return FUNCTIONS[expr.func](value)
+        arg, func = _compile(expr.arg), _CHECKED_FUNCTIONS[expr.func]
+        return lambda env: func(arg(env))
     if isinstance(expr, BinOp):
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0.0:
-                raise ExprEvalError("division by zero")
-            return left / right
-        try:
-            return float(left ** right)
-        except (OverflowError, ValueError) as exc:
-            raise ExprEvalError(f"power evaluation failed: {exc}") from exc
+        left, right, op = _compile(expr.left), _compile(expr.right), _OPERATORS[expr.op]
+        return lambda env: op(left(env), right(env))
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _variable(name: str, env: Mapping[str, float]) -> float:
+    if name in env:
+        return float(env[name])
+    if name in CONSTANTS:
+        return CONSTANTS[name]
+    raise ExprEvalError(f"unbound variable {name!r}")
+
+
+def _checked(fn):
+    """``fn`` raising ``ExprEvalError`` where it fails (division by zero,
+    overflow, a math domain error) or returns a complex number."""
+    def checked(*args):
+        try:
+            value = fn(*args)
+            if not isinstance(value, complex):
+                return value
+            reason = "is not real"
+        except (ArithmeticError, ValueError) as exc:
+            reason = f"failed: {exc}"
+        raise ExprEvalError(f"{fn.__name__}({', '.join(map(repr, args))}) {reason}")
+    return checked
+
+
+_CHECKED_FUNCTIONS = {name: _checked(fn) for name, fn in FUNCTIONS.items()}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": _checked(operator.truediv), "^": _checked(operator.pow)}
 
 
 def free_variables(expr: Expr) -> set[str]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -70,9 +70,9 @@ class GroupTag:
     dims: tuple[int, ...] = ()
     factors: tuple["GroupTag", ...] = ()
 
-    @property
+    @cached_property
     def size(self) -> int:
-        """Size of the square matrices realizing this group."""
+        """Size of the square matrices realizing this group (cached)."""
         if self.kind is GroupKind.GL or self.kind is GroupKind.SO:
             return self.dims[0]
         if self.kind is GroupKind.ORTHOGONAL:
@@ -223,69 +223,74 @@ def _product_slices(tag: GroupTag) -> list[tuple[slice, GroupTag]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 # ---------------------------------------------------------------------------
 # Defining relations, projections, factories
 # ---------------------------------------------------------------------------
 
-def group_defect(tag: GroupTag, mat: np.ndarray) -> float:
-    """Max-norm residual of the tag's defining relations at ``mat``."""
+def group_defect(tag: GroupTag, mat: np.ndarray):
+    """Max-norm residual of the tag's defining relations at ``mat`` (each
+    matrix of a stack ``(..., n, n)``): inf if not finite, or singular in GL/PGL."""
     mat = np.asarray(mat, dtype=float)
     n = tag.size
-    if mat.shape != (n, n):
-        raise InvalidElementError(f"expected a {n} x {n} matrix for {tag.name}, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        return np.inf
+    if mat.shape[-2:] != (n, n):
+        raise InvalidElementError(f"expected {n} x {n} matrices for {tag.name}, got {mat.shape}")
     kind = tag.kind
+    valid = np.isfinite(mat)   # count_nonzero: the cheap all() on small arrays
+    if np.count_nonzero(valid) < valid.size:
+        valid = valid.all(axis=(-2, -1))
+    elif kind is GroupKind.GL or kind is GroupKind.PGL:
+        valid = np.abs(np.linalg.det(mat)) > np.finfo(float).tiny
+    if np.count_nonzero(valid) < valid.size:
+        if mat.ndim == 2:
+            return np.inf
+        out = np.full(valid.shape, np.inf)
+        out[valid] = group_defect(tag, mat[valid])
+        return out
     if kind is GroupKind.GL:
-        return 0.0 if abs(np.linalg.det(mat)) > np.finfo(float).tiny else np.inf
+        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
     if kind is GroupKind.SO:
-        d = np.max(np.abs(mat.T @ mat - np.eye(n)))
-        return max(d, abs(np.linalg.det(mat) - 1.0))
+        ortho = np.abs(mat.swapaxes(-1, -2) @ mat - _eye(n)).max(axis=(-2, -1))
+        return np.maximum(ortho, np.abs(np.linalg.det(mat) - 1.0))
     if kind is GroupKind.ORTHOGONAL:
         eta = eta_matrix(tag)
-        return float(np.max(np.abs(mat.T @ eta @ mat - eta)))
+        return np.abs(mat.swapaxes(-1, -2) @ eta @ mat - eta).max(axis=(-2, -1))
     if kind is GroupKind.AFF:
-        last = np.zeros(n)
-        last[-1] = 1.0
-        return float(np.max(np.abs(mat[-1] - last)))
+        return np.abs(mat[..., -1, :] - _eye(n)[-1]).max(axis=-1)
     if kind is GroupKind.GALILEO:
-        return float(np.max(np.abs(mat - _galileo_rebuild(mat))))
+        return np.abs(mat - _eye(n) - project_to_algebra(tag, mat)).max(axis=(-2, -1))
     if kind is GroupKind.PGL:
-        if abs(np.linalg.det(mat)) <= np.finfo(float).tiny:
-            return np.inf
-        return float(np.max(np.abs(mat - normalize_projective(mat))))
+        return np.abs(_pivots(mat) - 1.0)   # = max |mat - normalize_projective(mat)|
     # product: block defects plus off-block mass
-    total = 0.0
-    mask = np.ones_like(mat, dtype=bool)
+    off_block, total = np.ones((n, n)), 0.0
     for sl, f in _product_slices(tag):
-        total = max(total, group_defect(f, mat[sl, sl]))
-        mask[sl, sl] = False
-    off = float(np.max(np.abs(mat[mask]))) if mask.any() else 0.0
-    return max(total, off)
+        total = np.maximum(total, group_defect(f, mat[..., sl, sl]))
+        off_block[sl, sl] = 0.0
+    return np.maximum(total, np.abs(mat * off_block).max(axis=(-2, -1)))
 
 
-def _galileo_rebuild(mat: np.ndarray) -> np.ndarray:
-    """Exact Galileo pattern with the boost/translation entries of ``mat``."""
-    n = mat.shape[0]
-    out = np.eye(n)
-    out[1:-1, 0] = mat[1:-1, 0]      # boosts v
-    out[0, -1] = mat[0, -1]          # time translation a
-    out[1:-1, -1] = mat[1:-1, -1]    # space translations b
-    return out
+def _pivots(mat: np.ndarray) -> np.ndarray:
+    """Largest-|entry| of each matrix (the first in row-major order on ties)."""
+    size = mat.shape[-2] * mat.shape[-1]
+    flat = mat.reshape(-1, size)
+    index = np.abs(flat).argmax(axis=1) + np.arange(0, flat.size, size)
+    return flat.take(index).reshape(mat.shape[:-2])
 
 
 def normalize_projective(mat: np.ndarray) -> np.ndarray:
-    """Scale a projective representative so its largest-|entry| equals +1.
-
-    Ties are broken by the first occurrence in row-major order, so the
-    representative of a homothety class is deterministic.
-    """
-    flat = np.abs(mat).ravel()
-    idx = int(np.argmax(flat))
-    pivot = mat.ravel()[idx]
-    if pivot == 0.0:
+    """Scale projective representatives (one, or a stack) so that the
+    largest-|entry| is +1; the first one on ties, so the representative of
+    a homothety class is deterministic."""
+    pivot = _pivots(mat)
+    if np.count_nonzero(pivot) < pivot.size:
         raise InvalidElementError("zero matrix cannot represent a projective element")
-    return mat / pivot
+    return mat / pivot[..., None, None]
 
 
 def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
@@ -335,7 +340,7 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
         out[-1, -1] = 1.0
         return out
     if kind is GroupKind.GALILEO:
-        return _galileo_rebuild(mat)
+        return _eye(tag.size) + project_to_algebra(tag, mat)
     if kind is GroupKind.PGL:
         return normalize_projective(mat)
     out = np.zeros_like(mat)
@@ -393,9 +398,9 @@ def project_to_algebra(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
         return out
     if kind is GroupKind.GALILEO:
         out = np.zeros_like(mat)
-        out[1:-1, 0] = mat[1:-1, 0]
-        out[0, -1] = mat[0, -1]
-        out[1:-1, -1] = mat[1:-1, -1]
+        out[..., 1:-1, 0] = mat[..., 1:-1, 0]
+        out[..., 0, -1] = mat[..., 0, -1]
+        out[..., 1:-1, -1] = mat[..., 1:-1, -1]
         return out
     if kind is GroupKind.PGL:
         n = tag.size
@@ -439,17 +444,17 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
 
 def inverse_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
-    """Matrix inverse, using the cheap closed forms where the tag has one."""
+    """Matrix inverse (of each matrix of a stack), closed-form where it can."""
     kind = tag.kind
     if kind is GroupKind.SO:
-        return mat.T.copy()
+        return mat.swapaxes(-1, -2).copy()
     if kind is GroupKind.ORTHOGONAL:
         eta = eta_matrix(tag)
-        return eta @ mat.T @ eta
+        return eta @ mat.swapaxes(-1, -2) @ eta
     if kind is GroupKind.PRODUCT:
         out = np.zeros_like(mat)
         for sl, f in _product_slices(tag):
-            out[sl, sl] = inverse_matrix(f, mat[sl, sl])
+            out[..., sl, sl] = inverse_matrix(f, mat[..., sl, sl])
         return out
     try:
         return np.linalg.inv(mat)
@@ -462,22 +467,22 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def _expm_nilpotent(mat: np.ndarray) -> np.ndarray:
-    """Exact exponential of a nilpotent matrix (terminating series)."""
-    n = mat.shape[0]
-    total = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, n):
+    """Exact exponential of nilpotent matrices (terminating series)."""
+    n = mat.shape[-1]
+    total = _eye(n) + mat
+    term = mat
+    for k in range(2, n):
         term = term @ mat / k
         if not term.any():
             break
-        total = total + term
+        total += term
     return total
 
 
 def expm_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential of an algebra matrix of ``tag``, without checks:
-    a terminating series for the nilpotent Galileo algebras,
-    ``scipy.linalg.expm`` elsewhere."""
+    """Matrix exponential of an algebra matrix of ``tag``, or of each
+    matrix of a stack ``(..., n, n)``, without checks: a terminating series
+    for the nilpotent Galileo algebras, ``scipy.linalg.expm`` elsewhere."""
     if tag.kind is GroupKind.GALILEO:
         return _expm_nilpotent(mat)
     return scipy.linalg.expm(mat)

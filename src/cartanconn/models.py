@@ -627,8 +627,8 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
     perihelion; spans half a period by default.
 
     Positions come from the eccentric anomaly E(t) solving
-    M = E - e sin E (Newton iteration), so the trajectory satisfies
-    (x'', y'') = -mu r / |r|^3 to round-off.
+    M = E - e sin E (one Newton solve serves ``x`` and ``xdot`` at a time),
+    so the trajectory satisfies (x'', y'') = -mu r / |r|^3 to round-off.
     """
     if not 0 <= e < 1:
         raise ValueError("eccentricity must lie in [0, 1)")
@@ -637,7 +637,11 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
     if t1 is None:
         t1 = t0 + np.pi / n_mean  # half a period
 
+    last = [None, None]   # x and xdot at one time share the solve
+
     def anomaly(t: float) -> float:
+        if t == last[0]:
+            return last[1]
         m = n_mean * (t - t0)
         ecc = m if e < 0.8 else np.pi
         for _ in range(50):
@@ -645,6 +649,7 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
             ecc -= delta
             if abs(delta) < 1e-15:
                 break
+        last[:] = t, ecc
         return ecc
 
     def x(t):

@@ -56,17 +56,16 @@ class ChartDomain:
             raise ValueError("box lower bounds must be below upper bounds")
         return ChartDomain(len(lower), lower, upper)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x, margin: float = 0.0):
+        """Whether ``x`` lies in the domain (per point for a stack ``(N, dim)``)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        if not np.all(np.isfinite(x)):
-            return False
-        if self.lower is None:
-            return True
-        lo = np.asarray(self.lower) + margin
-        hi = np.asarray(self.upper) - margin
-        return bool(np.all(x >= lo) and np.all(x <= hi))
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            return False if x.ndim != 2 else np.zeros(len(x), dtype=bool)
+        inside = np.isfinite(x).all(axis=-1)
+        if self.lower is not None:
+            inside &= (x >= np.asarray(self.lower) + margin).all(axis=-1)
+            inside &= (x <= np.asarray(self.upper) - margin).all(axis=-1)
+        return inside if x.ndim == 2 else bool(inside)
 
     def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         """Random point of the domain (normal for unbounded domains)."""

@@ -9,8 +9,9 @@ lifted tangent,
 with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
-without re-projection. Dense output between nodes uses group-logarithm
-geodesic interpolation, which stays on the group exactly.
+without re-projection; it runs in stages on arrays over blocks of nodes.
+Dense output between nodes uses group-logarithm geodesic interpolation,
+which stays on the group exactly.
 
 Every node's group defect is checked against the round-trip tolerance, and
 a Richardson step-halving estimate of the endpoint error is exposed through
@@ -283,45 +284,59 @@ class LiftedPath:
         return lg.compose(gi, lg.exp(theta * lg.log(step)))
 
     def group_defects(self) -> np.ndarray:
-        return np.array([lg.group_defect(self.tag, m) for m in self.mats])
+        return lg.group_defect(self.tag, self.mats)
 
 
-def _magnus_segment(conn, seg: SmoothPath, g: np.ndarray, step: float):
-    """Nodes after ``(seg.t0, g)`` of the lift over one smooth segment.
+_BLOCK = 512   # steps per pass through the lift's stages; bounds their arrays
+
+
+def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> None:
+    """Lift over one smooth segment in ``len(ts) - 1`` equal steps, filling
+    ``ts[1:]`` and ``mats[1:]`` from ``mats[0]``.
 
     Fourth-order Magnus step at the Simpson nodes, with ``M = -A``:
     ``Omega = (h/6)(M0 + 4 Mh + M1) + (h^2/12)[M1, M0]`` and
-    ``g_{k+1} = exp(Omega) g_k``. Each step reuses ``M1`` as the next
-    ``M0``, so it costs two coefficient evaluations.
+    ``g_{k+1} = exp(Omega) g_k``. Each block of ``_BLOCK`` steps runs in
+    stages on arrays over its nodes: path points, the domain check (before
+    any coefficient), one ``conn.coeff`` call per node (a block's last node
+    is the next one's first, so a step costs two), every ``Omega`` and one
+    batched exponential, then the product scan and a finiteness check.
     """
-    tag = conn.tag
-    # fewest equal steps no longer than ``step``; the relative slack keeps
-    # round-off in span / step (0.07 / 0.0025 = 28.000000000000004) from
-    # adding a step
-    n_steps = max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9)))
+    tag, n_steps = conn.tag, len(ts) - 1
     h = (seg.t1 - seg.t0) / n_steps
-
-    def generator(t: float) -> np.ndarray:
-        x = seg.point(t)
-        if not conn.domain.contains(x):
+    starts = seg.t0 + np.arange(n_steps + 1) * h
+    ts[1:] = starts[1:]
+    node_ts = np.repeat(starts, 2)[:-1]
+    node_ts[1::2] += h / 2
+    width = 2 * min(n_steps, _BLOCK) + 1
+    xs, vs = np.empty((2, width, conn.domain.dim))
+    coeffs = np.empty((width, tag.size, tag.size))
+    first = 0   # later blocks start at the previous block's last node
+    for k0 in range(0, n_steps, _BLOCK):
+        steps = min(_BLOCK, n_steps - k0)
+        last = 2 * steps + 1
+        block_ts = node_ts[2 * k0:2 * k0 + last]
+        for j in range(first, last):
+            t = float(block_ts[j])
+            xs[j] = seg.point(t)
+            vs[j] = seg.velocity(t)
+        inside = conn.domain.contains(xs[first:last])
+        if not inside.all():
+            t = block_ts[first + np.argmin(inside)]
             raise DomainError(f"path left the chart domain at t = {t}")
-        return -conn.coeff(x, seg.velocity(t)).mat
-
-    ts, mats = [], []
-    t = seg.t0
-    m0 = generator(t)
-    for k in range(n_steps):
-        m_half = generator(t + h / 2)
-        t = seg.t0 + (k + 1) * h
-        m1 = generator(t)
-        omega = (h / 6) * (m0 + 4 * m_half + m1) + (h * h / 12) * (m1 @ m0 - m0 @ m1)
-        g = lg.expm_matrix(tag, omega) @ g
-        if not np.all(np.isfinite(g)):
+        for j in range(first, last):
+            coeffs[j] = conn.coeff(xs[j], vs[j]).mat
+        a0, ah, a1 = coeffs[0:last - 1:2], coeffs[1:last:2], coeffs[2:last:2]
+        omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
+        props = lg.expm_matrix(tag, omega)
+        out = mats[k0:k0 + steps + 1]
+        for k in range(steps):
+            np.matmul(props[k], out[k], out=out[k + 1])
+        finite = np.isfinite(out[1:]).all(axis=(1, 2))
+        if not finite.all():
+            t = ts[k0 + 1 + np.argmin(finite)]
             raise LiftDivergedError(f"lift diverged near t = {t}")
-        ts.append(t)
-        mats.append(g)
-        m0 = m1
-    return ts, mats
+        coeffs[0], first = coeffs[last - 1], 1
 
 
 def horizontal_lift(
@@ -336,9 +351,10 @@ def horizontal_lift(
 
     Each smooth segment is cut into the fewest equal steps no longer than
     ``step`` and integrated with a fourth-order Magnus method, which keeps
-    the nodes on the group without re-projection. A non-finite step, or a
-    node whose group defect exceeds ``tol.roundtrip``, raises
-    ``LiftDivergedError``.
+    the nodes on the group without re-projection. A path point outside the
+    chart raises ``DomainError`` before the coefficient there is evaluated;
+    a non-finite step, or a node whose group defect exceeds
+    ``tol.roundtrip``, raises ``LiftDivergedError``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -347,16 +363,19 @@ def horizontal_lift(
     if g0.tag != conn.tag:
         raise lg.TagMismatchError("initial element tag does not match the connection")
 
-    ts, mats = [path.segments[0].t0], [g0.mat]
-    for seg in path.segments:
-        seg_ts, seg_mats = _magnus_segment(conn, seg, mats[-1], step)
-        ts += seg_ts
-        mats += seg_mats
-    mats = np.array(mats)
+    # fewest equal steps no longer than ``step``; the slack keeps round-off
+    # (0.07 / 0.0025 = 28.000000000000004) from adding one
+    counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in path.segments]
+    ts = np.empty(1 + sum(counts))
+    mats = np.empty((len(ts),) + g0.mat.shape)
+    ts[0], mats[0] = path.segments[0].t0, g0.mat
+    ends = np.cumsum([0] + counts)
+    for seg, k0, k1 in zip(path.segments, ends, ends[1:]):
+        _magnus_segment(conn, seg, ts[k0:k1 + 1], mats[k0:k1 + 1])
     if conn.tag.kind is lg.GroupKind.PGL:
         # scaling commutes with left multiplication: normalizing once at the
         # end picks the same representatives as normalizing every step
-        mats = np.array([lg.normalize_projective(m) for m in mats])
+        mats = lg.normalize_projective(mats)
     lifted = LiftedPath(conn.tag, ts, mats)
     defect = float(np.max(lifted.group_defects()))
     if defect > tol.roundtrip:
@@ -472,12 +491,8 @@ def develop_total_path(
     The development is constant exactly when the input path is horizontal.
     """
     lifted = horizontal_lift(conn, base_path, None, step, tol=tol)
-    tag = conn.tag
-    values = np.array(
-        [
-            action(lg.GroupElement(tag, lg.inverse_matrix(tag, g)), fiber_path(t))
-            for t, g in zip(lifted.ts, lifted.mats)
-        ]
-    )
+    values = np.empty((len(lifted.ts), action.dim))
+    for i, (t, g_inv) in enumerate(zip(lifted.ts, lg.inverse_matrix(conn.tag, lifted.mats))):
+        values[i] = action(lg.GroupElement(conn.tag, g_inv), fiber_path(t))
     start = base_path.segments[0]
     return DevelopedPath(lifted.ts.copy(), values, start.point(start.t0))

@@ -239,6 +239,15 @@ def test_numerical_failure_exit_code(tmp_path):
     assert cli.main(["run", write_config(tmp_path, doc)]) == 3
 
 
+def test_expression_failures_exit_numerical(tmp_path):
+    # 0^(-1) and a non-real power at the starting point x0 = 0
+    for i, v in enumerate(["x^(-1)", "(x - 5)^0.5"]):
+        doc = {"scenario": "develop-gravity", "model": {"V": v},
+               "trajectory": {"preset": "freefall", "x0": 0.0},
+               "output": {"path": str(tmp_path / f"out{i}")}}
+        assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 3
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert cli.main([]) == 2
 

@@ -79,6 +79,23 @@ def test_domain_errors():
         fe.evaluate(fe.parse("sqrt(-1)"))
 
 
+@pytest.mark.parametrize("src", ["0^(-1)", "(-8)^0.5", "exp(1000)", "sin(10^308*10)", "10^400"])
+def test_every_evaluation_failure_is_an_expr_eval_error(src):
+    with pytest.raises(ExprEvalError):
+        fe.evaluate(fe.parse(src))
+
+
+def test_evaluated_tree_keeps_equality_and_hash():
+    # the compiled closure is cached on the tree but is not part of it
+    tree = fe.parse("0.5 * x^2 - pi")
+    assert fe.evaluate(tree, {"x": 2.0}) == 2.0 - math.pi
+    assert fe.evaluate(tree, {"x": 4.0}) == 8.0 - math.pi
+    assert tree == fe.parse("0.5 * x^2 - pi")
+    assert hash(tree) == hash(fe.parse("0.5 * x^2 - pi"))
+    with pytest.raises(ExprEvalError):
+        fe.evaluate(tree, {"y": 1.0})
+
+
 def test_free_variables():
     expr = fe.parse("9.81 + 0.3*x - sin(t) + pi")
     assert fe.free_variables(expr) == {"x", "t"}

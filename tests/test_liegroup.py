@@ -325,3 +325,61 @@ def test_orthogonal_projection_raises_when_it_cannot_converge():
         lg.project_to_group(lg.orthogonal_tag(3, 1), mat)
     with pytest.raises(InvalidElementError, match="singular"):
         lg.project_to_group(lg.orthogonal_tag(1, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels
+# ---------------------------------------------------------------------------
+
+STACK_TAGS = [
+    lg.gl_tag(3),
+    lg.so_tag(3),
+    lg.orthogonal_tag(3, 1),
+    lg.aff_tag(2),
+    lg.galileo_tag(3),
+    lg.pgl_tag(2),
+    lg.product_tag(lg.galileo_tag(2), lg.so_tag(2)),
+]
+
+
+@pytest.mark.parametrize("tag", STACK_TAGS, ids=lambda t: t.name)
+def test_stacked_kernels_match_per_matrix(tag):
+    rng = np.random.default_rng(19)
+    algebra = np.stack([lg.random_algebra(tag, rng, scale=0.8).mat for _ in range(6)])
+    group = np.stack([lg.random_element(tag, rng).mat for _ in range(6)])
+    group[1] += 1e-3 * rng.standard_normal(group[1].shape)   # off the group
+    group[2, 0, 0] = np.inf
+    if tag.kind in (lg.GroupKind.GL, lg.GroupKind.PGL):
+        group[3] = 0.0
+        group[3, 0, 0] = 1.0                                   # singular
+    exps = lg.expm_matrix(tag, algebra)
+    defects = lg.group_defect(tag, group)
+    inverses = lg.inverse_matrix(tag, np.delete(group, [2, 3], axis=0))
+    assert exps.shape == algebra.shape and defects.shape == (6,)
+    for stacked, single in zip(exps, algebra):
+        assert np.allclose(stacked, lg.expm_matrix(tag, single), rtol=1e-14, atol=1e-15)
+    for stacked, single in zip(defects, group):
+        assert stacked == lg.group_defect(tag, single)
+    for stacked, single in zip(inverses, np.delete(group, [2, 3], axis=0)):
+        assert np.array_equal(stacked, lg.inverse_matrix(tag, single))
+    assert np.isinf(defects[2])
+    if tag.kind in (lg.GroupKind.GL, lg.GroupKind.PGL):
+        assert np.isinf(defects[3])
+    assert defects[1] > 1e-5 or tag.kind is lg.GroupKind.GL   # GL has no relation
+    assert np.all(defects[4:] < 1e-12)
+
+
+def test_normalize_projective_on_a_stack():
+    mats = np.array([[[2.0, 0.0], [0.0, -4.0]], [[3.0, -3.0], [1.0, 0.0]]])
+    out = lg.normalize_projective(mats)
+    assert np.array_equal(out[0], lg.normalize_projective(mats[0]))
+    assert np.array_equal(out[1], mats[1] / 3.0)   # tie: the first entry wins
+    with pytest.raises(InvalidElementError):
+        lg.normalize_projective(np.zeros((2, 2, 2)))
+
+
+def test_tag_size_is_cached_without_changing_equality():
+    tag = lg.product_tag(lg.galileo_tag(3), lg.so_tag(2))
+    fresh = lg.product_tag(lg.galileo_tag(3), lg.so_tag(2))
+    assert tag.size == 6 and "size" in vars(tag) and "size" not in vars(fresh)
+    assert tag == fresh and hash(tag) == hash(fresh)

@@ -160,6 +160,36 @@ def test_kepler_orbit_satisfies_equation_of_motion():
         assert abs(xpp[0]) < 1e-4
 
 
+def test_kepler_orbit_shares_one_solve_bit_exactly():
+    # x and xdot, called in any order, equal the formulas with their own
+    # Newton solve bit for bit
+    mu, a, e, t0 = 1.3, 1.1, 0.6, 0.25
+    orbit = models.kepler_orbit(mu=mu, a=a, e=e, t0=t0)
+    n_mean = np.sqrt(mu / a**3)
+    b = a * np.sqrt(1.0 - e * e)
+
+    def anomaly(t):
+        m = n_mean * (t - t0)
+        ecc = m if e < 0.8 else np.pi
+        for _ in range(50):
+            delta = (ecc - e * np.sin(ecc) - m) / (1.0 - e * np.cos(ecc))
+            ecc -= delta
+            if abs(delta) < 1e-15:
+                break
+        return ecc
+
+    rng = np.random.default_rng(23)
+    for t in rng.uniform(orbit.t0, orbit.t1, size=100):
+        ecc = anomaly(t)
+        rate = n_mean / (1.0 - e * np.cos(ecc))
+        x = np.array([t, a * (np.cos(ecc) - e), b * np.sin(ecc)])
+        xdot = np.array([1.0, -a * np.sin(ecc) * rate, b * np.cos(ecc) * rate])
+        if rng.random() < 0.5:
+            assert np.array_equal(orbit.x(t), x) and np.array_equal(orbit.xdot(t), xdot)
+        else:
+            assert np.array_equal(orbit.xdot(t), xdot) and np.array_equal(orbit.x(t), x)
+
+
 def test_kepler_development_straight_coarse():
     # coarse-step version of the orbit development (the fine-step run lives
     # in the acceptance suite)

@@ -1,5 +1,7 @@
 """Tests for horizontal lifts, parallel transport, holonomy and development."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ import scipy.linalg
 from cartanconn import liegroup as lg
 from cartanconn import principal as pr
 from cartanconn import transport as tp
-from cartanconn.errors import LiftDivergedError, LoopNotClosedError
+from cartanconn.errors import DomainError, LiftDivergedError, LoopNotClosedError
 
 from conftest import (
     freefall_path,
@@ -137,6 +139,52 @@ def test_lift_raises_when_path_exits_domain():
 
     with pytest.raises(DomainError):
         tp.horizontal_lift(conn, path, step=1e-2)
+
+
+@pytest.mark.parametrize("step", [0.05, 1e-3])
+def test_lift_stops_at_first_node_outside_domain(step):
+    # x runs along (t, 0); the chart ends at x = 0.6102. The error names the
+    # first node outside, and no coefficient at or past it is evaluated (at
+    # step 1e-3 that node lies in the second block of steps).
+    seen = []
+
+    def coeff(x, d):
+        seen.append(x[0])
+        return lg.galileo_algebra(0.0, d[0], d[1])
+
+    domain = pr.ChartDomain.box([-1.0, -1.0], [0.6102, 1.0])
+    conn = pr.LocalConnection(domain, lg.GALILEO2, coeff)
+    path = tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
+    with pytest.raises(DomainError) as info:
+        tp.horizontal_lift(conn, path, step=step)
+    t_out = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
+    assert 0.6102 < t_out <= 0.6102 + step / 2
+    assert all(x < t_out for x in seen)
+
+
+def test_lift_names_the_first_non_finite_step():
+    # the coefficient is infinite at t = 0.5 without raising
+    conn = gravity_connection(lambda t, x: np.inf if t == 0.5 else 1.0)
+    path = tp.SmoothPath(
+        0.0, 1.0, lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0])
+    )
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(LiftDivergedError, match=r"t = 0\.5$"):
+            tp.horizontal_lift(conn, path, step=0.1)
+
+
+@pytest.mark.parametrize("steps", [4, 1100])
+def test_lift_makes_two_coefficient_calls_per_step_plus_one_per_segment(steps):
+    calls = []
+
+    def coeff(x, d):
+        calls.append(1)
+        return lg.galileo_algebra(-9.81 * d[0], d[0], d[1])
+
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, coeff)
+    lifted = tp.horizontal_lift(conn, tp.square_loop([0.0, 0.0], 0.5), step=0.5 / steps)
+    assert len(lifted.ts) == 4 * steps + 1
+    assert len(calls) == 4 * (2 * steps + 1)
 
 
 def test_fiber_action_validation():
