@@ -354,7 +354,7 @@ def _run_check_axioms(cfg: dict, out_dir: Path) -> dict:
     }
     _require_keys(model_cfg, allowed, "model")
     name = model_cfg.pop("name", "galilean")
-    if name == "galilean" and "V" in model_cfg:
+    if name == "galilean" and ("V" in model_cfg or "W" in model_cfg):
         cs, _ = _gravity_structure(model_cfg)
     else:
         try:

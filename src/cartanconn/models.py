@@ -668,7 +668,7 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
 # Registry
 # ---------------------------------------------------------------------------
 
-def _build_homogeneous(space: str = "galileo", n: int = 2, **_) -> CartanStructure:
+def _build_homogeneous(space: str = "galileo", n: int = 2) -> CartanStructure:
     specs = {
         "galileo": lambda: galileo_homogeneous_spec(2),
         "affine": lambda: affine_homogeneous_spec(n),
@@ -680,13 +680,13 @@ def _build_homogeneous(space: str = "galileo", n: int = 2, **_) -> CartanStructu
     return homogeneous_flat(specs[space]())
 
 
-def _build_galilean(V=9.81, W=None, **_) -> CartanStructure:
+def _build_galilean(V=9.81, W=None) -> CartanStructure:
     v_fn = V if callable(V) else (lambda t, x, v0=float(V): v0)
     w_fn = None if W is None else (W if callable(W) else (lambda t, x, w0=float(W): w0))
     return galilean_gravity(GravityField(v_fn, w_fn))
 
 
-def _build_galilean3d(accel=None, **_) -> CartanStructure:
+def _build_galilean3d(accel=None) -> CartanStructure:
     if accel is None:
         accel = lambda t, x, y: np.array([0.0, -9.81])
     return galilean_gravity_3d(accel)
@@ -694,11 +694,11 @@ def _build_galilean3d(accel=None, **_) -> CartanStructure:
 
 MODEL_BUILDERS: dict[str, Callable[..., CartanStructure]] = {
     "homogeneous": _build_homogeneous,
-    "affine": lambda n=2, gamma=None, sigma0=None, **_: affine_structure(n, gamma, sigma0),
+    "affine": lambda n=2, gamma=None, sigma0=None: affine_structure(n, gamma, sigma0),
     "galilean": _build_galilean,
     "galilean3d": _build_galilean3d,
-    "mobius": lambda n=2, **_: homogeneous_flat(mobius_homogeneous_spec(n)),
-    "projective": lambda n=2, **_: homogeneous_flat(projective_homogeneous_spec(n)),
+    "mobius": lambda n=2: homogeneous_flat(mobius_homogeneous_spec(n)),
+    "projective": lambda n=2: homogeneous_flat(projective_homogeneous_spec(n)),
 }
 
 

@@ -1,12 +1,13 @@
 """Numeric settings shared across the library.
 
-All tolerances live in one record so they can be tightened or relaxed
-globally; individual operations accept an optional override.
+All tolerances live in one record. Defaults bind when each function is
+defined, so rebinding ``DEFAULT_TOLERANCES`` changes nothing; to tighten or
+relax a tolerance, pass a ``Tolerances`` record to the call (``tol=``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,6 @@ class Tolerances:
     axiom           connection-form axiom residuals accepted by audits
     rank            singular-value threshold deciding kernel/rank questions
     loop_closure    absolute coordinate gap accepted for a closed loop
-    fd_step         default step of central finite differences
     path_check      derivative-consistency bound for user-supplied paths
     """
 
@@ -29,12 +29,7 @@ class Tolerances:
     axiom: float = 1e-8
     rank: float = 1e-8
     loop_closure: float = 1e-12
-    fd_step: float = 1e-5
     path_check: float = 1e-5
-
-    def with_(self, **kwargs) -> "Tolerances":
-        """Copy of the record with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

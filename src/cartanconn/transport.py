@@ -412,11 +412,9 @@ def parallel_transport(
     """Parallel transport of the fibre point ``z0`` along ``path``.
 
     In the trivialization the transport map is ``act(g(t1) g(t0)^{-1}, .)``
-    where ``g`` is any horizontal lift; the lift from the identity is used.
+    where ``g`` is any horizontal lift: ``act(g(t1), .)`` for the lift from the identity.
     """
-    lifted = horizontal_lift(conn, path, None, step, tol=tol)
-    mover = lg.compose(lifted.end, lg.inverse(lifted.start))
-    return action(mover, z0)
+    return action(horizontal_lift(conn, path, None, step, tol=tol).end, z0)
 
 
 def holonomy(
@@ -426,7 +424,7 @@ def holonomy(
     *,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> lg.GroupElement:
-    """Holonomy ``g(t0)^{-1} g(t1)`` of a closed loop, lifted from identity."""
+    """Holonomy ``g(t0)^{-1} g(t1)`` of a closed loop: the end of its lift from the identity."""
     segs = loop.segments
     start = segs[0].point(segs[0].t0)
     end = segs[-1].point(segs[-1].t1)
@@ -434,8 +432,7 @@ def holonomy(
         raise LoopNotClosedError(
             f"loop endpoints differ by {np.max(np.abs(start - end)):.3e}"
         )
-    lifted = horizontal_lift(conn, loop, None, step, tol=tol)
-    return lg.compose(lg.inverse(lifted.start), lifted.end)
+    return horizontal_lift(conn, loop, None, step, tol=tol).end
 
 
 @dataclass(eq=False)

@@ -222,6 +222,34 @@ def test_bad_expression_rejected(tmp_path):
     assert cli.main(["run", write_config(tmp_path, doc)]) == 2
 
 
+def test_check_axioms_rejects_bad_model_parameters(tmp_path, capsys):
+    bad = [
+        ({"name": "galilean", "W": "0.3*x"}, "missing required key 'V'"),
+        ({"name": "affine", "V": "1"}, "bad parameters for model 'affine'"),
+        ({"name": "galilean", "space": "affine"}, "bad parameters for model 'galilean'"),
+    ]
+    for i, (model, message) in enumerate(bad):
+        doc = {"scenario": "check-axioms", "model": model, "samples": 5,
+               "output": {"path": str(tmp_path / f"out{i}")}}
+        assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_check_axioms_accepts_model_parameters(tmp_path):
+    good = [
+        {"name": "galilean", "V": "9.81", "W": "0.3*x"},
+        {"name": "galilean"},
+        {"name": "homogeneous", "space": "affine", "n": 2},
+        {"name": "mobius", "n": 2},
+    ]
+    for i, model in enumerate(good):
+        out = tmp_path / f"out{i}"
+        doc = {"scenario": "check-axioms", "model": model, "samples": 5,
+               "output": {"path": str(out)}}
+        assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 0
+        assert json.loads((out / "summary.json").read_text())["status"] == "PASS"
+
+
 def test_missing_config_file_is_io_error():
     assert cli.main(["run", "/nonexistent/config.json"]) == 4
 

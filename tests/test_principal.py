@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cartanconn import liegroup as lg
+from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn.errors import DomainError
 
@@ -120,6 +121,101 @@ def test_axioms_detect_corrupted_form(const_gravity):
     report = pr.check_axioms(const_gravity, samples=200, seed=2, form=corrupted)
     assert not report.passed
     assert report.residual_equivariance > 1e-3
+
+
+def test_axioms_detect_fundamental_corruption_only(const_gravity):
+    # eps_b is central in the Galileo algebra: adding it breaks axiom (i) only
+    def shifted(p, v):
+        return pr.full_form(const_gravity, p, v, check_domain=False) + lg.galileo_algebra(0.0, 0.0, 0.01)
+
+    report = pr.check_axioms(const_gravity, samples=200, seed=3, form=shifted)
+    assert not report.passed
+    assert abs(report.residual_fundamental - 0.01) < 1e-15
+    assert report.residual_equivariance < 1e-12
+
+
+def test_axioms_fail_on_a_non_finite_form(const_gravity):
+    def blows_up(p, v):
+        good = pr.full_form(const_gravity, p, v, check_domain=False)
+        return good if p.x[0] < 1.0 else np.nan * good
+
+    report = pr.check_axioms(const_gravity, samples=200, seed=3, form=blows_up)
+    assert np.isnan(report.residual_fundamental) and np.isnan(report.residual_equivariance)
+    assert not report.passed
+    assert report.worst_fundamental[0][0] >= 1.0
+
+
+def per_sample_audit(conn, samples, seed, form):
+    """Worst residuals of both axioms, one validated sample at a time, in
+    the sampling order that :func:`pr.check_axioms` documents."""
+    tag = conn.tag
+    rng = np.random.default_rng(seed)
+    worst_i = worst_ii = 0.0
+    for _ in range(samples):
+        x = conn.domain.sample(rng)
+        g = lg.random_element(tag, rng, scale=0.6)
+        p = pr.PrincipalPoint(x, g)
+        eta = lg.random_algebra(tag, rng)
+        worst_i = max(worst_i, (form(p, pr.fundamental_vector(eta, p)) - eta).norm())
+        dx = rng.standard_normal(conn.domain.dim)
+        zeta = lg.random_algebra(tag, rng)
+        g0 = lg.random_element(tag, rng, scale=0.6)
+        translated = lg.compose(g, g0)
+        raw = g.mat @ g0.mat   # the stored representative may be a rescaling (PGL)
+        scale = np.vdot(translated.mat, raw) / np.vdot(translated.mat, translated.mat)
+        v = pr.PrincipalTangent(dx, g.mat @ zeta.mat)
+        lhs = form(pr.PrincipalPoint(x, translated), pr.PrincipalTangent(dx, v.dg @ g0.mat / scale))
+        rhs = lg.inverse_matrix(tag, g0.mat) @ form(p, v).mat @ g0.mat
+        worst_ii = max(worst_ii, float(np.linalg.norm(lhs.mat - rhs)))
+    return worst_i, worst_ii
+
+
+@pytest.mark.parametrize("name", ["galilean", "affine", "mobius", "projective"])
+def test_axiom_audit_matches_per_sample_audit(name):
+    conn = models.build_model(name).conn
+
+    def exact(p, v):
+        return pr.full_form(conn, p, v, check_domain=False)
+
+    def skewed(p, v):
+        # residuals of order one that differ from sample to sample, so that
+        # agreement of the worst ones means the same samples were drawn
+        return (1.0 + p.x[0] + p.g.mat.sum()) * exact(p, v)
+
+    for form in (exact, skewed):
+        report = pr.check_axioms(conn, samples=150, seed=4, form=form)
+        expected = per_sample_audit(conn, 150, 4, form)
+        assert abs(report.residual_fundamental - expected[0]) < 1e-13
+        assert abs(report.residual_equivariance - expected[1]) < 1e-13
+    assert report.residual_fundamental > 0.1 and report.residual_equivariance > 0.1
+
+
+def curved_connection(tag, seed):
+    """Connection on the (x0, x1) plane with position-dependent, mutually
+    non-commuting coefficients ``A = sum_i dx_i (B_i + sin(x_{1-i}) C_i)``."""
+    rng = np.random.default_rng(seed)
+    base, slope = (
+        [lg.project_to_algebra(tag, rng.standard_normal((tag.size, tag.size))) for _ in range(2)]
+        for _ in range(2)
+    )
+
+    def coeff(x, dx):
+        mat = sum(dx[i] * (base[i] + np.sin(x[1 - i]) * slope[i]) for i in range(2))
+        return lg.AlgebraElement(tag, mat)
+
+    return pr.LocalConnection(pr.ChartDomain.unbounded(2), tag, coeff)
+
+
+@pytest.mark.parametrize("tag", [
+    lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3), lg.product_tag(lg.GALILEO2, lg.so_tag(2)),
+], ids=lambda tag: tag.name)
+def test_axioms_hold_for_curved_connections(tag):
+    conn = curved_connection(tag, seed=5)
+    assert pr.curvature(conn, [0.3, -0.2], [1, 0], [0, 1]).norm() > 0.1
+    report = pr.check_axioms(conn, samples=300, seed=6)
+    assert report.passed
+    assert report.residual_fundamental < 1e-12
+    assert report.residual_equivariance < 1e-12
 
 
 # ---------------------------------------------------------------------------
