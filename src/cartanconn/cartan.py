@@ -49,7 +49,9 @@ class HomogeneousSpec:
     """Homogeneous-space data for a fibre ``F = G / G'`` realized on a chart.
 
     act             left action of ``G`` on the fibre chart
-    project         quotient projection ``G -> F`` in chart coordinates
+    project         quotient projection ``G -> F`` in chart coordinates,
+                    ``project(g) = act(g, o)``, on a matrix or a stack of
+                    matrices ``(..., n, n)``, giving ``(..., fiber_dim)``
     coset_section   right inverse of ``project``: a group element mapping
                     ``o`` to the given chart point
     stabilizer_basis  basis of the Lie algebra of ``G'``
@@ -65,7 +67,7 @@ class HomogeneousSpec:
     fiber_dim: int
     origin: np.ndarray
     act: Callable[[lg.GroupElement, np.ndarray], np.ndarray]
-    project: Callable[[lg.GroupElement], np.ndarray]
+    project: Callable[[np.ndarray], np.ndarray]
     coset_section: Callable[[np.ndarray], lg.GroupElement]
     stabilizer_basis: tuple[lg.AlgebraElement, ...]
     fiber_map: np.ndarray | None = None
@@ -118,7 +120,7 @@ class HomogeneousSpec:
         fixes o, sections are right inverses, and dimensions add up."""
         rng = rng or np.random.default_rng(0)
         e = lg.identity(self.tag)
-        if np.max(np.abs(self.project(e) - self.origin)) > tol.structural:
+        if np.max(np.abs(self.project(e.mat) - self.origin)) > tol.structural:
             raise GeometryError(f"{self.name}: projection of the identity is not the base point")
         if len(self.stabilizer_basis) + self.fiber_dim != lg.algebra_dim(self.tag):
             raise GeometryError(f"{self.name}: dim G != dim G' + dim F")
@@ -335,7 +337,8 @@ class CartanStructure:
 
         The horizontal lift ``h`` starts at the canonical reduction point
         ``h'(t0)``; the development is
-        ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)``.
+        ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)``, computed for all nodes
+        in one ``spec.project`` call.
         """
         seg0 = path.segments[0]
         x0 = seg0.point(seg0.t0)
@@ -352,10 +355,7 @@ class CartanStructure:
                     j += 1
                 xt = segments[j].point(min(max(t, segments[j].t0), segments[j].t1))
                 movers[i] = movers[i] @ self.frame_at(xt).mat
-        values = np.empty((len(movers), self.spec.fiber_dim))
-        for i, mover in enumerate(movers):
-            values[i] = self.spec.act(lg.GroupElement(tag, mover), self.spec.origin)
-        return DevelopedPath(lifted.ts.copy(), values, x0)
+        return DevelopedPath(lifted.ts.copy(), self.spec.project(movers), x0)
 
     # -- parallelization -------------------------------------------------------------------
 

@@ -128,18 +128,20 @@ def validate_config(config: dict) -> dict:
 
 
 def _expression_field(source, variables) -> callable:
-    """Compile an expression string into a scalar function of ``variables``."""
+    """Compile an expression string (or a number) into a batched function of
+    ``variables``: scalars give a float, arrays an array of their shape."""
     if isinstance(source, (int, float)):
-        const = float(source)
-        return lambda *args: const
-    try:
-        tree = fe.parse(source)
-    except ExprSyntaxError as exc:
-        raise ConfigError(f"bad expression {source!r}: {exc}") from exc
+        tree = fe.Num(float(source))
+    else:
+        try:
+            tree = fe.parse(source)
+        except ExprSyntaxError as exc:
+            raise ConfigError(f"bad expression {source!r}: {exc}") from exc
     unknown = fe.free_variables(tree) - set(variables)
     if unknown:
         raise ConfigError(f"expression {source!r} uses unknown variables {sorted(unknown)}")
 
+    @pr.batched
     def fn(*args):
         return fe.evaluate(tree, dict(zip(variables, args)))
 
@@ -155,10 +157,15 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a table: ``rows`` is a float array, one join per row over its
+    ``tolist()`` floats, or a sequence of rows mixing numbers and strings."""
+    if isinstance(rows, np.ndarray):
+        lines = [",".join(map(repr, row)) for row in rows.astype(float, copy=False).tolist()]
+    else:
+        lines = [",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row)
+                 for row in rows]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -219,32 +226,40 @@ def _gravity_trajectory(traj_cfg: dict, v_at_start) -> tp.SmoothPath:
             raise ConfigError("trajectory.x needs trajectory.xdot")
         x_fn = _expression_field(traj_cfg["x"], ("t",))
         xdot_fn = _expression_field(traj_cfg["xdot"], ("t",))
-        return tp.SmoothPath(
-            t0, t1,
-            lambda t: np.array([t, x_fn(t)]),
-            lambda t: np.array([1.0, xdot_fn(t)]),
-        )
+        return _graph_path(t0, t1, x_fn, xdot_fn)
     preset = traj_cfg.get("preset", "freefall")
     x0 = float(traj_cfg.get("x0", 0.0))
     v0 = float(traj_cfg.get("v0", 0.0))
     g0 = v_at_start(t0, x0)
     if preset == "freefall":
-        return tp.SmoothPath(
+        return _graph_path(
             t0, t1,
-            lambda t: np.array([t, x0 + v0 * (t - t0) + 0.5 * g0 * (t - t0) ** 2]),
-            lambda t: np.array([1.0, v0 + g0 * (t - t0)]),
+            lambda t: x0 + v0 * (t - t0) + 0.5 * g0 * (t - t0) ** 2,
+            lambda t: v0 + g0 * (t - t0),
         )
     if preset == "perturbed-freefall":
         amp = float(traj_cfg.get("amp", 0.1))
         freq = float(traj_cfg.get("freq", 5.0))
-        return tp.SmoothPath(
+        return _graph_path(
             t0, t1,
-            lambda t: np.array(
-                [t, x0 + v0 * (t - t0) + 0.5 * g0 * (t - t0) ** 2 + amp * np.sin(freq * (t - t0))]
-            ),
-            lambda t: np.array([1.0, v0 + g0 * (t - t0) + amp * freq * np.cos(freq * (t - t0))]),
+            lambda t: x0 + v0 * (t - t0) + 0.5 * g0 * (t - t0) ** 2 + amp * np.sin(freq * (t - t0)),
+            lambda t: v0 + g0 * (t - t0) + amp * freq * np.cos(freq * (t - t0)),
         )
     raise ConfigError(f"unknown trajectory preset '{preset}'")
+
+
+def _graph_path(t0: float, t1: float, x_fn, xdot_fn) -> tp.SmoothPath:
+    """Batched path ``t -> (t, x(t))`` with velocity ``(1, x'(t))`` from
+    scalar functions that also take arrays of times."""
+    def x(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([t, x_fn(t)], axis=-1)
+
+    def xdot(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.ones_like(t), xdot_fn(t)], axis=-1)
+
+    return tp.SmoothPath(t0, t1, pr.batched(x), pr.batched(xdot))
 
 
 def _run_develop_gravity(cfg: dict, out_dir: Path) -> dict:
@@ -255,10 +270,7 @@ def _run_develop_gravity(cfg: dict, out_dir: Path) -> dict:
     norms = np.zeros(len(dev.ts))
     if len(second):
         norms[1:-1] = np.linalg.norm(second, axis=1)
-    rows = [
-        (t, path.point(t)[1], dev.values[i][1], norms[i])
-        for i, t in enumerate(dev.ts)
-    ]
+    rows = np.column_stack([dev.ts, path.points(dev.ts)[:, 1], dev.values[:, 1], norms])
     tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6)
     max_sd = dev.max_second_difference()
     status = "STRAIGHT" if max_sd < tol else "CURVED"
@@ -292,10 +304,7 @@ def _run_develop_kepler(cfg: dict, out_dir: Path) -> dict:
     norms = np.zeros(len(dev.ts))
     if len(second):
         norms[1:-1] = np.linalg.norm(second, axis=1)
-    rows = [
-        (t, *orbit.point(t)[1:], *dev.values[i], norms[i])
-        for i, t in enumerate(dev.ts)
-    ]
+    rows = np.column_stack([dev.ts, orbit.points(dev.ts)[:, 1:], dev.values, norms])
     tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-4)
     max_sd = dev.max_second_difference()
     summary = {
@@ -445,20 +454,25 @@ def _run_homogeneous_demo(cfg: dict, out_dir: Path) -> dict:
     coeff = 0.3 * rng.standard_normal((2, dim))
     base = rng.standard_normal(dim)
 
+    @pr.batched
     def x(t):
-        return base + coeff[0] * np.sin(2 * np.pi * t) + coeff[1] * (np.cos(2 * np.pi * t) - 1.0)
+        phase = 2 * np.pi * np.asarray(t, dtype=float)[..., None]
+        return base + coeff[0] * np.sin(phase) + coeff[1] * (np.cos(phase) - 1.0)
 
+    @pr.batched
     def xdot(t):
-        return 2 * np.pi * (coeff[0] * np.cos(2 * np.pi * t) - coeff[1] * np.sin(2 * np.pi * t))
+        phase = 2 * np.pi * np.asarray(t, dtype=float)[..., None]
+        return 2 * np.pi * (coeff[0] * np.cos(phase) - coeff[1] * np.sin(phase))
 
     path = tp.SmoothPath(0.0, 1.0, x, xdot)
     dev = cs.develop_base_path(path, step=cfg["step"])
-    gap = float(np.max(np.abs(dev.values - np.array([path.point(t) for t in dev.ts]))))
+    points = path.points(dev.ts)
+    gap = float(np.max(np.abs(dev.values - points)))
     action = cs.spec.fiber_action()
     z0 = cs.spec.origin + 0.2 * rng.standard_normal(dim)
     transported = tp.parallel_transport(cs.conn, path, action, z0, step=cfg["step"])
     transport_gap = float(np.max(np.abs(transported - z0)))
-    rows = [(t, *path.point(t), *dev.values[i]) for i, t in enumerate(dev.ts)]
+    rows = np.column_stack([dev.ts, points, dev.values])
     header = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"dev{i+1}" for i in range(dim)]
     tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-8)
     ok = gap < tol and transport_gap < tol

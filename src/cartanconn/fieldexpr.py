@@ -17,27 +17,31 @@ operators to the left. Known functions are sin, cos, sqrt, exp and abs;
 evaluation time (conventionally t, x, y, z plus named constants).
 
 Parsing reports syntax errors with byte offsets. Each tree is compiled
-once, on its first evaluation, into a closure that it keeps; evaluation
+once, on its first evaluation, into a closure of numpy ufuncs that it
+keeps, so one evaluation serves scalar bindings and arrays of values alike
+(elementwise, with the bindings broadcast against each other). Evaluation
 raises ``ExprEvalError`` on every failure (unbound variable, division by
-zero, overflow, a non-real power, a function outside its domain).
+zero, overflow, a non-real power, a function outside its domain), also
+when a single element of an array fails; the message names that element.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import ExprEvalError, ExprSyntaxError
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "abs": abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "abs": np.abs,
 }
 
 CONSTANTS = {"pi": math.pi}
@@ -183,14 +187,23 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-def evaluate(expr: Expr, env: Mapping[str, float] | None = None) -> float:
-    """Evaluate an expression tree with the given variable bindings; the
-    first evaluation compiles the tree into a closure that the tree keeps."""
+def evaluate(expr: Expr, env: Mapping[str, float | np.ndarray] | None = None) -> float | np.ndarray:
+    """Evaluate an expression tree with the given variable bindings: a float
+    for scalar bindings, else an array of the bindings' broadcast shape.
+    The first evaluation compiles the tree into a closure that the tree
+    keeps."""
     fn = expr.__dict__.get("_compiled")
     if fn is None:
         fn = _compile(expr)
         object.__setattr__(expr, "_compiled", fn)
-    return fn(env or {})
+    env = env or {}
+    # underflow to zero is not a failure; the rest raise inside ``_checked``
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        value = fn(env)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    if not shape:
+        return float(value)
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
 def _compile(expr: Expr):
@@ -201,7 +214,7 @@ def _compile(expr: Expr):
         return lambda env, name=expr.name: _variable(name, env)
     if isinstance(expr, Neg):
         operand = _compile(expr.operand)
-        return lambda env: -operand(env)
+        return lambda env: _NEGATE(operand(env))
     if isinstance(expr, Call):
         arg, func = _compile(expr.arg), _CHECKED_FUNCTIONS[expr.func]
         return lambda env: func(arg(env))
@@ -211,32 +224,37 @@ def _compile(expr: Expr):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _variable(name: str, env: Mapping[str, float]) -> float:
+def _variable(name: str, env: Mapping[str, float | np.ndarray]):
     if name in env:
-        return float(env[name])
+        value = env[name]
+        return value if isinstance(value, np.ndarray) else float(value)
     if name in CONSTANTS:
         return CONSTANTS[name]
     raise ExprEvalError(f"unbound variable {name!r}")
 
 
 def _checked(fn):
-    """``fn`` raising ``ExprEvalError`` where it fails (division by zero,
-    overflow, a math domain error) or returns a complex number."""
+    """Ufunc ``fn`` raising ``ExprEvalError`` where it fails (division by
+    zero, overflow, a non-real or undefined value) under the error state
+    set by :func:`evaluate`; the message names the first failing element."""
     def checked(*args):
         try:
-            value = fn(*args)
-            if not isinstance(value, complex):
-                return value
-            reason = "is not real"
-        except (ArithmeticError, ValueError) as exc:
-            reason = f"failed: {exc}"
-        raise ExprEvalError(f"{fn.__name__}({', '.join(map(repr, args))}) {reason}")
+            return fn(*args)
+        except ArithmeticError as exc:
+            reason = exc
+        with np.errstate(all="ignore"):
+            cells = np.broadcast_arrays(*args)
+            bad = np.flatnonzero(~np.isfinite(fn(*args)))
+        i = bad[0] if len(bad) else 0
+        values = ", ".join(repr(float(c.flat[i])) for c in cells)
+        raise ExprEvalError(f"{fn.__name__}({values}) failed: {reason}")
     return checked
 
 
 _CHECKED_FUNCTIONS = {name: _checked(fn) for name, fn in FUNCTIONS.items()}
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": _checked(operator.truediv), "^": _checked(operator.pow)}
+_OPERATORS = {"+": _checked(np.add), "-": _checked(np.subtract), "*": _checked(np.multiply),
+              "/": _checked(np.divide), "^": _checked(np.power)}
+_NEGATE = _checked(np.negative)
 
 
 def free_variables(expr: Expr) -> set[str]:

@@ -35,7 +35,7 @@ from .errors import (
     PointAtInfinityError,
     SingularFieldError,
 )
-from .principal import ChartDomain, LocalConnection, zero_connection
+from .principal import ChartDomain, LocalConnection, batched, is_batched, zero_connection
 from .transport import SmoothPath
 
 
@@ -54,8 +54,9 @@ def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
         v = g.mat[1:-1, 0]
         return np.concatenate([[g.mat[0, -1] + a], g.mat[1:-1, -1] + b + v * a])
 
-    def project(g):
-        return np.concatenate([[g.mat[0, -1]], g.mat[1:-1, -1]])
+    def project(mats):
+        # (a, b) sit in the last column above the corner
+        return mats[..., :-1, -1].copy()
 
     def coset_section(point):
         return lg.galileo_element(np.zeros(s), point[0], point[1:], tag)
@@ -90,8 +91,8 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
     def act(g, point):
         return g.mat[:n, :n] @ point + g.mat[:n, n]
 
-    def project(g):
-        return g.mat[:n, n].copy()
+    def project(mats):
+        return mats[..., :n, n].copy()
 
     def coset_section(point):
         mat = np.eye(n + 1)
@@ -129,11 +130,11 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
             raise PointAtInfinityError("projective action left the affine chart")
         return w[1:] / w[0]
 
-    def project(g):
-        col = g.mat[:, 0]
-        if abs(col[0]) <= 1e-12 * np.max(np.abs(col)):
+    def project(mats):
+        col = mats[..., :, 0]
+        if np.any(np.abs(col[..., 0]) <= 1e-12 * np.max(np.abs(col), axis=-1)):
             raise PointAtInfinityError("projection left the affine chart")
-        return col[1:] / col[0]
+        return col[..., 1:] / col[..., :1]
 
     def coset_section(point):
         mat = np.eye(n + 1)
@@ -289,8 +290,17 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
             raise PointAtInfinityError("Mobius action left the plane chart")
         return vec[1:-1] / den
 
-    def project(g):
-        return act(g, np.zeros(n))
+    # the origin embeds as the ray through p0 = (1, 0, ..., 0, 1)
+    p0 = np.zeros(n + 2)
+    p0[0] = 1.0
+    p0[-1] = 1.0
+
+    def project(mats):
+        vec = mats @ p0
+        den = vec[..., 0] + vec[..., -1]
+        if np.any(np.abs(den) <= 1e-12 * np.max(np.abs(vec), axis=-1)):
+            raise PointAtInfinityError("Mobius action left the plane chart")
+        return vec[..., 1:-1] / den[..., None]
 
     def coset_section(point):
         return lg.group_element(tag, _mobius_translation(np.asarray(point, dtype=float)))
@@ -300,9 +310,6 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         return stereo_jacobian(vec) @ g.mat @ embed_jacobian(np.asarray(point, dtype=float))
 
     basis = lg.algebra_basis(tag)
-    p0 = np.zeros(n + 2)
-    p0[0] = 1.0
-    p0[-1] = 1.0
     # infinitesimal action on the chart at the origin
     fiber_map = np.column_stack([stereo_jacobian(p0) @ (b.mat @ p0) for b in basis])
     # stabilizer of the ray: xi p0 proportional to p0, i.e. the null space of
@@ -495,39 +502,45 @@ def affine_structure(
     linear part ``sum_k gamma[i, j, k] w_k``; ``sigma0`` is the endomorphism
     field contributing the translation part, and is recovered by the
     soldering map. The structure is Cartan exactly when ``sigma0`` is
-    invertible (identity endomorphism by default).
+    invertible (identity endomorphism by default). The coefficient map is
+    batched unless ``gamma`` or ``sigma0`` is a callable not declared
+    :func:`~cartanconn.principal.batched`.
     """
     domain = domain or ChartDomain.unbounded(n)
     if domain.dim != n:
         raise GeometryError("domain dimension must equal n")
     tag = lg.aff_tag(n)
 
+    # constant fields broadcast over a stack of points
     if gamma is None:
-        gamma_fn = lambda x: np.zeros((n, n, n))
+        gamma_fn = batched(lambda x: np.zeros((n, n, n)))
     elif callable(gamma):
         gamma_fn = gamma
     else:
         gamma_const = np.asarray(gamma, dtype=float)
         if gamma_const.shape != (n, n, n):
             raise GeometryError(f"gamma must have shape {(n, n, n)}")
-        gamma_fn = lambda x: gamma_const
+        gamma_fn = batched(lambda x: gamma_const)
 
     if sigma0 is None:
-        sigma_fn = lambda x: np.eye(n)
+        sigma_fn = batched(lambda x: np.eye(n))
     elif callable(sigma0):
         sigma_fn = sigma0
     else:
         sigma_const = np.asarray(sigma0, dtype=float) * np.eye(n) if np.isscalar(sigma0) else np.asarray(sigma0, dtype=float)
         if sigma_const.shape != (n, n):
             raise GeometryError(f"sigma0 must have shape {(n, n)}")
-        sigma_fn = lambda x: sigma_const
+        sigma_fn = batched(lambda x: sigma_const)
 
     def coeff(x, w):
-        mat = np.zeros((n + 1, n + 1))
-        mat[:n, :n] = np.tensordot(gamma_fn(x), np.asarray(w, dtype=float), axes=([2], [0]))
-        mat[:n, n] = sigma_fn(x) @ np.asarray(w, dtype=float)
+        w = np.asarray(w, dtype=float)
+        mat = np.zeros(w.shape[:-1] + (n + 1, n + 1))
+        mat[..., :n, :n] = (gamma_fn(x) @ w[..., None, :, None])[..., 0]
+        mat[..., :n, n] = (sigma_fn(x) @ w[..., None])[..., 0]
         return lg.AlgebraElement(tag, mat)
 
+    if is_batched(gamma_fn) and is_batched(sigma_fn):
+        coeff = batched(coeff)
     return CartanStructure(
         name="affine",
         spec=affine_homogeneous_spec(n),
@@ -542,20 +555,22 @@ def affine_structure(
 @dataclass(frozen=True, eq=False)
 class GravityField:
     """Scalar gravity data on the (t, x) chart: acceleration V and the
-    optional velocity coupling W."""
+    optional velocity coupling W. ``v`` and ``w`` take scalars or, for
+    fields declared :func:`~cartanconn.principal.batched`, arrays of
+    times and positions."""
 
     V: Callable[[float, float], float]
     W: Callable[[float, float], float] | None = None
 
     @staticmethod
     def constant(g0: float) -> "GravityField":
-        return GravityField(lambda t, x: g0)
+        return GravityField(batched(lambda t, x: g0))
 
-    def v(self, t: float, x: float) -> float:
-        return float(self.V(t, x))
+    def v(self, t, x):
+        return np.asarray(self.V(t, x), dtype=float)
 
-    def w(self, t: float, x: float) -> float:
-        return 0.0 if self.W is None else float(self.W(t, x))
+    def w(self, t, x):
+        return 0.0 if self.W is None else np.asarray(self.W(t, x), dtype=float)
 
 
 def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> CartanStructure:
@@ -569,17 +584,23 @@ def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> 
         + (-(v + a V) dt + (1 - a W) dx - v da + db) eps_b,
 
     the soldering map is the identity, and the development of a trajectory
-    (t, x(t)) is a straight line exactly when V + W x' - x'' = 0.
+    (t, x(t)) is a straight line exactly when V + W x' - x'' = 0. The
+    coefficient map is batched when the field is.
     """
     domain = domain or ChartDomain.unbounded(2)
     tag = lg.GALILEO2
 
     def coeff(p, d):
-        t, x = p
-        return lg.galileo_algebra(
-            -field.v(t, x) * d[0] - field.w(t, x) * d[1], d[0], d[1]
-        )
+        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+        t, x = p[..., 0], p[..., 1]
+        mat = np.zeros(d.shape[:-1] + (3, 3))
+        mat[..., 1, 0] = -field.v(t, x) * d[..., 0] - field.w(t, x) * d[..., 1]
+        mat[..., 0, 2] = d[..., 0]
+        mat[..., 1, 2] = d[..., 1]
+        return lg.AlgebraElement(tag, mat)
 
+    if is_batched(field.V) and (field.W is None or is_batched(field.W)):
+        coeff = batched(coeff)
     return CartanStructure(
         name="galilean-gravity",
         spec=galileo_homogeneous_spec(2),
@@ -592,14 +613,23 @@ def galilean_gravity_3d(accel: Callable[[float, float, float], np.ndarray],
     """Componentwise extension of the gravity structure to a (t, x, y)
     spacetime: trajectories with (x'', y'') = accel(t, x, y) develop
     straight. ``accel`` may raise ``SingularFieldError`` on an excluded set
-    (e.g. the center of a Kepler field)."""
+    (e.g. the center of a Kepler field). The coefficient map is batched
+    when ``accel`` is: it then maps arrays ``(N,)`` of t, x, y to ``(N, 2)``.
+    """
     domain = domain or ChartDomain.unbounded(3)
     tag = lg.galileo_tag(3)
 
     def coeff(p, d):
-        a = np.asarray(accel(p[0], p[1], p[2]), dtype=float)
-        return lg.galileo_algebra(-a * d[0], d[0], d[1:], tag)
+        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+        a = np.asarray(accel(p[..., 0], p[..., 1], p[..., 2]), dtype=float)
+        mat = np.zeros(d.shape[:-1] + (4, 4))
+        mat[..., 1:-1, 0] = -a * d[..., :1]
+        mat[..., 0, -1] = d[..., 0]
+        mat[..., 1:-1, -1] = d[..., 1:]
+        return lg.AlgebraElement(tag, mat)
 
+    if is_batched(accel):
+        coeff = batched(coeff)
     return CartanStructure(
         name="galilean-gravity-3d",
         spec=galileo_homogeneous_spec(3),
@@ -609,13 +639,15 @@ def galilean_gravity_3d(accel: Callable[[float, float, float], np.ndarray],
 
 def kepler_acceleration(mu: float = 1.0, min_radius: float = 1e-3):
     """Central attraction -mu r / |r|^3 toward the origin of the (x, y)
-    plane, raising inside the excluded disk around the singular center."""
+    plane, raising inside the excluded disk around the singular center
+    (batched)."""
 
+    @batched
     def accel(t, x, y):
         r2 = x * x + y * y
-        if r2 < min_radius * min_radius:
+        if np.any(r2 < min_radius * min_radius):
             raise SingularFieldError("trajectory entered the excluded disk around the Kepler center")
-        return -mu * np.array([x, y]) / r2 ** 1.5
+        return -mu * np.stack([x, y], axis=-1) / (r2 ** 1.5)[..., None]
 
     return accel
 
@@ -627,8 +659,9 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
     perihelion; spans half a period by default.
 
     Positions come from the eccentric anomaly E(t) solving
-    M = E - e sin E (one Newton solve serves ``x`` and ``xdot`` at a time),
-    so the trajectory satisfies (x'', y'') = -mu r / |r|^3 to round-off.
+    M = E - e sin E (one Newton solve, elementwise over an array of times,
+    serves ``x`` and ``xdot`` at the same times), so the trajectory
+    satisfies (x'', y'') = -mu r / |r|^3 to round-off. The path is batched.
     """
     if not 0 <= e < 1:
         raise ValueError("eccentricity must lie in [0, 1)")
@@ -637,29 +670,36 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
     if t1 is None:
         t1 = t0 + np.pi / n_mean  # half a period
 
-    last = [None, None]   # x and xdot at one time share the solve
+    last = [None, None]   # x and xdot at the same times share the solve
 
-    def anomaly(t: float) -> float:
-        if t == last[0]:
+    def anomaly(t: np.ndarray) -> np.ndarray:
+        if last[0] is not None and np.array_equal(last[0], t):
             return last[1]
         m = n_mean * (t - t0)
-        ecc = m if e < 0.8 else np.pi
+        ecc = m if e < 0.8 else np.full_like(m, np.pi)
+        todo = np.ones(m.shape, dtype=bool)
+        # Newton per element, each stopping after its first |delta| < 1e-15
         for _ in range(50):
-            delta = (ecc - e * np.sin(ecc) - m) / (1.0 - e * np.cos(ecc))
-            ecc -= delta
-            if abs(delta) < 1e-15:
+            delta = np.where(todo, (ecc - e * np.sin(ecc) - m) / (1.0 - e * np.cos(ecc)), 0.0)
+            ecc = ecc - delta
+            todo &= np.abs(delta) >= 1e-15
+            if not todo.any():
                 break
-        last[:] = t, ecc
+        last[:] = t.copy(), ecc
         return ecc
 
+    @batched
     def x(t):
+        t = np.asarray(t, dtype=float)
         ecc = anomaly(t)
-        return np.array([t, a * (np.cos(ecc) - e), b * np.sin(ecc)])
+        return np.stack([t, a * (np.cos(ecc) - e), b * np.sin(ecc)], axis=-1)
 
+    @batched
     def xdot(t):
+        t = np.asarray(t, dtype=float)
         ecc = anomaly(t)
         rate = n_mean / (1.0 - e * np.cos(ecc))
-        return np.array([1.0, -a * np.sin(ecc) * rate, b * np.cos(ecc) * rate])
+        return np.stack([np.ones_like(t), -a * np.sin(ecc) * rate, b * np.cos(ecc) * rate], axis=-1)
 
     return SmoothPath(t0, t1, x, xdot)
 
@@ -681,14 +721,14 @@ def _build_homogeneous(space: str = "galileo", n: int = 2) -> CartanStructure:
 
 
 def _build_galilean(V=9.81, W=None) -> CartanStructure:
-    v_fn = V if callable(V) else (lambda t, x, v0=float(V): v0)
-    w_fn = None if W is None else (W if callable(W) else (lambda t, x, w0=float(W): w0))
+    v_fn = V if callable(V) else batched(lambda t, x, v0=float(V): v0)
+    w_fn = None if W is None else (W if callable(W) else batched(lambda t, x, w0=float(W): w0))
     return galilean_gravity(GravityField(v_fn, w_fn))
 
 
 def _build_galilean3d(accel=None) -> CartanStructure:
     if accel is None:
-        accel = lambda t, x, y: np.array([0.0, -9.81])
+        accel = batched(lambda t, x, y: np.broadcast_to([0.0, -9.81], np.shape(t) + (2,)))
     return galilean_gravity_3d(accel)
 
 

@@ -68,12 +68,38 @@ class ChartDomain:
         return inside if x.ndim == 2 else bool(inside)
 
     def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        """Random point of the domain (normal for unbounded domains)."""
+        """Random point of the domain: normal with standard deviation
+        ``scale`` on an unbounded domain, uniform on a box shrunk about its
+        centre by the factor ``scale`` in (0, 1] (the whole box at 1)."""
         if self.lower is None:
             return scale * rng.standard_normal(self.dim)
+        if not 0.0 < scale <= 1.0:
+            raise ValueError(f"box sample scale must lie in (0, 1], got {scale}")
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
-        return rng.uniform(lo, hi)
+        pad = (hi - lo) * (1.0 - scale) / 2
+        return rng.uniform(lo + pad, hi - pad)
+
+
+def batched(fn: Callable) -> Callable:
+    """Declare that ``fn`` also takes a leading axis of nodes, and return it.
+
+    A batched callable given arrays over ``N`` nodes returns the stacked
+    values of its per-point calls: a path ``x(ts)`` with ``ts`` of shape
+    ``(N,)`` returns ``(N, dim)``, a coefficient map ``coeff(xs, dxs)``
+    with ``(N, m)`` arrays returns an algebra element whose ``mat`` is
+    ``(N, n, n)``, and a scalar field returns values broadcastable against
+    its arguments. The lift and the development call a batched callable
+    once per block of nodes and any other callable once per node. The mark
+    is a function attribute, so it survives ``functools.wraps``.
+    """
+    fn.batched = True
+    return fn
+
+
+def is_batched(fn: Callable) -> bool:
+    """Whether ``fn`` was declared with :func:`batched`."""
+    return getattr(fn, "batched", False) is True
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +108,10 @@ class LocalConnection:
 
     ``coeff`` maps a base point and a base tangent to an algebra element of
     ``tag``. The map must be linear in the tangent slot; this is audited by
-    the test-suite rather than enforced per call.
+    the test-suite rather than enforced per call. When ``coeff`` is
+    declared :func:`batched`, a lift evaluates it once per block of nodes,
+    on ``(N, m)`` stacks of points and tangents, and needs ``mat`` of shape
+    ``(N, n, n)`` back.
     """
 
     domain: ChartDomain
@@ -99,7 +128,9 @@ class LocalConnection:
 
 def zero_connection(domain: ChartDomain, tag: lg.GroupTag) -> LocalConnection:
     """The connection with ``A = 0`` (Maurer-Cartan only)."""
-    return LocalConnection(domain, tag, lambda x, dx: lg.zero_algebra(tag))
+    shape = (tag.size, tag.size)
+    return LocalConnection(domain, tag, batched(
+        lambda x, dx: lg.AlgebraElement(tag, np.zeros(np.shape(dx)[:-1] + shape))))
 
 
 @dataclass(frozen=True, eq=False)

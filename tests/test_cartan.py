@@ -234,6 +234,25 @@ def test_shipped_models_match_dimension_condition():
         assert cs.base_dim == cs.spec.fiber_dim
 
 
+@pytest.mark.parametrize("spec", [
+    models.galileo_homogeneous_spec(2),
+    models.galileo_homogeneous_spec(3),
+    models.affine_homogeneous_spec(2),
+    models.projective_homogeneous_spec(2),
+    models.mobius_homogeneous_spec(2),
+], ids=lambda s: s.name)
+def test_projection_of_a_stack_is_the_action_on_the_origin(spec):
+    # develop_base_path projects all node matrices in one call, relying on
+    # project(g) = act(g, o) for every shipped homogeneous space
+    rng = np.random.default_rng(14)
+    elements = [lg.random_element(spec.tag, rng, scale=0.6) for _ in range(25)]
+    stacked = spec.project(np.stack([g.mat for g in elements]))
+    assert stacked.shape == (25, spec.fiber_dim)
+    for g, row in zip(elements, stacked):
+        assert np.max(np.abs(row - spec.act(g, spec.origin))) < 1e-14
+        assert np.array_equal(row, spec.project(g.mat))
+
+
 def test_shipped_fiber_actions_satisfy_action_laws():
     rng = np.random.default_rng(11)
     for name in models.MODEL_BUILDERS:

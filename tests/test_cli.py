@@ -4,7 +4,11 @@ import itertools
 import json
 import math
 
-from cartanconn import acceptance, cli
+import numpy as np
+
+from cartanconn import acceptance, cli, models
+from cartanconn import principal as pr
+from cartanconn import transport as tp
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -156,6 +160,12 @@ def test_homogeneous_demo_scenario(tmp_path):
     assert cli.main(["run", write_config(tmp_path, doc)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "FLAT"
+    # the JSON table holds the same numbers as the CSV one
+    doc["output"] = {"path": str(tmp_path / "json"), "format": "json"}
+    assert cli.main(["run", write_config(tmp_path, doc, "json.json")]) == 0
+    rows = json.loads((tmp_path / "json" / "homogeneous-demo.json").read_text())["rows"]
+    table = np.loadtxt(out / "homogeneous-demo.csv", delimiter=",", skiprows=1)
+    assert table.shape == (201, 5) and np.array_equal(np.array(rows), table)
 
 
 def test_kepler_scenario_coarse(tmp_path):
@@ -274,6 +284,71 @@ def test_expression_failures_exit_numerical(tmp_path):
                "trajectory": {"preset": "freefall", "x0": 0.0},
                "output": {"path": str(tmp_path / f"out{i}")}}
         assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 3
+
+
+def test_failures_inside_a_block_exit_numerical(tmp_path, capsys):
+    # V is singular at t = 0.5, in the middle of the first block of steps;
+    # the orbit starts at its perihelion a (1 - e) = 5e-4 from the Kepler
+    # centre, inside the excluded disk (a slow orbit, whose derivative
+    # passes the path check)
+    cases = [
+        (gravity_config(tmp_path / "out0", model={"V": "1/(t - 0.5)"}), "divide(1.0, 0.0)"),
+        ({"scenario": "develop-kepler", "model": {"mu": 1e-12, "a": 1.25e-3, "e": 0.6},
+          "integrator": {"step": 0.1}, "output": {"path": str(tmp_path / "out1")}}, "excluded disk"),
+    ]
+    for i, (doc, message) in enumerate(cases):
+        assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_expression_fields_match_python_lambdas():
+    # the CLI's batched expression fields and trajectory against the same
+    # formulas as per-point Python callables: every node within 1e-12
+    model = {"V": "9.81 - 0.3*x*(0.5 + 9.81*t) + sin(3*t)^2", "W": "0.3*x"}
+    cs, v_fn = cli._gravity_structure(model)
+    path = cli._gravity_trajectory({"x": "0.2 + 0.5*t + 0.5*9.81*t^2", "xdot": "0.5 + 9.81*t"}, v_fn)
+    assert pr.is_batched(cs.conn.coeff) and pr.is_batched(path.x) and pr.is_batched(path.xdot)
+    reference = models.galilean_gravity(models.GravityField(
+        lambda t, x: 9.81 - 0.3 * x * (0.5 + 9.81 * t) + math.sin(3 * t) ** 2,
+        lambda t, x: 0.3 * x,
+    ))
+    ref_path = tp.SmoothPath(
+        0.0, 1.0,
+        lambda t: np.array([t, 0.2 + 0.5 * t + 0.5 * 9.81 * t ** 2]),
+        lambda t: np.array([1.0, 0.5 + 9.81 * t]),
+    )
+    dev = cs.develop_base_path(path, step=1e-3)
+    ref = reference.develop_base_path(ref_path, step=1e-3)
+    assert np.max(np.abs(dev.values - ref.values)) < 1e-12
+    assert np.max(np.abs(path.points(dev.ts) - np.array([ref_path.point(t) for t in ref.ts]))) < 1e-12
+    # the presets too
+    for preset in ("freefall", "perturbed-freefall"):
+        path = cli._gravity_trajectory({"preset": preset, "x0": 0.3, "v0": -0.2}, v_fn)
+        pointwise = tp.SmoothPath(0.0, 1.0, lambda t: path.x(float(t)), lambda t: path.xdot(float(t)))
+        ts = np.linspace(0.0, 1.0, 101)
+        assert np.max(np.abs(path.points(ts) - pointwise.points(ts))) < 1e-12
+        assert np.max(np.abs(path.velocities(ts) - pointwise.velocities(ts))) < 1e-12
+
+
+def old_csv_bytes(header, rows) -> bytes:
+    """The per-cell formatter the CSV writer had before it took arrays."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
+                              for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def test_csv_writer_bytes_match_the_per_cell_formatter(tmp_path):
+    rng = np.random.default_rng(13)
+    table = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+    table[3, 1], table[7, 2], table[9, 0] = -0.0, 1e-300, 7.0
+    header = ["t", "a", "b", "c"]
+    cli._write_csv(tmp_path / "array.csv", header, table)
+    assert (tmp_path / "array.csv").read_bytes() == old_csv_bytes(header, table)
+    mixed = [(int(7), "eps_v", -0.0, 1e-300), ("x", np.float64(2.5), 3, -1.25e-17)] + table.tolist()
+    cli._write_csv(tmp_path / "mixed.csv", header, mixed)
+    assert (tmp_path / "mixed.csv").read_bytes() == old_csv_bytes(header, mixed)
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -85,6 +85,73 @@ def test_every_evaluation_failure_is_an_expr_eval_error(src):
         fe.evaluate(fe.parse(src))
 
 
+@pytest.mark.parametrize("src, values, bad", [
+    # the cases above, each failing at one element of an array only
+    ("x^(-1)", [2.0, 0.0, 1.0], "power(0.0, -1.0)"),
+    ("x^0.5", [4.0, 9.0, -8.0], "power(-8.0, 0.5)"),
+    ("exp(x)", [0.0, 1000.0, 1.0], "exp(1000.0)"),
+    ("sin(10^x*10)", [1.0, 2.0, 308.0], "multiply(1e+308, 10.0)"),
+    ("10^x", [400.0, 1.0, 2.0], "power(10.0, 400.0)"),
+    ("1/(x - 0.5)", [0.0, 0.5, 1.0], "divide(1.0, 0.0)"),
+    ("sqrt(x)", [1.0, -1.0, 4.0], "sqrt(-1.0)"),
+])
+def test_one_failing_array_element_is_an_expr_eval_error(src, values, bad):
+    tree = fe.parse(src)
+    with pytest.raises(ExprEvalError) as info:
+        fe.evaluate(tree, {"x": np.array(values)})
+    # the message names the failing element, not the array
+    assert str(info.value).startswith(bad)
+    for v in values:
+        try:
+            fe.evaluate(tree, {"x": v})
+        except ExprEvalError:
+            continue
+        assert np.isfinite(fe.evaluate(tree, {"x": np.array([v, v])})).all()
+
+
+def random_arithmetic(rng: random.Random, depth: int = 0) -> str:
+    """Random expression over + - * / and unary minus only."""
+    if depth > 3 or rng.random() < 0.3:
+        return rng.choice(["2", "3", "0.5", "x", "t", "x", "t"])
+    if rng.random() < 0.85:
+        op = rng.choice(["+", "-", "*", "/"])
+        return f"({random_arithmetic(rng, depth + 1)} {op} {random_arithmetic(rng, depth + 1)})"
+    return f"-{random_arithmetic(rng, depth + 1)}"
+
+
+def test_array_evaluation_of_arithmetic_equals_scalar_evaluation():
+    rng = random.Random(5)
+    xs = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 64))
+    checked = 0
+    while checked < 200:
+        tree = fe.parse(random_arithmetic(rng))
+        try:
+            scalar = [fe.evaluate(tree, {"x": x, "t": t}) for x, t in xs.T]
+        except ExprEvalError:
+            continue
+        assert np.array_equal(fe.evaluate(tree, {"x": xs[0], "t": xs[1]}), scalar)
+        checked += 1
+
+
+@pytest.mark.parametrize("src", ["sin(x)", "cos(x)", "sqrt(abs(x))", "exp(x)", "abs(x)",
+                                 "abs(x)^1.7", "abs(x)^t", "2^x", "x^3"])
+def test_array_evaluation_of_powers_and_functions_is_within_4_ulp(src):
+    # numpy's array loops may differ from its scalar ones in the last bits
+    rng = np.random.default_rng(6)
+    x, t = rng.uniform(-5.0, 5.0, size=(2, 2000))
+    tree = fe.parse(src)
+    scalar = np.array([fe.evaluate(tree, {"x": a, "t": b}) for a, b in zip(x, t)])
+    stacked = fe.evaluate(tree, {"x": x, "t": t})
+    assert np.all(np.abs(stacked - scalar) <= 4 * np.spacing(np.abs(scalar)))
+
+
+def test_array_evaluation_broadcasts_and_keeps_scalars_float():
+    x = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(fe.evaluate(fe.parse("9.81"), {"x": x}), np.full(5, 9.81))
+    assert np.array_equal(fe.evaluate(fe.parse("2*t"), {"t": 1.5, "x": x}), np.full(5, 3.0))
+    assert type(fe.evaluate(fe.parse("x + 1"), {"x": 2})) is float
+
+
 def test_evaluated_tree_keeps_equality_and_hash():
     # the compiled closure is cached on the tree but is not part of it
     tree = fe.parse("0.5 * x^2 - pi")

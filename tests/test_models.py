@@ -203,6 +203,39 @@ def test_kepler_excluded_disk_raises():
     accel = models.kepler_acceleration(1.0, min_radius=1e-3)
     with pytest.raises(SingularFieldError):
         accel(0.0, 1e-4, 0.0)
+    # one point inside the disk fails a whole stack
+    with pytest.raises(SingularFieldError):
+        accel(np.zeros(3), np.array([1.0, 1e-4, 0.5]), np.zeros(3))
+
+
+def test_kepler_batched_route_matches_per_point_wrappers():
+    # the batched orbit and field against per-point wrappers of each, which
+    # the lift calls once per node: every developed node within 1e-12
+    orbit = models.kepler_orbit(mu=1.1, a=1.1 ** (1 / 3), e=0.6, t0=0.3)
+    accel = models.kepler_acceleration(1.1)
+    assert pr.is_batched(orbit.x) and pr.is_batched(orbit.xdot) and pr.is_batched(accel)
+    batched = models.galilean_gravity_3d(accel)
+    assert pr.is_batched(batched.conn.coeff)
+    per_point = models.galilean_gravity_3d(lambda t, x, y: accel(t, x, y))
+    assert not pr.is_batched(per_point.conn.coeff)
+    wrapped = tp.SmoothPath(orbit.t0, orbit.t1, lambda t: orbit.x(t), lambda t: orbit.xdot(t))
+    fast = batched.develop_base_path(orbit, step=2e-3)
+    slow = per_point.develop_base_path(wrapped, step=2e-3)
+    assert np.array_equal(fast.ts, slow.ts)
+    assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+    ts = fast.ts
+    assert np.max(np.abs(orbit.points(ts) - np.array([orbit.x(t) for t in ts]))) < 1e-12
+    assert np.max(np.abs(orbit.velocities(ts) - np.array([orbit.xdot(t) for t in ts]))) < 1e-12
+
+
+def test_kepler_newton_stops_per_element():
+    # near perihelion and near aphelion Newton needs different numbers of
+    # iterations; each element of a stack equals its own scalar solve
+    orbit = models.kepler_orbit(mu=1.0, a=1.0, e=0.6)
+    ts = np.array([0.0, 1e-9, 0.01, 1.0, 2.5, orbit.t1 - 1e-6, orbit.t1])
+    stacked = orbit.points(ts)
+    for t, row in zip(ts, stacked):
+        assert np.max(np.abs(row - orbit.x(t))) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,7 @@ from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn.errors import DomainError
 
-
-def gravity_connection(V, W):
-    """Local gravity connection on the (t, x) chart:
-    A(dt, dx) = (-V dt - W dx) eps_v + dt eps_a + dx eps_b."""
-    domain = pr.ChartDomain.unbounded(2)
-
-    def coeff(xy, d):
-        t, x = xy
-        return lg.galileo_algebra(-V(t, x) * d[0] - W(t, x) * d[1], d[0], d[1])
-
-    return pr.LocalConnection(domain, lg.GALILEO2, coeff)
+from conftest import gravity_connection
 
 
 @pytest.fixture
@@ -59,6 +49,20 @@ def test_full_form_outside_domain_raises():
     p = pr.PrincipalPoint([2.0, 0.0], lg.identity(lg.GALILEO2))
     with pytest.raises(DomainError):
         pr.full_form(conn, p, pr.PrincipalTangent([1.0, 0.0], np.zeros((3, 3))))
+
+
+def test_box_sample_shrinks_about_the_centre():
+    box = pr.ChartDomain.box([0.0, -2.0], [10.0, 2.0])
+    rng = np.random.default_rng(4)
+    points = np.array([box.sample(rng, scale=0.01) for _ in range(200)])
+    assert np.all(np.abs(points - [5.0, 0.0]) <= [0.05, 0.02])
+    # the default draws the whole box, exactly as rng.uniform(lower, upper)
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        assert np.array_equal(box.sample(a), b.uniform([0.0, -2.0], [10.0, 2.0]))
+    for scale in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="scale"):
+            box.sample(rng, scale=scale)
 
 
 def test_fundamental_vector_basics():

@@ -1,5 +1,6 @@
 """Tests for horizontal lifts, parallel transport, holonomy and development."""
 
+import functools
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from cartanconn import liegroup as lg
+from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn import transport as tp
 from cartanconn.errors import DomainError, LiftDivergedError, LoopNotClosedError
@@ -185,6 +187,124 @@ def test_lift_makes_two_coefficient_calls_per_step_plus_one_per_segment(steps):
     lifted = tp.horizontal_lift(conn, tp.square_loop([0.0, 0.0], 0.5), step=0.5 / steps)
     assert len(lifted.ts) == 4 * steps + 1
     assert len(calls) == 4 * (2 * steps + 1)
+
+
+def counting_gravity_coeff(calls, g0=9.81):
+    """Batched constant-gravity coefficient map recording the points of each call."""
+    @pr.batched
+    def coeff(x, d):
+        calls.append(np.array(x))
+        mat = np.zeros(np.shape(d)[:-1] + (3, 3))
+        mat[..., 1, 0] = -g0 * d[..., 0]
+        mat[..., 0, 2] = d[..., 0]
+        mat[..., 1, 2] = d[..., 1]
+        return lg.AlgebraElement(lg.GALILEO2, mat)
+
+    return coeff
+
+
+@pytest.mark.parametrize("steps, calls_per_segment", [(4, 1), (512, 1), (1100, 3)])
+def test_batched_connection_gets_one_coefficient_call_per_block(steps, calls_per_segment):
+    calls = []
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, counting_gravity_coeff(calls))
+    lifted = tp.horizontal_lift(conn, tp.square_loop([0.0, 0.0], 0.5), step=0.5 / steps)
+    assert len(lifted.ts) == 4 * steps + 1
+    assert len(calls) == 4 * calls_per_segment
+    # every node is evaluated once: the first block of a segment has all
+    # 2 B + 1 nodes, later blocks reuse the previous block's last node
+    assert sum(len(x) for x in calls) == 4 * (2 * steps + 1)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_batched_and_per_point_routes_agree(batched):
+    # one gravity field and one path, declared batched or called per node,
+    # against the per-point reference connection
+    def V(t, x):
+        return 9.81 + 0.3 * np.sin(x) * t
+
+    def W(t, x):
+        return 0.2 * x
+
+    def x(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([t, 0.3 * np.sin(2 * t) + 0.1 * t * t], axis=-1)
+
+    def xdot(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.ones_like(t), 0.6 * np.cos(2 * t) + 0.2 * t], axis=-1)
+
+    mark = pr.batched if batched else (lambda fn: fn)
+    reference = tp.horizontal_lift(gravity_connection(V, W), tp.SmoothPath(0.0, 1.5, x, xdot), step=1e-3)
+    structure = models.galilean_gravity(models.GravityField(mark(V), mark(W)))
+    assert pr.is_batched(structure.conn.coeff) is batched
+    lifted = tp.horizontal_lift(structure.conn, tp.SmoothPath(0.0, 1.5, mark(x), mark(xdot)), step=1e-3)
+    assert np.max(np.abs(lifted.mats - reference.mats)) < 1e-12
+
+
+@pytest.mark.parametrize("step", [0.05, 1e-3])
+def test_batched_lift_raises_domain_error_before_the_coefficients_of_its_block(step):
+    # as test_lift_stops_at_first_node_outside_domain, with one coefficient
+    # call per block: the block holding the first node outside gets none
+    calls = []
+    domain = pr.ChartDomain.box([-1.0, -1.0], [0.6102, 1.0])
+    conn = pr.LocalConnection(domain, lg.GALILEO2, counting_gravity_coeff(calls))
+    with pytest.raises(DomainError) as info:
+        tp.horizontal_lift(conn, tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), step=step)
+    t_out = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
+    assert 0.6102 < t_out <= 0.6102 + step / 2
+    assert all(np.all(x[:, 0] < t_out) for x in calls)
+    assert len(calls) == (1 if step == 1e-3 else 0)
+
+
+def test_batched_path_with_wrong_shape_raises_at_construction():
+    # np.array([t, t]) stacks times along the first axis: (2, N), not (N, 2)
+    good_x = pr.batched(lambda t: np.stack([t, 2 * np.asarray(t)], axis=-1))
+    good_v = pr.batched(lambda t: np.stack(np.broadcast_arrays(1.0, 2.0 + 0 * np.asarray(t)), axis=-1))
+    tp.SmoothPath(0.0, 1.0, good_x, good_v)
+    with pytest.raises(ValueError, match="shape"):
+        tp.SmoothPath(0.0, 1.0, pr.batched(lambda t: np.array([t, 2 * t])), good_v)
+    with pytest.raises(ValueError, match="shape"):
+        tp.SmoothPath(0.0, 1.0, good_x, pr.batched(lambda t: np.array([1.0, 2.0])))
+
+
+def test_batched_coefficient_with_wrong_shape_raises():
+    # one (3, 3) matrix for a whole block is not a stack
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2,
+                              pr.batched(lambda x, d: lg.galileo_algebra(0.0, 1.0, 0.0)))
+    with pytest.raises(ValueError, match="shape"):
+        tp.horizontal_lift(conn, tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), step=0.1)
+
+
+def test_traced_wrappers_keep_the_batched_route():
+    # the benchmark's tracer wraps conn.coeff and path callables with
+    # functools.wraps; the lift must still call each once per block
+    def traced(fn, counter):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counter.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    coeff_calls, x_calls, v_calls = [], [], []
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, counting_gravity_coeff([]))
+    object.__setattr__(conn, "coeff", traced(conn.coeff, coeff_calls))
+    segment = tp.line_segment([0.0, 0.0], [1.0, 0.5], 0.0, 1.0)
+    path = tp.SmoothPath(0.0, 1.0, traced(segment.x, x_calls), traced(segment.xdot, v_calls))
+    assert pr.is_batched(conn.coeff) and pr.is_batched(path.x) and pr.is_batched(path.xdot)
+    x_calls.clear(), v_calls.clear()
+    tp.horizontal_lift(conn, path, step=1e-3)   # 1000 steps: two blocks
+    assert (len(coeff_calls), len(x_calls), len(v_calls)) == (2, 2, 2)
+
+
+def test_line_segment_points_match_per_point_calls():
+    rng = np.random.default_rng(3)
+    seg = tp.line_segment(rng.standard_normal(3), rng.standard_normal(3), 0.5, 2.0)
+    ts = np.linspace(0.5, 2.0, 7)
+    assert np.array_equal(seg.points(ts), np.array([seg.point(t) for t in ts]))
+    assert np.array_equal(seg.velocities(ts), np.array([seg.velocity(t) for t in ts]))
+    back = seg.reverse()
+    assert pr.is_batched(back.x) and pr.is_batched(back.xdot)
+    assert np.array_equal(back.points(ts), np.array([back.point(t) for t in ts]))
 
 
 def test_fiber_action_validation():
