@@ -39,7 +39,7 @@ import numpy as np
 
 from . import liegroup as lg
 from .errors import GeometryError, NotCartanError
-from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, full_form
+from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, full_form
 from .settings import DEFAULT_TOLERANCES, Tolerances
 from .transport import DevelopedPath, FiberAction, Path, horizontal_lift
 
@@ -236,31 +236,23 @@ class CartanStructure:
         return PrincipalPoint(np.asarray(x, dtype=float), g)
 
     def _reduction_tangent_basis(self, x, gprime: lg.GroupElement | None = None):
-        """Basis of T H' at the point over x framed by ``frame * gprime``:
-        base directions follow the frame section, verticals span g'."""
+        """Basis of T H' at the point over x framed by ``frame * gprime``, as
+        stacks ``(dxs, dgs)``: base directions follow the frame section,
+        verticals span g'."""
         x = np.asarray(x, dtype=float)
-        m = self.base_dim
+        m, stabilizer = self.base_dim, self.spec.stabilizer_basis
         gp_mat = np.eye(self.spec.tag.size) if gprime is None else gprime.mat
-        frame_mat = self.frame_at(x).mat
-        tangents = []
-        for i in range(m):
-            w = np.zeros(m)
-            w[i] = 1.0
-            tangents.append(PrincipalTangent(w, self._frame_derivative(x, w) @ gp_mat))
-        total = frame_mat @ gp_mat
-        for eta in self.spec.stabilizer_basis:
-            tangents.append(PrincipalTangent(np.zeros(m), total @ eta.mat))
-        return tangents
+        total = self.frame_at(x).mat @ gp_mat
+        dgs = [self._frame_derivative(x, w) @ gp_mat for w in np.eye(m)]
+        return np.eye(m + len(stabilizer), m), np.array(dgs + [total @ eta.mat for eta in stabilizer])
 
     def reduced_form_matrix(self, x, gprime: lg.GroupElement | None = None) -> np.ndarray:
         """Matrix of the induced form on the tangent basis of H' at x,
-        expressed in algebra coordinates of G (columns = basis tangents)."""
+        expressed in algebra coordinates of G (columns = basis tangents),
+        evaluated on all basis tangents at once."""
         p = self._reduction_point(x, gprime)
-        cols = [
-            lg.algebra_coords(full_form(self.conn, p, v, check_domain=False))
-            for v in self._reduction_tangent_basis(x, gprime)
-        ]
-        return np.column_stack(cols)
+        mats = _form_matrices(self.conn, p.x, p.g.mat, *self._reduction_tangent_basis(x, gprime))
+        return lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats)).T
 
     # -- classification ---------------------------------------------------------------
 
@@ -373,7 +365,7 @@ class CartanStructure:
             raise GeometryError("point does not belong to the reduction H'")
         # frame the point as frame(x) * g' to reuse the tangent basis
         gprime = lg.compose(lg.inverse(self.frame_at(p.x)), p.g)
-        basis = self._reduction_tangent_basis(p.x, gprime)
+        dxs, dgs = self._reduction_tangent_basis(p.x, gprime)
         matrix = self.reduced_form_matrix(p.x, gprime)
         svals = np.linalg.svd(matrix, compute_uv=False)
         if svals[-1] <= tol.rank:
@@ -381,10 +373,4 @@ class CartanStructure:
                 f"induced form is singular at the requested point (sigma_min = {svals[-1]:.3e})"
             )
         coeffs = np.linalg.inv(matrix)  # column j: coordinates of frame vector j
-        frame = []
-        for j in range(matrix.shape[0]):
-            c = coeffs[:, j]
-            dx = sum(cc * b.dx for cc, b in zip(c, basis))
-            dg = sum(cc * b.dg for cc, b in zip(c, basis))
-            frame.append(PrincipalTangent(dx, dg))
-        return frame
+        return [PrincipalTangent(c @ dxs, np.tensordot(c, dgs, 1)) for c in coeffs.T]

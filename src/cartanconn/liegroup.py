@@ -376,25 +376,26 @@ def identity(tag: GroupTag) -> GroupElement:
     return GroupElement(tag, np.eye(tag.size))
 
 
-def algebra_defect(tag: GroupTag, mat: np.ndarray) -> float:
+def algebra_defect(tag: GroupTag, mat: np.ndarray):
+    """Max-norm distance of ``mat`` (each matrix of a stack) from the algebra pattern."""
     mat = np.asarray(mat, dtype=float)
-    return float(np.max(np.abs(mat - project_to_algebra(tag, mat))))
+    return np.abs(mat - project_to_algebra(tag, mat)).max(axis=(-2, -1))
 
 
 def project_to_algebra(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
-    """Project a matrix onto the linear pattern of the tag's Lie algebra."""
+    """Project a matrix (each of a stack) onto the tag's Lie algebra pattern."""
     mat = np.asarray(mat, dtype=float)
     kind = tag.kind
     if kind is GroupKind.GL:
         return mat
     if kind is GroupKind.SO:
-        return 0.5 * (mat - mat.T)
+        return 0.5 * (mat - mat.swapaxes(-1, -2))
     if kind is GroupKind.ORTHOGONAL:
         eta = eta_matrix(tag)
-        return 0.5 * (mat - eta @ mat.T @ eta)
+        return 0.5 * (mat - eta @ mat.swapaxes(-1, -2) @ eta)
     if kind is GroupKind.AFF:
         out = mat.copy()
-        out[-1, :] = 0.0
+        out[..., -1, :] = 0.0
         return out
     if kind is GroupKind.GALILEO:
         out = np.zeros_like(mat)
@@ -404,10 +405,10 @@ def project_to_algebra(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
         return out
     if kind is GroupKind.PGL:
         n = tag.size
-        return mat - (np.trace(mat) / n) * np.eye(n)
+        return mat - (np.trace(mat, axis1=-2, axis2=-1) / n)[..., None, None] * _eye(n)
     out = np.zeros_like(mat)
     for sl, f in _product_slices(tag):
-        out[sl, sl] = project_to_algebra(f, mat[sl, sl])
+        out[..., sl, sl] = project_to_algebra(f, mat[..., sl, sl])
     return out
 
 
@@ -455,6 +456,10 @@ def inverse_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
         out = np.zeros_like(mat)
         for sl, f in _product_slices(tag):
             out[..., sl, sl] = inverse_matrix(f, mat[..., sl, sl])
+        return out
+    if kind is GroupKind.GALILEO:   # v -> -v, a -> -a, b -> v a - b
+        out = 2 * _eye(tag.size) - mat
+        out[..., 1:-1, -1] += mat[..., 1:-1, 0] * mat[..., 0, -1, None]
         return out
     try:
         return np.linalg.inv(mat)
@@ -634,13 +639,12 @@ def _coords_operator(tag: GroupTag) -> np.ndarray:
 
 
 def algebra_coords(xi: AlgebraElement) -> np.ndarray:
-    """Coefficients of ``xi`` on :func:`algebra_basis` (exact for Galileo)."""
-    tag = xi.tag
-    if tag.kind is GroupKind.GALILEO:
-        s = tag.dims[0] - 1
-        m = xi.mat
-        return np.concatenate([m[1:-1, 0], [m[0, -1]], m[1:-1, -1]])
-    return _coords_operator(tag) @ xi.mat.ravel()
+    """Coefficients of ``xi`` on :func:`algebra_basis` (exact for Galileo),
+    ``(..., k)`` when ``xi.mat`` is a stack ``(..., n, n)``."""
+    m = xi.mat
+    if xi.tag.kind is GroupKind.GALILEO:
+        return np.concatenate([m[..., 1:-1, 0], m[..., 0, -1:], m[..., 1:-1, -1]], axis=-1)
+    return (_coords_operator(xi.tag) @ m.reshape(*m.shape[:-2], -1, 1))[..., 0]
 
 
 def algebra_from_coords(tag: GroupTag, coords: Iterable[float]) -> AlgebraElement:

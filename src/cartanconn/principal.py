@@ -13,9 +13,10 @@ from the local data by
 
 which is the unique extension of ``A`` that reproduces generators on
 fundamental vertical fields and transforms by ``Ad_{g^{-1}}`` under right
-translation. :func:`check_axioms` audits both properties on array-computed
-random samples, calling the audited form per sample; :func:`curvature`
-evaluates ``dA + [A, A]`` with ``d`` taken by central finite differences.
+translation. :func:`check_axioms` audits both properties on random
+samples, evaluating the library's form on stacks of samples and a
+user-supplied form per sample; :func:`curvature` evaluates ``dA + [A, A]``
+with ``d`` taken by central finite differences.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import liegroup as lg
-from .errors import DomainError, TagMismatchError
+from .errors import DomainError, InvalidElementError, TagMismatchError
 from .settings import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -90,8 +91,9 @@ def batched(fn: Callable) -> Callable:
     with ``(N, m)`` arrays returns an algebra element whose ``mat`` is
     ``(N, n, n)``, and a scalar field returns values broadcastable against
     its arguments. The lift and the development call a batched callable
-    once per block of nodes and any other callable once per node. The mark
-    is a function attribute, so it survives ``functools.wraps``.
+    once per block of nodes, the axiom audit once per stack of samples, and
+    any other callable once per node. The mark is a function attribute, so
+    it survives ``functools.wraps``.
     """
     fn.batched = True
     return fn
@@ -109,9 +111,9 @@ class LocalConnection:
     ``coeff`` maps a base point and a base tangent to an algebra element of
     ``tag``. The map must be linear in the tangent slot; this is audited by
     the test-suite rather than enforced per call. When ``coeff`` is
-    declared :func:`batched`, a lift evaluates it once per block of nodes,
-    on ``(N, m)`` stacks of points and tangents, and needs ``mat`` of shape
-    ``(N, n, n)`` back.
+    declared :func:`batched`, a lift evaluates it once per block of nodes
+    and the axiom audit once per stack of samples, on ``(N, m)`` stacks of
+    points and tangents, and needs ``mat`` of shape ``(N, n, n)`` back.
     """
 
     domain: ChartDomain
@@ -160,6 +162,35 @@ class PrincipalTangent:
 FormFunction = Callable[[PrincipalPoint, PrincipalTangent], lg.AlgebraElement]
 
 
+def coeff_matrices(conn: LocalConnection, xs, dxs, out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient matrices ``A(x_i, dx_i)`` of stacks ``(N, m)`` of points
+    and tangents as ``(N, n, n)``, filled into ``out`` when given: one call
+    of a batched ``conn.coeff``, else one call per row."""
+    out = np.empty((len(xs), conn.tag.size, conn.tag.size)) if out is None else out
+    if is_batched(conn.coeff):
+        mats = conn.coeff(xs, dxs).mat
+        if mats.shape != out.shape:
+            raise ValueError(f"batched coefficient map returned shape {mats.shape} for {len(xs)} nodes")
+        out[...] = mats
+    else:
+        for j in range(len(xs)):
+            out[j] = conn.coeff(xs[j], dxs[j]).mat
+    return out
+
+
+def _form_matrices(conn: LocalConnection, xs, gs, dxs, dgs) -> np.ndarray:
+    """Connection form ``g^{-1} (A(x, dx) g + dg)``, projected onto the
+    algebra, on stacks ``(N, m)`` and ``(N, n, n)`` of base and group
+    tangents at points ``xs`` and elements ``gs`` (one each, or stacks), as
+    ``(N, n, n)``; no domain check. Raises :class:`InvalidElementError` on a
+    non-finite value."""
+    tag, coeffs = conn.tag, coeff_matrices(conn, np.broadcast_to(xs, np.shape(dxs)), dxs)
+    mats = lg.project_to_algebra(tag, lg.inverse_matrix(tag, gs) @ (coeffs @ gs + dgs))
+    if not np.isfinite(mats).all():
+        raise InvalidElementError(f"connection form of {tag.name} is not finite")
+    return mats
+
+
 def full_form(
     conn: LocalConnection,
     p: PrincipalPoint,
@@ -171,10 +202,7 @@ def full_form(
     ``Ad_{g^{-1}} A(x, dx) + g^{-1} dg``."""
     if check_domain and not conn.domain.contains(p.x):
         raise DomainError(f"base point {p.x} lies outside the chart domain")
-    # one shared inverse: g^{-1} (A g + dg)
-    inv = lg.inverse_matrix(p.g.tag, p.g.mat)
-    combined = inv @ (conn.coeff(p.x, v.dx).mat @ p.g.mat + v.dg)
-    return lg.algebra_element(p.g.tag, combined, project=True)
+    return lg.AlgebraElement(conn.tag, _form_matrices(conn, p.x, p.g.mat, v.dx[None], v.dg[None])[0])
 
 
 def fundamental_vector(eta: lg.AlgebraElement, p: PrincipalPoint) -> PrincipalTangent:
@@ -222,15 +250,16 @@ def check_axioms(
     """Audit the two defining properties of a connection form on random
     samples, drawn once in the order ``x``, ``g``, ``eta``, ``dx``, ``zeta``,
     ``g0``; elements, products and inverses are computed on arrays over all
-    samples. The audited form is called three times per sample, on bundle
-    points and tangents: on the fundamental field of ``eta`` at ``(x, g)``,
-    and on ``(dx, g zeta)`` at ``(x, g)`` and right-translated by ``g0``.
+    samples. The form is evaluated three times per sample: on the
+    fundamental field of ``eta`` at ``(x, g)``, and on ``(dx, g zeta)`` at
+    ``(x, g)`` and right-translated by ``g0``.
 
-    ``form`` defaults to the form reconstructed from ``conn``; pass another
-    callable to audit an externally supplied (possibly corrupted) form.
+    ``form`` defaults to the form reconstructed from ``conn``, evaluated on
+    the stacks of all samples (three calls of a batched ``conn.coeff``).
+    Pass another callable, called per sample on bundle points and tangents,
+    to audit an externally supplied (possibly corrupted) form.
     """
     tag = conn.tag
-    omega = form if form is not None else (lambda p, v: full_form(conn, p, v, check_domain=False))
     rng = np.random.default_rng(seed)
     m, k, n = conn.domain.dim, lg.algebra_dim(tag), tag.size
     draws = np.empty((samples, 2 * m + 4 * k))   # x, g, eta, dx, zeta, g0
@@ -256,13 +285,17 @@ def check_axioms(
     dg = g @ zeta
     dg_translated = dg @ g0 / factor[:, None, None]
 
-    fundamental, translated, untranslated = np.empty((3, samples, n, n))
-    for i in range(samples):
-        p = PrincipalPoint(xs[i], lg.GroupElement(tag, g[i]))
-        fundamental[i] = omega(p, PrincipalTangent(np.zeros(m), g[i] @ eta[i])).mat
-        q = PrincipalPoint(xs[i], lg.GroupElement(tag, gg0[i]))
-        translated[i] = omega(q, PrincipalTangent(dxs[i], dg_translated[i])).mat
-        untranslated[i] = omega(p, PrincipalTangent(dxs[i], dg[i])).mat
+    if form is None:
+        fundamental, translated, untranslated = (_form_matrices(conn, xs, *args) for args in (
+            (g, np.zeros_like(dxs), g @ eta), (gg0, dxs, dg_translated), (g, dxs, dg)))
+    else:
+        fundamental, translated, untranslated = np.empty((3, samples, n, n))
+        for i in range(samples):
+            p = PrincipalPoint(xs[i], lg.GroupElement(tag, g[i]))
+            fundamental[i] = form(p, PrincipalTangent(np.zeros(m), g[i] @ eta[i])).mat
+            q = PrincipalPoint(xs[i], lg.GroupElement(tag, gg0[i]))
+            translated[i] = form(q, PrincipalTangent(dxs[i], dg_translated[i])).mat
+            untranslated[i] = form(p, PrincipalTangent(dxs[i], dg[i])).mat
 
     worst_i, i = _worst(_frobenius(fundamental - eta))
     worst_ii, j = _worst(_frobenius(translated - lg.inverse_matrix(tag, g0) @ untranslated @ g0))
@@ -301,16 +334,13 @@ def curvature(
     dx2 = np.asarray(dx2, dtype=float)
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    probes = [x + fd_step * dx1, x - fd_step * dx1, x + fd_step * dx2, x - fd_step * dx2]
-    if not all(conn.domain.contains(p) for p in probes):
+    probes = np.array([x + fd_step * dx1, x - fd_step * dx1, x + fd_step * dx2, x - fd_step * dx2])
+    if not conn.domain.contains(probes).all():
         raise DomainError("point too close to the chart boundary for the requested step")
-
-    d1 = (conn.coeff(probes[0], dx2).mat - conn.coeff(probes[1], dx2).mat) / (2 * fd_step)
-    d2 = (conn.coeff(probes[2], dx1).mat - conn.coeff(probes[3], dx1).mat) / (2 * fd_step)
-    a1 = conn.coeff(x, dx1)
-    a2 = conn.coeff(x, dx2)
-    commutator = a1.mat @ a2.mat - a2.mat @ a1.mat
-    return lg.algebra_element(conn.tag, d1 - d2 + commutator, project=True)
+    a = coeff_matrices(conn, np.concatenate([probes, [x, x]]), np.array([dx2, dx2, dx1, dx1, dx1, dx2]))
+    d1 = (a[0] - a[1]) / (2 * fd_step)
+    d2 = (a[2] - a[3]) / (2 * fd_step)
+    return lg.algebra_element(conn.tag, d1 - d2 + (a[4] @ a[5] - a[5] @ a[4]), project=True)
 
 
 def horizontal_space_dimension(
@@ -322,23 +352,11 @@ def horizontal_space_dimension(
     """Dimension of the kernel of the form at ``p``.
 
     The form is assembled as a linear map from (base tangent, algebra
-    coordinates of the vertical part) to algebra coordinates; kernel
-    dimension is counted with a relative singular-value threshold.
+    coordinates of the vertical part) to algebra coordinates on all basis
+    tangents at once; kernel dimension uses a relative singular-value threshold.
     """
-    tag = conn.tag
-    m = conn.domain.dim
-    k = lg.algebra_dim(tag)
-    columns = []
-    for i in range(m):
-        dx = np.zeros(m)
-        dx[i] = 1.0
-        v = PrincipalTangent(dx, np.zeros_like(p.g.mat))
-        columns.append(lg.algebra_coords(full_form(conn, p, v, check_domain=False)))
-    for eta in lg.algebra_basis(tag):
-        v = PrincipalTangent(np.zeros(m), p.g.mat @ eta.mat)
-        columns.append(lg.algebra_coords(full_form(conn, p, v, check_domain=False)))
-    matrix = np.column_stack(columns)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    threshold = tol.rank * svals[0]
-    rank = int(np.sum(svals > threshold))
-    return (m + k) - rank
+    m, g = conn.domain.dim, p.g.mat
+    dgs = np.array([0 * g] * m + [g @ eta.mat for eta in lg.algebra_basis(conn.tag)])
+    mats = _form_matrices(conn, p.x, g, np.eye(len(dgs), m), dgs)
+    svals = np.linalg.svd(lg.algebra_coords(lg.AlgebraElement(conn.tag, mats)).T, compute_uv=False)
+    return len(dgs) - int(np.sum(svals > tol.rank * svals[0]))

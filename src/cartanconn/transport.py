@@ -43,7 +43,7 @@ from .errors import (
     LiftDivergedError,
     LoopNotClosedError,
 )
-from .principal import LocalConnection, batched, is_batched
+from .principal import LocalConnection, batched, coeff_matrices, is_batched
 from .settings import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -353,7 +353,6 @@ def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> 
     the next one's first, so a step costs two coefficient evaluations).
     """
     tag, n_steps = conn.tag, len(ts) - 1
-    stacked = is_batched(conn.coeff)
     h = (seg.t1 - seg.t0) / n_steps
     starts = seg.t0 + np.arange(n_steps + 1) * h
     ts[1:] = starts[1:]
@@ -372,15 +371,7 @@ def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> 
         inside = conn.domain.contains(xs[first:last])
         if not inside.all():
             raise DomainError(f"path left the chart domain at t = {block_ts[np.argmin(inside)]}")
-        if stacked:
-            block = conn.coeff(xs[first:last], vs[first:last]).mat
-            if block.shape != coeffs[first:last].shape:
-                raise ValueError(f"batched coefficient map returned shape {block.shape} "
-                                 f"for {last - first} nodes")
-            coeffs[first:last] = block
-        else:
-            for j in range(first, last):
-                coeffs[j] = conn.coeff(xs[j], vs[j]).mat
+        coeff_matrices(conn, xs[first:last], vs[first:last], out=coeffs[first:last])
         a0, ah, a1 = coeffs[0:last - 1:2], coeffs[1:last:2], coeffs[2:last:2]
         omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
         props = lg.expm_matrix(tag, omega)

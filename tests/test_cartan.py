@@ -134,6 +134,73 @@ def test_generalized_structure_flagged():
     assert cs.is_cartan(samples=10, seed=3).kind == "generalized"
 
 
+SIGMA = np.array([[1.2, 0.3], [-0.4, 0.9]])
+FORM_STRUCTURES = {
+    "affine": lambda: models.affine_structure(2, sigma0=SIGMA),
+    "affine-zero": lambda: models.affine_structure(2, sigma0=np.zeros((2, 2))),
+    "gravity": lambda: models.galilean_gravity(models.GravityField(lambda t, x: 9.81 + 0.3 * x)),
+    **{name: lambda name=name: models.build_model(name) for name in models.MODEL_BUILDERS},
+}
+
+
+def column_by_column(conn, p, tangents):
+    """Algebra coordinates of the form on each tangent, one full_form call per column."""
+    return np.column_stack([lg.algebra_coords(pr.full_form(conn, p, v, check_domain=False)) for v in tangents])
+
+
+@pytest.mark.parametrize("name", ["affine", "gravity", "projective"])
+def test_reduced_form_matrix_matches_column_by_column_reference(name):
+    cs = FORM_STRUCTURES[name]()
+    rng = np.random.default_rng(14)
+    m = cs.base_dim
+    for _ in range(10):
+        x = cs.conn.domain.sample(rng)
+        gprime = cs.spec.random_stabilizer_element(rng)
+        p = pr.PrincipalPoint(x, lg.compose(cs.frame_at(x), gprime))
+        framed = cs.frame_at(x).mat @ gprime.mat   # unnormalized for PGL, as the basis uses it
+        tangents = [pr.PrincipalTangent(w, cs._frame_derivative(x, w) @ gprime.mat) for w in np.eye(m)]
+        tangents += [pr.PrincipalTangent(np.zeros(m), framed @ eta.mat) for eta in cs.spec.stabilizer_basis]
+        expected = column_by_column(cs.conn, p, tangents)
+        assert np.allclose(cs.reduced_form_matrix(x, gprime), expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["affine", "gravity", "projective"])
+def test_horizontal_space_dimension_matches_column_by_column_reference(name, monkeypatch):
+    cs = FORM_STRUCTURES[name]()
+    conn, rng = cs.conn, np.random.default_rng(15)
+    m, svd, seen = cs.base_dim, np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+    for _ in range(10):
+        p = pr.PrincipalPoint(conn.domain.sample(rng), lg.random_element(conn.tag, rng))
+        tangents = [pr.PrincipalTangent(w, np.zeros_like(p.g.mat)) for w in np.eye(m)]
+        tangents += [pr.fundamental_vector(eta, p) for eta in lg.algebra_basis(conn.tag)]
+        expected = column_by_column(conn, p, tangents)
+        seen.clear()
+        assert pr.horizontal_space_dimension(conn, p) == m
+        assert np.allclose(seen[-1], expected, rtol=0.0, atol=1e-14)
+
+
+# kind and smallest singular value of the column-by-column classification
+# (20 samples, seed 11); the stacked evaluation reproduces them
+CLASSIFICATIONS = [
+    ("affine", "cartan", 0.6074771679866998),
+    ("affine-zero", "neither", 0.0),
+    ("gravity", "cartan", 0.09626141422453093),
+    ("galilean", "cartan", 0.10077084978840996),
+    ("galilean3d", "cartan", 0.10077084978841),
+    ("homogeneous", "cartan", 0.7807764064044153),
+    ("mobius", "cartan", 0.8904522603671603),
+    ("projective", "cartan", 0.4471598761201152),
+]
+
+
+@pytest.mark.parametrize("name, kind, smallest", CLASSIFICATIONS, ids=[c[0] for c in CLASSIFICATIONS])
+def test_is_cartan_keeps_its_classification(name, kind, smallest):
+    report = FORM_STRUCTURES[name]().is_cartan(samples=20, seed=11)
+    assert report.kind == kind
+    assert abs(report.min_singular_value - smallest) <= 1e-14
+
+
 def test_classification_stable_under_refinement():
     for name in models.MODEL_BUILDERS:
         cs = models.build_model(name)

@@ -383,3 +383,39 @@ def test_tag_size_is_cached_without_changing_equality():
     fresh = lg.product_tag(lg.galileo_tag(3), lg.so_tag(2))
     assert tag.size == 6 and "size" in vars(tag) and "size" not in vars(fresh)
     assert tag == fresh and hash(tag) == hash(fresh)
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
+def test_algebra_projection_and_defect_on_stacks(tag):
+    # a stack of length n is the case where a transpose of all axes keeps
+    # the shape and would go unnoticed
+    n = tag.size
+    rng = np.random.default_rng(23)
+    for shape in ((4, n, n), (n, n, n), (2, 3, n, n)):
+        mats = rng.standard_normal(shape)
+        projected = lg.project_to_algebra(tag, mats)
+        defects = lg.algebra_defect(tag, mats)
+        assert projected.shape == shape and defects.shape == shape[:-2]
+        for index in np.ndindex(*shape[:-2]):
+            assert np.array_equal(projected[index], lg.project_to_algebra(tag, mats[index]))
+            assert defects[index] == lg.algebra_defect(tag, mats[index])
+        assert np.all(lg.algebra_defect(tag, projected) < 1e-15)
+        assert np.max(defects) > 0.1 or tag.kind is lg.GroupKind.GL   # GL has no pattern
+    assert np.ndim(lg.algebra_defect(tag, mats[0, 0])) == 0
+
+
+@pytest.mark.parametrize("tag", [
+    lg.galileo_tag(2), lg.galileo_tag(3), lg.product_tag(lg.so_tag(2), lg.galileo_tag(3)),
+], ids=lambda t: t.name)
+def test_galileo_inverse_is_closed_form(tag, monkeypatch):
+    rng = np.random.default_rng(29)
+    mats = np.stack([lg.random_element(tag, rng, scale=3.0).mat for _ in range(50)])
+    expected = np.linalg.inv(mats)
+    if tag.kind is lg.GroupKind.GALILEO:
+        # the closed form needs no general inverse
+        monkeypatch.setattr(lg.np.linalg, "inv", None)
+    inverses = lg.inverse_matrix(tag, mats)
+    assert np.allclose(inverses, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(inverses @ mats, np.eye(tag.size), rtol=0.0, atol=1e-14)
+    for stacked, single in zip(inverses, mats):
+        assert np.array_equal(stacked, lg.inverse_matrix(tag, single))

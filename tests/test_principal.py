@@ -1,12 +1,15 @@
 """Tests for connection forms on trivialized principal bundles."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from cartanconn import liegroup as lg
 from cartanconn import models
 from cartanconn import principal as pr
-from cartanconn.errors import DomainError
+from cartanconn import transport as tp
+from cartanconn.errors import DomainError, InvalidElementError
 
 from conftest import gravity_connection
 
@@ -41,6 +44,19 @@ def test_full_form_on_vertical_tangent_returns_generator(const_gravity):
         p = pr.PrincipalPoint(rng.standard_normal(2), g)
         v = pr.PrincipalTangent(np.zeros(2), g.mat @ xi.mat)
         assert (pr.full_form(const_gravity, p, v) - xi).norm() < 1e-10
+
+
+def test_full_form_projects_onto_the_algebra():
+    # a PGL tangent along the homothety of the representative carries no
+    # algebra component: g (eta + s I) evaluates to eta
+    tag = lg.pgl_tag(2)
+    conn = pr.zero_connection(pr.ChartDomain.unbounded(2), tag)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        p = pr.PrincipalPoint(rng.standard_normal(2), lg.random_element(tag, rng))
+        eta = lg.random_algebra(tag, rng)
+        v = pr.PrincipalTangent(np.zeros(2), p.g.mat @ (eta.mat + rng.standard_normal() * np.eye(3)))
+        assert (pr.full_form(conn, p, v) - eta).norm() < 1e-14
 
 
 def test_full_form_outside_domain_raises():
@@ -149,10 +165,13 @@ def test_axioms_fail_on_a_non_finite_form(const_gravity):
     assert report.worst_fundamental[0][0] >= 1.0
 
 
-def per_sample_audit(conn, samples, seed, form):
+def per_sample_audit(conn, samples, seed, form=None):
     """Worst residuals of both axioms, one validated sample at a time, in
-    the sampling order that :func:`pr.check_axioms` documents."""
+    the sampling order that :func:`pr.check_axioms` documents; ``form``
+    defaults to ``Ad_{g^{-1}} A(x, dx) + g^{-1} dg`` from validated group
+    operations, independently of :func:`pr.full_form`."""
     tag = conn.tag
+    form = form or (lambda p, v: lg.Ad(p.g.inv(), conn(p.x, v.dx)) + lg.maurer_cartan(p.g, v.dg))
     rng = np.random.default_rng(seed)
     worst_i = worst_ii = 0.0
     for _ in range(samples):
@@ -186,12 +205,27 @@ def test_axiom_audit_matches_per_sample_audit(name):
         # agreement of the worst ones means the same samples were drawn
         return (1.0 + p.x[0] + p.g.mat.sum()) * exact(p, v)
 
-    for form in (exact, skewed):
+    for form in (None, exact, skewed):
         report = pr.check_axioms(conn, samples=150, seed=4, form=form)
         expected = per_sample_audit(conn, 150, 4, form)
         assert abs(report.residual_fundamental - expected[0]) < 1e-13
         assert abs(report.residual_equivariance - expected[1]) < 1e-13
     assert report.residual_fundamental > 0.1 and report.residual_equivariance > 0.1
+
+
+def offset_connection(conn, shift):
+    """``conn`` with the constant algebra matrix ``shift`` added to its
+    coefficients, batched when ``conn.coeff`` is. ``A(x, 0) = shift`` breaks
+    axiom (i) by ``|Ad_{g^{-1}} shift|``, which differs from sample to sample."""
+    def shifted(x, dx):
+        return lg.AlgebraElement(conn.tag, conn.coeff(x, dx).mat + shift)
+
+    return pr.LocalConnection(conn.domain, conn.tag, pr.batched(shifted) if pr.is_batched(conn.coeff) else shifted)
+
+
+def per_point(conn):
+    """``conn`` with an undeclared coefficient map that calls ``conn.coeff`` per point."""
+    return pr.LocalConnection(conn.domain, conn.tag, lambda x, dx: conn.coeff(x, dx))
 
 
 def curved_connection(tag, seed):
@@ -220,6 +254,97 @@ def test_axioms_hold_for_curved_connections(tag):
     assert report.passed
     assert report.residual_fundamental < 1e-12
     assert report.residual_equivariance < 1e-12
+
+
+DEFAULT_ROUTE_CASES = {
+    **{name: lambda name=name: models.build_model(name).conn
+       for name in ("galilean", "affine", "mobius", "projective")},
+    **{tag.name: lambda tag=tag: curved_connection(tag, seed=5) for tag in (
+        lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3), lg.product_tag(lg.GALILEO2, lg.so_tag(2)))},
+    "per-point galilean": lambda: per_point(models.build_model("galilean").conn),
+}
+
+
+@pytest.mark.parametrize("case", DEFAULT_ROUTE_CASES)
+def test_default_audit_matches_per_sample_audit(case):
+    # the stacked route of form=None against validated per-sample calls of
+    # full_form; the shifted connection makes axiom (i) fail by amounts
+    # that differ per sample, so agreement means the same samples
+    conn = DEFAULT_ROUTE_CASES[case]()
+    rng = np.random.default_rng(8)
+    shift = lg.project_to_algebra(conn.tag, rng.standard_normal((conn.tag.size, conn.tag.size)))
+    for target in (conn, offset_connection(conn, shift)):
+        report = pr.check_axioms(target, samples=120, seed=7)
+        expected = per_sample_audit(target, 120, 7)
+        assert abs(report.residual_fundamental - expected[0]) < 1e-13
+        assert abs(report.residual_equivariance - expected[1]) < 1e-13
+    assert report.residual_fundamental > 0.1 and report.residual_equivariance < 1e-12
+
+
+def counted(fn, calls):
+    """``fn`` wrapped with ``functools.wraps`` (as the benchmark tracer does),
+    appending to ``calls`` on each call."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["batched", "per-point"])
+def test_default_audit_calls_the_coefficients_once_per_stack(declared):
+    conn = models.build_model("galilean").conn
+    assert pr.is_batched(conn.coeff)
+    conn = conn if declared else per_point(conn)
+    calls = []
+    traced = pr.LocalConnection(conn.domain, conn.tag, counted(conn.coeff, calls))
+    reference = pr.check_axioms(conn, samples=40, seed=2)
+    report = pr.check_axioms(traced, samples=40, seed=2)
+    assert len(calls) == (3 if declared else 3 * 40)
+    assert (report.residual_fundamental, report.residual_equivariance) == (
+        reference.residual_fundamental, reference.residual_equivariance)
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["batched", "per-point"])
+def test_default_audit_raises_on_a_non_finite_coefficient(declared):
+    def coeff(x, dx):
+        a = np.where(np.asarray(x)[..., 0] > 1.0, np.nan, np.asarray(dx)[..., 0])
+        mat = np.zeros(np.shape(a) + (3, 3))
+        mat[..., 0, -1] = a
+        return lg.AlgebraElement(lg.GALILEO2, mat)
+
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, pr.batched(coeff) if declared else coeff)
+    with pytest.raises(InvalidElementError, match="not finite"):
+        pr.check_axioms(conn, samples=200, seed=0)
+    p = pr.PrincipalPoint([2.0, 0.0], lg.identity(lg.GALILEO2))
+    with pytest.raises(InvalidElementError):
+        pr.full_form(conn, p, pr.PrincipalTangent([1.0, 0.0], np.zeros((3, 3))))
+    assert pr.check_axioms(conn, samples=200, seed=0, form=lambda p, v: pr.full_form(
+        conn, pr.PrincipalPoint(np.minimum(p.x, 0.0), p.g), v)).passed
+
+
+def test_batched_coefficient_with_wrong_shape_raises_in_lift_and_audit():
+    # one (3, 3) matrix for a whole stack is not a stack
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2,
+                              pr.batched(lambda x, d: lg.galileo_algebra(0.0, 1.0, 0.0)))
+    message = "batched coefficient map returned shape"
+    with pytest.raises(ValueError, match=message):
+        tp.horizontal_lift(conn, tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), step=0.1)
+    with pytest.raises(ValueError, match=message):
+        pr.check_axioms(conn, samples=10)
+    with pytest.raises(ValueError, match=message):
+        pr.coeff_matrices(conn, np.zeros((4, 2)), np.ones((4, 2)))
+
+
+def test_coeff_matrices_fill_the_given_array():
+    conn = models.build_model("galilean").conn
+    rng = np.random.default_rng(12)
+    xs, dxs = rng.standard_normal((2, 7, 2))
+    out = np.full((7, 3, 3), np.nan)
+    assert pr.coeff_matrices(conn, xs, dxs, out=out) is out
+    for x, dx, mat in zip(xs, dxs, out):
+        assert np.array_equal(mat, pr.coeff_matrices(per_point(conn), x[None], dx[None])[0])
+        assert np.allclose(mat, conn.coeff(x, dx).mat, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
