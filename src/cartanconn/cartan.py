@@ -238,11 +238,15 @@ class CartanStructure:
     def _reduction_tangent_basis(self, x, gprime: lg.GroupElement | None = None):
         """Basis of T H' at the point over x framed by ``frame * gprime``, as
         stacks ``(dxs, dgs)``: base directions follow the frame section,
-        verticals span g'."""
+        verticals span g'. For PGL the point is stored normalized (as
+        :func:`lg.compose` returns it), and the tangents are scaled with it."""
         x = np.asarray(x, dtype=float)
         m, stabilizer = self.base_dim, self.spec.stabilizer_basis
         gp_mat = np.eye(self.spec.tag.size) if gprime is None else gprime.mat
         total = self.frame_at(x).mat @ gp_mat
+        if self.spec.tag.kind is lg.GroupKind.PGL:
+            pivot = total.flat[np.argmax(np.abs(total))]   # as lg.normalize_projective
+            total, gp_mat = total / pivot, gp_mat / pivot
         dgs = [self._frame_derivative(x, w) @ gp_mat for w in np.eye(m)]
         return np.eye(m + len(stabilizer), m), np.array(dgs + [total @ eta.mat for eta in stabilizer])
 

@@ -32,17 +32,24 @@ Elements are produced by the factories :func:`group_element` and
 re-project matrices that drifted off the group under floating arithmetic
 (generalized polar projection for ``O(p,q)``, pattern rebuilds for the
 structured groups).
+
+The kernels on raw matrices take one matrix or a stack ``(..., n, n)``
+and are plain numpy. :func:`expm_matrix` is a truncated Taylor series with
+scaling and squaring chosen per matrix, summed exactly on the nilpotent
+Galileo algebras; :func:`log_matrix` is the principal logarithm, in closed
+form for Galileo and by inverse scaling and squaring elsewhere. :func:`exp`
+and :func:`log` are their validated single-element cases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidElementError,
@@ -82,6 +89,17 @@ class GroupTag:
         if self.kind is GroupKind.GALILEO:
             return self.dims[0] + 1
         return sum(f.size for f in self.factors)
+
+    @cached_property
+    def nilpotency(self) -> int | None:
+        """Least ``k`` with ``A^k = 0`` on the whole algebra, None if there is
+        none: 3 for Galileo, whose squares are pure space translations."""
+        if self.kind is GroupKind.GALILEO:
+            return 3
+        if self.kind is GroupKind.PRODUCT:
+            ks = [f.nilpotency for f in self.factors]
+            return None if None in ks else max(ks)
+        return None
 
     @property
     def name(self) -> str:
@@ -471,77 +489,185 @@ def inverse(g: GroupElement) -> GroupElement:
     return group_element(g.tag, inverse_matrix(g.tag, g.mat), project=True)
 
 
-def _expm_nilpotent(mat: np.ndarray) -> np.ndarray:
-    """Exact exponential of nilpotent matrices (terminating series)."""
-    n = mat.shape[-1]
-    total = _eye(n) + mat
-    term = mat
-    for k in range(2, n):
-        term = term @ mat / k
-        if not term.any():
-            break
-        total += term
-    return total
+# Taylor degrees q p of the exponential, evaluated by Paterson-Stockmeyer from
+# the powers A^0..A^q, and the 1-norm theta up to which each has backward
+# error below the unit roundoff: the bound of Al-Mohy & Higham (SIAM J.
+# Matrix Anal. Appl. 31, 2009) for the Taylor polynomial, rounded down.
+_TAYLOR = ((2, 2, 3.39e-4), (3, 3, 8.95e-2), (4, 4, 0.780), (5, 4, 1.43))
+
+
+@lru_cache(maxsize=None)
+def _taylor_blocks(q: int, p: int) -> np.ndarray:
+    """Coefficients 1/k! of the degree q p Taylor polynomial as ``(p, q + 1)``
+    rows: row j multiplies the powers A^0..A^q inside the block of (A^q)^j."""
+    coeffs = np.array([1.0 / math.factorial(k) for k in range(q * p + 1)])
+    rows = np.zeros((p, q + 1))
+    for j in range(p):
+        rows[j, :q] = coeffs[j * q:(j + 1) * q]
+    rows[-1, q] = coeffs[-1]
+    rows.setflags(write=False)
+    return rows
+
+
+def _taylor(mats: np.ndarray, q: int, p: int) -> np.ndarray:
+    """Degree q p Taylor polynomial of exp at each matrix of a stack."""
+    powers = np.empty((q + 1, *mats.shape))
+    powers[0] = _eye(mats.shape[-1])
+    powers[1] = mats
+    for j in range(2, q + 1):
+        powers[j] = powers[j - 1] @ mats
+    blocks = (_taylor_blocks(q, p) @ powers.reshape(q + 1, -1)).reshape(p, *mats.shape)
+    out = blocks[-1]
+    for j in range(p - 2, -1, -1):
+        out = out @ powers[q] + blocks[j]
+    return out
+
+
+def _norm1(mats: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each matrix of a stack."""
+    return np.abs(mats).sum(axis=-2).max(axis=-1)
 
 
 def expm_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     """Matrix exponential of an algebra matrix of ``tag``, or of each
-    matrix of a stack ``(..., n, n)``, without checks: a terminating series
-    for the nilpotent Galileo algebras, ``scipy.linalg.expm`` elsewhere."""
-    if tag.kind is GroupKind.GALILEO:
-        return _expm_nilpotent(mat)
-    return scipy.linalg.expm(mat)
+    matrix of a stack ``(..., n, n)``, without checks.
+
+    A truncated Taylor series with scaling and squaring. The degree is the
+    lowest that covers the largest 1-norm of the stack, up to 20; past
+    that, each matrix is scaled by its own power of two to 1-norm 1.43 and
+    squared back as often as it needs, so a large matrix makes no other pay
+    for its squarings. On nilpotent algebras (``tag.nilpotency``, 3 for
+    Galileo) the series terminates and is summed exactly, without scaling.
+    Non-finite matrices give non-finite exponentials and leave the others
+    alone.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if tag.nilpotency is not None:
+        return _taylor(mat, tag.nilpotency - 1, 1)
+    norms = _norm1(mat)
+    norms = np.where(np.isfinite(norms), norms, 0.0)
+    largest = norms.max(initial=0.0)
+    for q, p, theta in _TAYLOR:
+        if largest <= theta:
+            return _taylor(mat, q, p)
+    # degree 20 and scaling: theta is the last entry's
+    squarings = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
+    out = _taylor(mat * np.exp2(-squarings)[..., None, None], q, p)
+    for j in range(squarings.max()):
+        need = squarings > j
+        if need.all():
+            out = out @ out
+        else:
+            part = out[need]
+            out[need] = part @ part
+    return out
 
 
 def exp(xi: AlgebraElement) -> GroupElement:
-    """Exponential map onto the group (:func:`expm_matrix`), followed by
-    re-projection."""
+    """Exponential map onto the group: the single-matrix case of
+    :func:`expm_matrix`, followed by re-projection."""
     return group_element(xi.tag, expm_matrix(xi.tag, xi.mat), project=True)
 
 
-def _logm_principal(mat: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm, raising when the branch cut is hit."""
-    eigvals = np.linalg.eigvals(mat)
-    for lam in eigvals:
-        if lam.real <= 0 and abs(lam.imag) <= 1e-12 * max(1.0, abs(lam)):
-            raise NoPrincipalLogarithmError(
-                f"no principal logarithm: eigenvalue {lam:.6g} lies on the closed negative real axis"
-            )
-    log = scipy.linalg.logm(mat)
-    if np.iscomplexobj(log):
-        if np.max(np.abs(log.imag)) > 1e-9:
-            raise NoPrincipalLogarithmError("no real principal logarithm for this element")
-        log = log.real
-    return log
+# Gauss-Legendre nodes and weights on [0, 1]. The m-point rule for
+# log(I + X) = int_0^1 X (I + t X)^{-1} dt is the [m/m] Pade approximant; at
+# m = 12 its error is below the unit roundoff for ||X||_1 <= 0.58 (Higham,
+# "Functions of Matrices", 2008, Table 11.1).
+_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_LOG_NODES, _LOG_WEIGHTS = (_LOG_NODES + 1) / 2, _LOG_WEIGHTS / 2
+_LOG_THETA = 0.58
+
+
+def _sqrtm(mats: np.ndarray) -> np.ndarray:
+    """Principal square root of each matrix of a stack ``(N, n, n)`` with no
+    eigenvalue on the closed negative real axis: the Denman-Beavers
+    iteration with determinant scaling (Higham 2008, 6.28), in the coupled
+    form, which inverts no product of the iterates and so stays regular
+    near the axis (a rotation by nearly pi)."""
+    n = mats.shape[-1]
+    y, z = mats, np.broadcast_to(_eye(n), mats.shape)
+    for _ in range(30):
+        mu = (np.abs(np.linalg.det(y) * np.linalg.det(z)) ** (-0.5 / n))[:, None, None]
+        y, z, previous = 0.5 * (mu * y + np.linalg.inv(z) / mu), 0.5 * (mu * z + np.linalg.inv(y) / mu), y
+        if np.abs(y - previous).max(initial=0.0) <= 1e-15 * np.abs(y).max(initial=0.0):
+            break
+    return y
+
+
+def _logm_iss(mats: np.ndarray) -> np.ndarray:
+    """Principal logarithm of each matrix of a stack ``(N, n, n)``, which it
+    overwrites, by inverse scaling and squaring (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 34, 2012): square roots, per matrix, until
+    ``||M - I||_1 <= 0.58``, then the partial-fraction Pade approximant of
+    ``log(I + X)``."""
+    eye = _eye(mats.shape[-1])
+    roots = np.zeros(len(mats))
+    for _ in range(64):   # each root halves the logarithm
+        far = _norm1(mats - eye) > _LOG_THETA
+        if not far.any():
+            break
+        mats[far] = _sqrtm(mats[far])
+        roots[far] += 1
+    x = mats - eye
+    shifted = eye + _LOG_NODES[:, None, None, None] * x
+    terms = np.linalg.solve(shifted, np.broadcast_to(x, shifted.shape))
+    return np.exp2(roots)[:, None, None] * np.tensordot(_LOG_WEIGHTS, terms, axes=1)
+
+
+def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a group matrix of ``tag``, or of each matrix of
+    a stack ``(..., n, n)``, not projected onto the algebra.
+
+    Galileo uses its closed form ``X - X^2 / 2`` with ``X = M - I``; product
+    tags take the logarithm block by block; every other family goes through
+    inverse scaling and squaring on the whole stack. Raises
+    :class:`NoPrincipalLogarithmError` if a finite matrix has an eigenvalue
+    on the closed negative real axis; for PGL, whose ``M`` and ``-M``
+    represent the same element, such a matrix is replaced by ``-M`` unless
+    that has one too. Non-finite matrices give NaN and leave the others
+    alone.
+    """
+    mat = np.asarray(mat, dtype=float)
+    n = tag.size
+    if tag.kind is GroupKind.GALILEO:
+        x = mat - _eye(n)
+        return x - 0.5 * (x @ x)
+    if tag.kind is GroupKind.PRODUCT:
+        out = np.zeros_like(mat)
+        for sl, f in _product_slices(tag):
+            out[..., sl, sl] = log_matrix(f, mat[..., sl, sl])
+        return out
+    flat = mat.reshape(-1, n, n)
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    good = flat[finite]
+    lam = np.linalg.eigvals(good)
+    real = np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))
+    cut = (real & (lam.real <= 0)).any(axis=-1)
+    if tag.kind is GroupKind.PGL:   # -M has eigenvalues -lam
+        flip = cut & ~(real & (lam.real >= 0)).any(axis=-1)
+        good[flip] *= -1.0
+        cut &= ~flip
+    if cut.any():
+        i = int(np.argmax(cut))
+        bad = lam[i][real[i] & (lam[i].real <= 0)][0]
+        raise NoPrincipalLogarithmError(
+            f"no principal logarithm: eigenvalue {bad:.6g} lies on the closed negative real axis"
+        )
+    out = np.full(flat.shape, np.nan)
+    out[finite] = _logm_iss(good)
+    return out.reshape(mat.shape)
 
 
 def log(g: GroupElement) -> AlgebraElement:
-    """Principal logarithm into the algebra, the inverse of :func:`exp` on
-    the principal branch: no eigenvalue of ``g`` may lie on the closed
-    negative real axis (for PGL, of ``g`` or ``-g``).
+    """Principal logarithm into the algebra (:func:`log_matrix`), the
+    inverse of :func:`exp` on the principal branch: no eigenvalue of ``g``
+    may lie on the closed negative real axis (for PGL, of ``g`` or ``-g``).
 
     Raises :class:`NoPrincipalLogarithmError` outside the principal branch
     (e.g. for an O(p, q) element with an eigenvalue on the negative real
     axis).
     """
-    tag = g.tag
-    if tag.kind is GroupKind.GALILEO:
-        x = g.mat - np.eye(tag.size)
-        return algebra_element(tag, x - 0.5 * (x @ x), project=True)
-    if tag.kind is GroupKind.PRODUCT:
-        out = np.zeros_like(g.mat)
-        for sl, f in _product_slices(tag):
-            out[sl, sl] = log(GroupElement(f, g.mat[sl, sl])).mat
-        return algebra_element(tag, out, project=True)
-    if tag.kind is GroupKind.PGL:
-        # M and -M represent the same projective element; pick the branch
-        # that admits a principal logarithm.
-        try:
-            raw = _logm_principal(g.mat)
-        except NoPrincipalLogarithmError:
-            raw = _logm_principal(-g.mat)
-        return algebra_element(tag, raw, project=True)
-    return algebra_element(tag, _logm_principal(g.mat), project=True)
+    return algebra_element(g.tag, log_matrix(g.tag, g.mat), project=True)
 
 
 def Ad(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
@@ -633,9 +759,17 @@ def algebra_dim(tag: GroupTag) -> int:
 
 
 @lru_cache(maxsize=None)
+def algebra_basis_matrices(tag: GroupTag) -> np.ndarray:
+    """:func:`algebra_basis` as one read-only stack ``(k, n, n)``."""
+    stack = np.stack([b.mat for b in algebra_basis(tag)])
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=None)
 def _coords_operator(tag: GroupTag) -> np.ndarray:
-    stacked = np.stack([b.mat.ravel() for b in algebra_basis(tag)])  # (k, n*n)
-    return np.linalg.pinv(stacked.T)  # (k, n*n)
+    basis = algebra_basis_matrices(tag)
+    return np.linalg.pinv(basis.reshape(len(basis), -1).T)  # (k, n*n)
 
 
 def algebra_coords(xi: AlgebraElement) -> np.ndarray:
@@ -649,15 +783,12 @@ def algebra_coords(xi: AlgebraElement) -> np.ndarray:
 
 def algebra_from_coords(tag: GroupTag, coords: Iterable[float]) -> AlgebraElement:
     coords = np.asarray(list(coords), dtype=float)
-    basis = algebra_basis(tag)
+    basis = algebra_basis_matrices(tag)
     if coords.shape != (len(basis),):
         raise InvalidElementError(
             f"expected {len(basis)} coefficients for {tag.name}, got {coords.shape}"
         )
-    mat = np.zeros((tag.size, tag.size))
-    for c, b in zip(coords, basis):
-        mat += c * b.mat
-    return AlgebraElement(tag, mat)
+    return AlgebraElement(tag, np.tensordot(coords, basis, axes=1))
 
 
 # ---------------------------------------------------------------------------

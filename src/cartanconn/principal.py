@@ -268,7 +268,7 @@ def check_axioms(
         row[m:] = rng.standard_normal(m + 4 * k)
     xs, dxs = draws[:, :m], draws[:, m + 2 * k:2 * m + 2 * k]
     coords = np.stack([draws[:, j:j + k] for j in (m, 2 * m + 3 * k, m + k, 2 * m + 2 * k)])
-    basis = np.stack([b.mat for b in lg.algebra_basis(tag)]).reshape(k, n * n)
+    basis = lg.algebra_basis_matrices(tag).reshape(k, n * n)
     mats = (coords @ basis).reshape(4, samples, n, n)   # exponents of g, g0; eta, zeta
     norms = _frobenius(mats)
     scale = np.array([0.6, 0.6, 0.5, 0.5])[:, None]

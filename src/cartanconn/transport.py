@@ -16,9 +16,10 @@ arrays over its nodes; any other callable once per node.
 Dense output between nodes uses group-logarithm geodesic interpolation,
 which stays on the group exactly.
 
-Every node's group defect is checked against the round-trip tolerance, and
-a Richardson step-halving estimate of the endpoint error is exposed through
-:func:`lift_error_estimate` rather than driving automatic adaptivity.
+Every node's group defect is checked against the round-trip tolerance.
+The step is not adapted: :func:`lift_error_estimate` returns the Richardson
+estimate ``|g_h - g_{h/2}| / 15``, which is the endpoint error of the lift
+at half the step, not of the lift at ``step``.
 
 Orientation and sign conventions used by loop computations: a loop is
 traversed in the direction of increasing parameter; with the ODE above, the
@@ -435,13 +436,16 @@ def lift_error_estimate(
     g0: lg.GroupElement | None = None,
     step: float = 1e-3,
 ) -> float:
-    """Richardson step-halving estimate of the endpoint error of a lift.
+    """Richardson estimate ``|g_h - g_{h/2}| / 15`` of the endpoint error of
+    the lift at ``step / 2`` (``g_h`` is the lift's endpoint at step ``h``).
 
-    The estimate assumes both lifts are in the asymptotic fourth-order
-    regime. When the step does not resolve the coefficients it can be far
-    too small: for gravity ``V = 200 sin 40t``, ``W = 30 cos 25t`` along
-    ``x = sin 3t`` at step 0.1 it reports 0.0868 while the endpoint error
-    against a step-1e-4 reference is 1.3556.
+    It estimates the half-step lift, not the lift at ``step``, whose error
+    is about 16 times larger in the fourth-order regime. For gravity
+    ``V = 200 sin 40t``, ``W = 30 cos 25t`` along ``x = sin 3t`` the
+    endpoint error of the lift at ``step`` divided by the estimate is
+    15.6-16.0 for steps 0.1 to 1e-3 (at 0.1: estimate 0.0868, error 1.3556
+    against a step-1e-4 reference), while from step 0.02 the estimate is
+    7.65e-5 against a true 7.54e-5 at step 0.01.
     """
     full = horizontal_lift(conn, path, g0, step)
     half = horizontal_lift(conn, path, g0, step / 2)

@@ -157,9 +157,12 @@ def test_reduced_form_matrix_matches_column_by_column_reference(name):
         x = cs.conn.domain.sample(rng)
         gprime = cs.spec.random_stabilizer_element(rng)
         p = pr.PrincipalPoint(x, lg.compose(cs.frame_at(x), gprime))
-        framed = cs.frame_at(x).mat @ gprime.mat   # unnormalized for PGL, as the basis uses it
-        tangents = [pr.PrincipalTangent(w, cs._frame_derivative(x, w) @ gprime.mat) for w in np.eye(m)]
-        tangents += [pr.PrincipalTangent(np.zeros(m), framed @ eta.mat) for eta in cs.spec.stabilizer_basis]
+        framed = cs.frame_at(x).mat @ gprime.mat
+        # for PGL the point is framed scaled to its normalized representative;
+        # tangents at it scale alike (the least-squares ratio is exact here)
+        scale = np.vdot(p.g.mat, framed) / np.vdot(framed, framed)
+        tangents = [pr.PrincipalTangent(w, scale * cs._frame_derivative(x, w) @ gprime.mat) for w in np.eye(m)]
+        tangents += [pr.PrincipalTangent(np.zeros(m), scale * framed @ eta.mat) for eta in cs.spec.stabilizer_basis]
         expected = column_by_column(cs.conn, p, tangents)
         assert np.allclose(cs.reduced_form_matrix(x, gprime), expected, rtol=0.0, atol=1e-14)
 
@@ -190,7 +193,7 @@ CLASSIFICATIONS = [
     ("galilean3d", "cartan", 0.10077084978841),
     ("homogeneous", "cartan", 0.7807764064044153),
     ("mobius", "cartan", 0.8904522603671603),
-    ("projective", "cartan", 0.4471598761201152),
+    ("projective", "cartan", 0.5331750552140108),
 ]
 
 
@@ -360,3 +363,18 @@ def test_parallelization_requires_cartan():
     p = pr.PrincipalPoint(np.zeros(2), lg.identity(cs.spec.tag))
     with pytest.raises(NotCartanError):
         cs.parallelization_frame(p)
+
+
+def test_projective_tangents_are_tangent_to_the_reduction():
+    # the point of H' is stored as a normalized PGL representative, so its
+    # tangent basis and the parallelization must be scaled with it
+    cs = models.build_model("projective")
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        x = cs.conn.domain.sample(rng)
+        gprime = cs.spec.random_stabilizer_element(rng)
+        p = pr.PrincipalPoint(x, lg.compose(cs.frame_at(x), gprime))
+        dxs, dgs = cs._reduction_tangent_basis(x, gprime)
+        tangents = [pr.PrincipalTangent(dx, dg) for dx, dg in zip(dxs, dgs)]
+        for v in tangents + cs.parallelization_frame(p):
+            assert cs.reduction_tangency_residual(p, v) < 1e-8

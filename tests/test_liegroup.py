@@ -369,6 +369,115 @@ def test_stacked_kernels_match_per_matrix(tag):
     assert np.all(defects[4:] < 1e-12)
 
 
+KERNEL_TAGS = [
+    lg.gl_tag(3),
+    lg.so_tag(3),
+    lg.orthogonal_tag(3, 1),
+    lg.aff_tag(2),
+    lg.pgl_tag(2),
+    lg.galileo_tag(2),
+    lg.galileo_tag(3),
+    lg.product_tag(lg.galileo_tag(2), lg.so_tag(2)),
+]
+KERNEL_NORMS = (1e-8, 0.02, 0.6, 3.0, 10.0)
+
+
+def algebra_stack(tag, rng, norms, per_norm=3):
+    """Random algebra matrices, ``per_norm`` at each Frobenius norm, in one stack."""
+    basis = lg.algebra_basis_matrices(tag)
+    mats = np.tensordot(rng.standard_normal((per_norm * len(norms), len(basis))), basis, axes=1)
+    target = np.repeat(norms, per_norm)
+    return mats * (target / np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS, ids=lambda t: t.name)
+def test_expm_matrix_matches_a_40_digit_reference(tag):
+    mpmath = pytest.importorskip("mpmath")
+    mats = algebra_stack(tag, np.random.default_rng(31), KERNEL_NORMS)
+    out = lg.expm_matrix(tag, mats)
+    with mpmath.workdps(40):
+        for a, e in zip(mats, out):
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS, ids=lambda t: t.name)
+def test_expm_matrix_of_an_algebra_stack_lies_on_the_group(tag):
+    mats = algebra_stack(tag, np.random.default_rng(32), (0.02, 0.6, 3.0))
+    out = lg.expm_matrix(tag, mats)
+    if tag.kind is lg.GroupKind.PGL:
+        out = lg.normalize_projective(out)
+    assert np.all(lg.group_defect(tag, out) < 1e-12)
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS, ids=lambda t: t.name)
+def test_log_matrix_inverts_expm_matrix_on_stacks(tag):
+    # Frobenius norm <= 3 < pi keeps every eigenvalue on the principal branch
+    mats = algebra_stack(tag, np.random.default_rng(33), (1e-8, 0.02, 0.6, 3.0))
+    back = lg.log_matrix(tag, lg.expm_matrix(tag, mats))
+    assert back.shape == mats.shape
+    assert np.abs(back - mats).max() < 1e-13
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS, ids=lambda t: t.name)
+def test_kernels_keep_a_non_finite_matrix_to_itself(tag):
+    rng = np.random.default_rng(34)
+    mats = algebra_stack(tag, rng, (0.02, 0.6, 3.0), per_norm=2)
+    mats[2] = np.inf
+    with np.errstate(invalid="ignore"):
+        exps = lg.expm_matrix(tag, mats)
+    assert not np.isfinite(exps[2]).all()
+    assert np.array_equal(np.delete(exps, 2, axis=0), lg.expm_matrix(tag, np.delete(mats, 2, axis=0)))
+    group = lg.expm_matrix(tag, algebra_stack(tag, rng, (0.02, 0.6, 3.0), per_norm=2))
+    group[3] = np.inf
+    with np.errstate(invalid="ignore"):
+        logs = lg.log_matrix(tag, group)
+    assert not np.isfinite(logs[3]).all()
+    assert np.array_equal(np.delete(logs, 3, axis=0), lg.log_matrix(tag, np.delete(group, 3, axis=0)))
+
+
+@pytest.mark.parametrize("tag", [lg.galileo_tag(2), lg.galileo_tag(3)], ids=lambda t: t.name)
+def test_galileo_expm_matrix_is_the_terminating_series(tag):
+    mats = algebra_stack(tag, np.random.default_rng(35), KERNEL_NORMS)
+    expected = np.eye(tag.size) + mats + mats @ mats / 2
+    assert np.array_equal(lg.expm_matrix(tag, mats), expected)
+    assert tag.nilpotency == 3 and lg.product_tag(tag, lg.so_tag(2)).nilpotency is None
+
+
+def test_log_matrix_rejects_a_stack_with_a_negative_eigenvalue():
+    tag = lg.orthogonal_tag(1, 1)
+    good = lg.expm_matrix(tag, algebra_stack(tag, np.random.default_rng(36), (0.6,)))
+    mats = np.concatenate([good, [-np.eye(2)]])   # preserves eta, eigenvalue -1
+    assert lg.group_defect(tag, mats[-1]) == 0.0
+    with pytest.raises(NoPrincipalLogarithmError, match="-1"):
+        lg.log_matrix(tag, mats)
+    with pytest.raises(NoPrincipalLogarithmError):
+        lg.log(lg.group_element(tag, mats[-1]))
+
+
+def test_pgl_log_takes_the_negated_representative():
+    # normalized (largest entry +3 -> +1) with all eigenvalues -1/3; -M is
+    # (1/3) times a unipotent matrix, whose logarithm is log(1/3) I + N
+    tag = lg.pgl_tag(2)
+    g = lg.group_element(tag, np.array([[-1.0, 3.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]), project=True)
+    nilpotent = np.zeros((3, 3))
+    nilpotent[0, 1] = -3.0
+    assert np.allclose(lg.log(g).mat, nilpotent, rtol=0.0, atol=1e-14)
+    assert np.allclose(lg.exp(lg.log(g)).mat, g.mat, rtol=0.0, atol=1e-14)
+    stack = lg.log_matrix(tag, np.stack([g.mat, np.eye(3)]))
+    assert np.allclose(stack[0], np.log(1 / 3) * np.eye(3) + nilpotent, rtol=0.0, atol=1e-14)
+    assert np.array_equal(stack[1], np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
+def test_algebra_from_coords_matches_the_basis_sum(tag):
+    coords = np.random.default_rng(37).standard_normal(lg.algebra_dim(tag))
+    reference = sum(c * b.mat for c, b in zip(coords, lg.algebra_basis(tag)))
+    assert np.abs(lg.algebra_from_coords(tag, coords).mat - reference).max() <= 1e-15
+    with pytest.raises(InvalidElementError, match="coefficients"):
+        lg.algebra_from_coords(tag, coords[:-1])
+
+
 def test_normalize_projective_on_a_stack():
     mats = np.array([[[2.0, 0.0], [0.0, -4.0]], [[3.0, -3.0], [1.0, 0.0]]])
     out = lg.normalize_projective(mats)
