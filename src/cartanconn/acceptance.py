@@ -55,15 +55,18 @@ def _random_smooth_path(rng: np.random.Generator, dim: int, amp: float = 0.4) ->
     modes = 3
     a = amp * rng.standard_normal((modes, dim)) / np.arange(1, modes + 1)[:, None]
     b = amp * rng.standard_normal((modes, dim)) / np.arange(1, modes + 1)[:, None]
+    ks = np.arange(1, modes + 1)
     omega = 2 * np.pi
 
+    @pr.batched
     def x(t):
-        ks = np.arange(1, modes + 1)
-        return base + a.T @ np.sin(ks * omega * t) + b.T @ np.cos(ks * omega * t)
+        phase = np.multiply.outer(t, ks * omega)
+        return base + np.sin(phase) @ a + np.cos(phase) @ b
 
+    @pr.batched
     def xdot(t):
-        ks = np.arange(1, modes + 1)
-        return omega * (a.T @ (ks * np.cos(ks * omega * t)) - b.T @ (ks * np.sin(ks * omega * t)))
+        phase = np.multiply.outer(t, ks * omega)
+        return omega * ((ks * np.cos(phase)) @ a - (ks * np.sin(phase)) @ b)
 
     return tp.SmoothPath(0.0, 1.0, x, xdot)
 
@@ -72,8 +75,8 @@ def _freefall(g0: float = 9.81) -> tp.SmoothPath:
     return tp.SmoothPath(
         0.0,
         1.0,
-        lambda t: np.array([t, 0.5 * g0 * t * t]),
-        lambda t: np.array([1.0, g0 * t]),
+        pr.batched(lambda t: np.stack([t, 0.5 * g0 * t * t], axis=-1)),
+        pr.batched(lambda t: np.stack([np.ones_like(t), g0 * t], axis=-1)),
     )
 
 
@@ -81,8 +84,8 @@ def _perturbed_freefall(g0: float = 9.81, amp: float = 0.1, freq: float = 5.0) -
     return tp.SmoothPath(
         0.0,
         1.0,
-        lambda t: np.array([t, 0.5 * g0 * t * t + amp * np.sin(freq * t)]),
-        lambda t: np.array([1.0, g0 * t + amp * freq * np.cos(freq * t)]),
+        pr.batched(lambda t: np.stack([t, 0.5 * g0 * t * t + amp * np.sin(freq * t)], axis=-1)),
+        pr.batched(lambda t: np.stack([np.ones_like(t), g0 * t + amp * freq * np.cos(freq * t)], axis=-1)),
     )
 
 

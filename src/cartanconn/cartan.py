@@ -334,24 +334,26 @@ class CartanStructure:
         The horizontal lift ``h`` starts at the canonical reduction point
         ``h'(t0)``; the development is
         ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)``, computed for all nodes
-        in one ``spec.project`` call.
+        in one ``spec.project`` call. The node points come from one
+        ``points`` call per segment; a node on a corner belongs to the
+        earlier segment.
         """
-        seg0 = path.segments[0]
-        x0 = seg0.point(seg0.t0)
+        segments = path.segments
+        x0 = segments[0].point(segments[0].t0)
         h0 = self.frame_at(x0)
         lifted = horizontal_lift(self.conn, path, h0, step, tol=tol)
-        tag = self.spec.tag
+        ts, tag = lifted.ts, self.spec.tag
         movers = lg.inverse_matrix(tag, lifted.mats)
         # without a frame section h' is the identity everywhere
         if self.frame_section is not None:
             movers = h0.mat @ movers
-            segments, j = path.segments, 0
-            for i, t in enumerate(lifted.ts):
-                while j < len(segments) - 1 and t > segments[j].t1 + 1e-15:
-                    j += 1
-                xt = segments[j].point(min(max(t, segments[j].t0), segments[j].t1))
-                movers[i] = movers[i] @ self.frame_at(xt).mat
-        return DevelopedPath(lifted.ts.copy(), self.spec.project(movers), x0)
+            xs = np.empty((len(ts), self.base_dim))
+            cuts = [0, *np.searchsorted(ts, [seg.t1 + 1e-15 for seg in segments[:-1]], side="right"), len(ts)]
+            for seg, i0, i1 in zip(segments, cuts, cuts[1:]):
+                seg.points(np.clip(ts[i0:i1], seg.t0, seg.t1), out=xs[i0:i1])
+            for i, x in enumerate(xs):
+                movers[i] = movers[i] @ self.frame_at(x).mat
+        return DevelopedPath(ts.copy(), self.spec.project(movers), x0)
 
     # -- parallelization -------------------------------------------------------------------
 

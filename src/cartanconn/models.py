@@ -35,7 +35,7 @@ from .errors import (
     PointAtInfinityError,
     SingularFieldError,
 )
-from .principal import ChartDomain, LocalConnection, batched, is_batched, zero_connection
+from .principal import ChartDomain, LocalConnection, batched, stacked, zero_connection
 from .transport import SmoothPath
 
 
@@ -489,6 +489,13 @@ def _coset_jacobian(spec: HomogeneousSpec):
 # Affine structures
 # ---------------------------------------------------------------------------
 
+def _rows(p, d):
+    """Base points and tangents (one each, or stacks) as ``(N, m)`` stacks,
+    and the leading shape of the tangents."""
+    p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+    return p.reshape(-1, p.shape[-1]), d.reshape(-1, d.shape[-1]), d.shape[:-1]
+
+
 def affine_structure(
     n: int,
     gamma=None,
@@ -503,8 +510,8 @@ def affine_structure(
     field contributing the translation part, and is recovered by the
     soldering map. The structure is Cartan exactly when ``sigma0`` is
     invertible (identity endomorphism by default). The coefficient map is
-    batched unless ``gamma`` or ``sigma0`` is a callable not declared
-    :func:`~cartanconn.principal.batched`.
+    batched; it evaluates ``gamma`` and ``sigma0`` through
+    :func:`~cartanconn.principal.stacked`.
     """
     domain = domain or ChartDomain.unbounded(n)
     if domain.dim != n:
@@ -513,7 +520,7 @@ def affine_structure(
 
     # constant fields broadcast over a stack of points
     if gamma is None:
-        gamma_fn = batched(lambda x: np.zeros((n, n, n)))
+        gamma_fn = batched(lambda x, zero=np.zeros((n, n, n)): zero)
     elif callable(gamma):
         gamma_fn = gamma
     else:
@@ -523,7 +530,7 @@ def affine_structure(
         gamma_fn = batched(lambda x: gamma_const)
 
     if sigma0 is None:
-        sigma_fn = batched(lambda x: np.eye(n))
+        sigma_fn = batched(lambda x, eye=np.eye(n): eye)
     elif callable(sigma0):
         sigma_fn = sigma0
     else:
@@ -532,15 +539,14 @@ def affine_structure(
             raise GeometryError(f"sigma0 must have shape {(n, n)}")
         sigma_fn = batched(lambda x: sigma_const)
 
+    @batched
     def coeff(x, w):
-        w = np.asarray(w, dtype=float)
-        mat = np.zeros(w.shape[:-1] + (n + 1, n + 1))
-        mat[..., :n, :n] = (gamma_fn(x) @ w[..., None, :, None])[..., 0]
-        mat[..., :n, n] = (sigma_fn(x) @ w[..., None])[..., 0]
-        return lg.AlgebraElement(tag, mat)
+        xs, ws, shape = _rows(x, w)
+        mat = np.zeros((len(ws), n + 1, n + 1))
+        mat[:, :n, :n] = (stacked(gamma_fn, xs) @ ws[:, None, :, None])[..., 0]
+        mat[:, :n, n] = (stacked(sigma_fn, xs) @ ws[..., None])[..., 0]
+        return lg.AlgebraElement(tag, mat.reshape(shape + (n + 1, n + 1)))
 
-    if is_batched(gamma_fn) and is_batched(sigma_fn):
-        coeff = batched(coeff)
     return CartanStructure(
         name="affine",
         spec=affine_homogeneous_spec(n),
@@ -555,9 +561,8 @@ def affine_structure(
 @dataclass(frozen=True, eq=False)
 class GravityField:
     """Scalar gravity data on the (t, x) chart: acceleration V and the
-    optional velocity coupling W. ``v`` and ``w`` take scalars or, for
-    fields declared :func:`~cartanconn.principal.batched`, arrays of
-    times and positions."""
+    optional velocity coupling W, functions of a time and a position (of
+    arrays of both when declared :func:`~cartanconn.principal.batched`)."""
 
     V: Callable[[float, float], float]
     W: Callable[[float, float], float] | None = None
@@ -565,12 +570,6 @@ class GravityField:
     @staticmethod
     def constant(g0: float) -> "GravityField":
         return GravityField(batched(lambda t, x: g0))
-
-    def v(self, t, x):
-        return np.asarray(self.V(t, x), dtype=float)
-
-    def w(self, t, x):
-        return 0.0 if self.W is None else np.asarray(self.W(t, x), dtype=float)
 
 
 def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> CartanStructure:
@@ -585,22 +584,24 @@ def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> 
 
     the soldering map is the identity, and the development of a trajectory
     (t, x(t)) is a straight line exactly when V + W x' - x'' = 0. The
-    coefficient map is batched when the field is.
+    coefficient map is batched; it evaluates ``V`` and ``W`` through
+    :func:`~cartanconn.principal.stacked`.
     """
     domain = domain or ChartDomain.unbounded(2)
     tag = lg.GALILEO2
 
+    @batched
     def coeff(p, d):
-        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
-        t, x = p[..., 0], p[..., 1]
-        mat = np.zeros(d.shape[:-1] + (3, 3))
-        mat[..., 1, 0] = -field.v(t, x) * d[..., 0] - field.w(t, x) * d[..., 1]
-        mat[..., 0, 2] = d[..., 0]
-        mat[..., 1, 2] = d[..., 1]
-        return lg.AlgebraElement(tag, mat)
+        ps, ds, shape = _rows(p, d)
+        t, x = ps[:, 0], ps[:, 1]
+        v = stacked(field.V, t, x)
+        w = 0.0 if field.W is None else stacked(field.W, t, x)
+        mat = np.zeros((len(ds), 3, 3))
+        mat[:, 1, 0] = -v * ds[:, 0] - w * ds[:, 1]
+        mat[:, 0, 2] = ds[:, 0]
+        mat[:, 1, 2] = ds[:, 1]
+        return lg.AlgebraElement(tag, mat.reshape(shape + (3, 3)))
 
-    if is_batched(field.V) and (field.W is None or is_batched(field.W)):
-        coeff = batched(coeff)
     return CartanStructure(
         name="galilean-gravity",
         spec=galileo_homogeneous_spec(2),
@@ -613,23 +614,23 @@ def galilean_gravity_3d(accel: Callable[[float, float, float], np.ndarray],
     """Componentwise extension of the gravity structure to a (t, x, y)
     spacetime: trajectories with (x'', y'') = accel(t, x, y) develop
     straight. ``accel`` may raise ``SingularFieldError`` on an excluded set
-    (e.g. the center of a Kepler field). The coefficient map is batched
-    when ``accel`` is: it then maps arrays ``(N,)`` of t, x, y to ``(N, 2)``.
+    (e.g. the center of a Kepler field). The coefficient map is batched; it
+    evaluates ``accel`` through :func:`~cartanconn.principal.stacked`, and
+    a batched ``accel`` maps arrays ``(N,)`` of t, x, y to ``(N, 2)``.
     """
     domain = domain or ChartDomain.unbounded(3)
     tag = lg.galileo_tag(3)
 
+    @batched
     def coeff(p, d):
-        p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
-        a = np.asarray(accel(p[..., 0], p[..., 1], p[..., 2]), dtype=float)
-        mat = np.zeros(d.shape[:-1] + (4, 4))
-        mat[..., 1:-1, 0] = -a * d[..., :1]
-        mat[..., 0, -1] = d[..., 0]
-        mat[..., 1:-1, -1] = d[..., 1:]
-        return lg.AlgebraElement(tag, mat)
+        ps, ds, shape = _rows(p, d)
+        a = stacked(accel, ps[:, 0], ps[:, 1], ps[:, 2])
+        mat = np.zeros((len(ds), 4, 4))
+        mat[:, 1:-1, 0] = -a * ds[:, :1]
+        mat[:, 0, -1] = ds[:, 0]
+        mat[:, 1:-1, -1] = ds[:, 1:]
+        return lg.AlgebraElement(tag, mat.reshape(shape + (4, 4)))
 
-    if is_batched(accel):
-        coeff = batched(coeff)
     return CartanStructure(
         name="galilean-gravity-3d",
         spec=galileo_homogeneous_spec(3),

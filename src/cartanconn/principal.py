@@ -83,17 +83,16 @@ class ChartDomain:
 
 
 def batched(fn: Callable) -> Callable:
-    """Declare that ``fn`` also takes a leading axis of nodes, and return it.
+    """Declare that ``fn`` takes a leading axis of nodes, and return it.
 
     A batched callable given arrays over ``N`` nodes returns the stacked
     values of its per-point calls: a path ``x(ts)`` with ``ts`` of shape
     ``(N,)`` returns ``(N, dim)``, a coefficient map ``coeff(xs, dxs)``
     with ``(N, m)`` arrays returns an algebra element whose ``mat`` is
     ``(N, n, n)``, and a scalar field returns values broadcastable against
-    its arguments. The lift and the development call a batched callable
-    once per block of nodes, the axiom audit once per stack of samples, and
-    any other callable once per node. The mark is a function attribute, so
-    it survives ``functools.wraps``.
+    its arguments. :func:`stacked` calls a batched callable once per stack
+    of nodes and any other once per node; the mark is a function attribute,
+    so it survives ``functools.wraps``.
     """
     fn.batched = True
     return fn
@@ -104,16 +103,49 @@ def is_batched(fn: Callable) -> bool:
     return getattr(fn, "batched", False) is True
 
 
+def stacked(fn: Callable, *args, out: np.ndarray | None = None, what: str = "callable") -> np.ndarray:
+    """Values of ``fn`` on stacks ``args`` that share a leading axis of
+    ``N`` rows, as one array ``(N, ...)``, written into ``out`` when given;
+    algebra elements are read as their matrices.
+
+    A :func:`batched` ``fn`` gets one call on the whole stacks, any other
+    one call per row. Rows of unequal shapes, or values that do not have
+    the shape of ``out``, raise ``ValueError``; without ``out`` the values
+    are returned as they are, so a batched constant field may broadcast.
+    """
+    declared = is_batched(fn)
+    if declared:
+        values = _value(fn(*args))
+    else:
+        values = [_value(fn(*row)) for row in zip(*args)]
+    try:
+        values = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{what} returned values of unequal shapes or types: {exc}") from exc
+    if out is None:
+        return values
+    if len(out) and values.shape != out.shape:
+        raise ValueError(f"{'batched ' * declared}{what} returned shape {values.shape} for {len(out)} nodes")
+    out[...] = values.reshape(out.shape)
+    return out
+
+
+def _value(value):
+    return value.mat if isinstance(value, lg.AlgebraElement) else value
+
+
 @dataclass(frozen=True, eq=False)
 class LocalConnection:
     """Chart-level connection data: ``A(x, dx)``, linear in ``dx``.
 
     ``coeff`` maps a base point and a base tangent to an algebra element of
     ``tag``. The map must be linear in the tangent slot; this is audited by
-    the test-suite rather than enforced per call. When ``coeff`` is
-    declared :func:`batched`, a lift evaluates it once per block of nodes
-    and the axiom audit once per stack of samples, on ``(N, m)`` stacks of
-    points and tangents, and needs ``mat`` of shape ``(N, n, n)`` back.
+    the test-suite rather than enforced per call. The library evaluates it
+    through :func:`coeff_matrices` and leaves ``coeff`` as given: a lift
+    calls a :func:`batched` ``coeff`` once per block of nodes and the axiom
+    audit once per stack of samples, on ``(N, m)`` stacks of points and
+    tangents, and needs ``mat`` of shape ``(N, n, n)`` back; any other
+    ``coeff`` is called once per node.
     """
 
     domain: ChartDomain
@@ -164,18 +196,10 @@ FormFunction = Callable[[PrincipalPoint, PrincipalTangent], lg.AlgebraElement]
 
 def coeff_matrices(conn: LocalConnection, xs, dxs, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficient matrices ``A(x_i, dx_i)`` of stacks ``(N, m)`` of points
-    and tangents as ``(N, n, n)``, filled into ``out`` when given: one call
-    of a batched ``conn.coeff``, else one call per row."""
+    and tangents as ``(N, n, n)``, filled into ``out`` when given, through
+    :func:`stacked`."""
     out = np.empty((len(xs), conn.tag.size, conn.tag.size)) if out is None else out
-    if is_batched(conn.coeff):
-        mats = conn.coeff(xs, dxs).mat
-        if mats.shape != out.shape:
-            raise ValueError(f"batched coefficient map returned shape {mats.shape} for {len(xs)} nodes")
-        out[...] = mats
-    else:
-        for j in range(len(xs)):
-            out[j] = conn.coeff(xs[j], dxs[j]).mat
-    return out
+    return stacked(conn.coeff, xs, dxs, out=out, what="coefficient map")
 
 
 def _form_matrices(conn: LocalConnection, xs, gs, dxs, dgs) -> np.ndarray:

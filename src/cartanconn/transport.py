@@ -10,11 +10,10 @@ with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
 without re-projection; it runs in stages on arrays over blocks of nodes.
-Path callables and coefficient maps declared
-:func:`~cartanconn.principal.batched` are called once per block with
-arrays over its nodes; any other callable once per node.
-Dense output between nodes uses group-logarithm geodesic interpolation,
-which stays on the group exactly.
+Path callables and coefficient maps are evaluated through
+:func:`~cartanconn.principal.stacked`: once per block with arrays over its
+nodes when declared :func:`~cartanconn.principal.batched`, else once per
+node.
 
 Every node's group defect is checked against the round-trip tolerance.
 The step is not adapted: :func:`lift_error_estimate` returns the Richardson
@@ -44,7 +43,7 @@ from .errors import (
     LiftDivergedError,
     LoopNotClosedError,
 )
-from .principal import LocalConnection, batched, coeff_matrices, is_batched
+from .principal import LocalConnection, batched, coeff_matrices, stacked
 from .settings import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -56,13 +55,14 @@ from .settings import DEFAULT_TOLERANCES, Tolerances
 class SmoothPath:
     """Time-parameterized curve in the base with caller-supplied derivative.
 
-    ``x`` and ``xdot`` map a time to a point and a velocity of the base. A
-    callable declared :func:`~cartanconn.principal.batched` also maps an
-    array of ``N`` times to ``(N, dim)`` values in one call, which
-    :meth:`points`, :meth:`velocities` and the lift use; any other is called
-    once per time. The derivative is sanity-checked against central finite
-    differences at ten probe times on construction, where a batched
-    callable must also return the shape above.
+    ``x`` and ``xdot`` map a time to a point and a velocity of the base,
+    or, when declared :func:`~cartanconn.principal.batched`, an array of
+    ``N`` times to ``(N, dim)`` values in one call. The library reads them
+    only through :meth:`points` and :meth:`velocities` (:meth:`point` and
+    :meth:`velocity` are their one-row case), which call a batched callable
+    once per array and any other once per time. On construction both must
+    give ``(N, dim)`` values at ten probe times, and the derivative is
+    checked against central finite differences there.
     """
 
     t0: float
@@ -79,12 +79,9 @@ class SmoothPath:
         h = 1e-6 * (1.0 + abs(self.t0) + abs(self.t1))
         probes = np.linspace(self.t0 + 2 * h, self.t1 - 2 * h, 10)
         values, derivs = self.points(probes), self.velocities(probes)
-        for fn, got in ((self.x, values), (self.xdot, derivs)):
-            if is_batched(fn):
-                want = (len(probes),) + np.shape(fn(float(probes[0])))
-                if got.shape != want:
-                    raise ValueError(f"batched path callable returned shape {got.shape} "
-                                     f"for {len(probes)} times; expected {want}")
+        if values.ndim != 2 or len(values) != len(probes) or derivs.shape != values.shape:
+            raise ValueError(f"path callables returned shapes {values.shape} and {derivs.shape} "
+                             f"for {len(probes)} times; expected (N, dim) for N = {len(probes)}")
         finite = np.isfinite(values).all(axis=-1) & np.isfinite(derivs).all(axis=-1)
         if not finite.all():
             raise ValueError(f"path is not finite at t = {probes[np.argmin(finite)]}")
@@ -100,49 +97,22 @@ class SmoothPath:
         return (self,)
 
     def point(self, t: float) -> np.ndarray:
-        return np.asarray(self.x(t), dtype=float)
+        return self.points([t])[0]
 
     def velocity(self, t: float) -> np.ndarray:
-        return np.asarray(self.xdot(t), dtype=float)
+        return self.velocities([t])[0]
 
     def points(self, ts, out: np.ndarray | None = None) -> np.ndarray:
         """Points at the times ``ts`` (N,), shape (N, dim), written into ``out`` if given."""
-        return _at_times(self.x, ts, out)
+        return stacked(self.x, np.asarray(ts, dtype=float), out=out, what="path")
 
     def velocities(self, ts, out: np.ndarray | None = None) -> np.ndarray:
         """Velocities at the times ``ts`` (N,), shape (N, dim), written into ``out`` if given."""
-        return _at_times(self.xdot, ts, out)
+        return stacked(self.xdot, np.asarray(ts, dtype=float), out=out, what="path")
 
     def reverse(self) -> "SmoothPath":
-        """Time reversal on the same parameter interval."""
-        t0, t1, x, xdot = self.t0, self.t1, self.x, self.xdot
-        return SmoothPath(
-            t0,
-            t1,
-            _batched_like(x, lambda t: np.asarray(x(t0 + t1 - t), dtype=float)),
-            _batched_like(xdot, lambda t: -np.asarray(xdot(t0 + t1 - t), dtype=float)),
-        )
-
-
-def _at_times(fn, ts, out: np.ndarray | None) -> np.ndarray:
-    """Values of a path callable at the times ``ts``: one call when ``fn`` is
-    batched, else one per time."""
-    if is_batched(fn):
-        values = np.asarray(fn(np.asarray(ts, dtype=float)), dtype=float)
-        if out is None:
-            return values
-        out[...] = values
-        return out
-    if out is None:
-        return np.array([fn(float(t)) for t in ts], dtype=float)
-    for i, t in enumerate(ts):
-        out[i] = fn(float(t))
-    return out
-
-
-def _batched_like(source, fn):
-    """``fn`` declared batched when ``source`` is."""
-    return batched(fn) if is_batched(source) else fn
+        """Time reversal on the same parameter interval (batched)."""
+        return _reparameterized(self, self.t0, self.t1, self.t1, -1.0)
 
 
 class PiecewisePath:
@@ -176,29 +146,22 @@ class PiecewisePath:
         raise ValueError("time outside path interval")
 
     def reverse(self) -> "PiecewisePath":
-        total0, total1 = self.t0, self.t1
-        out = []
-        for seg in reversed(self.pieces):
-            r = seg.reverse()
-            # remap [seg.t0, seg.t1] reversed onto the mirrored slot
-            a = total0 + (total1 - seg.t1)
-            b = total0 + (total1 - seg.t0)
-            out.append(_retimed(r, a, b))
-        return PiecewisePath(out)
+        # each piece, reversed, on the mirrored slot of the interval
+        total = self.t0 + self.t1
+        return PiecewisePath([_reparameterized(seg, total - seg.t1, total - seg.t0, seg.t1, -1.0)
+                              for seg in reversed(self.pieces)])
 
 
 Path = SmoothPath | PiecewisePath
 
 
-def _retimed(path: SmoothPath, a: float, b: float) -> SmoothPath:
-    """Affine reparameterization of ``path`` onto the interval [a, b]."""
-    scale = (path.t1 - path.t0) / (b - a)
-    t0, x, xdot = path.t0, path.x, path.xdot
+def _reparameterized(path: SmoothPath, a: float, b: float, s0: float, scale: float) -> SmoothPath:
+    """``path`` read at the times ``s0 + (t - a) scale`` for ``t`` in [a, b] (batched)."""
     return SmoothPath(
         a,
         b,
-        _batched_like(x, lambda t: np.asarray(x(t0 + (t - a) * scale), dtype=float)),
-        _batched_like(xdot, lambda t: scale * np.asarray(xdot(t0 + (t - a) * scale), dtype=float)),
+        batched(lambda t: path.points(s0 + (t - a) * scale)),
+        batched(lambda t: scale * path.velocities(s0 + (t - a) * scale)),
     )
 
 
@@ -294,9 +257,8 @@ class LiftedPath:
     """Sampled horizontal lift of a base path.
 
     Stores the node times ``ts`` (N,) and the node matrices ``mats``
-    (N, n, n); ``elements``, ``start``, ``end`` and ``at`` present them as
-    group elements. Evaluation between nodes uses geodesic interpolation
-    ``g(t) = g_i exp(theta log(g_i^{-1} g_{i+1}))``.
+    (N, n, n); ``elements``, ``start`` and ``end`` present them as group
+    elements.
     """
 
     def __init__(self, tag: lg.GroupTag, ts, mats):
@@ -320,18 +282,6 @@ class LiftedPath:
     def end(self) -> lg.GroupElement:
         return self._element(-1)
 
-    def at(self, t: float) -> lg.GroupElement:
-        ts = self.ts
-        if t <= ts[0]:
-            return self.start
-        if t >= ts[-1]:
-            return self.end
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        theta = (t - ts[i]) / (ts[i + 1] - ts[i])
-        gi = self._element(i)
-        step = lg.compose(lg.inverse(gi), self._element(i + 1))
-        return lg.compose(gi, lg.exp(theta * lg.log(step)))
-
     def group_defects(self) -> np.ndarray:
         return lg.group_defect(self.tag, self.mats)
 
@@ -349,9 +299,10 @@ def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> 
     stages on arrays over its nodes: path points and velocities, the
     domain check (before any coefficient), the coefficients, every
     ``Omega`` and one batched exponential, then the product scan and a
-    finiteness check. Batched path callables and a batched ``conn.coeff``
-    are called once per block, others once per node (a block's last node is
-    the next one's first, so a step costs two coefficient evaluations).
+    finiteness check. Path callables and ``conn.coeff`` go through
+    :func:`~cartanconn.principal.stacked` once per block (a block's last
+    node is the next one's first, so a step costs two coefficient
+    evaluations).
     """
     tag, n_steps = conn.tag, len(ts) - 1
     h = (seg.t1 - seg.t0) / n_steps
@@ -524,9 +475,6 @@ class DevelopedPath:
     def max_second_difference(self) -> float:
         sd = self.second_differences()
         return float(np.max(np.linalg.norm(sd, axis=1))) if len(sd) else 0.0
-
-    def is_straight(self, tol: float) -> bool:
-        return self.max_second_difference() < tol
 
 
 def develop_total_path(

