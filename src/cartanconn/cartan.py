@@ -318,12 +318,11 @@ class CartanStructure:
         return self.soldering_with_choices(x, w, e_prime, lg.zero_algebra(self.spec.tag))
 
     def soldering_matrix(self, x) -> np.ndarray:
-        cols = []
-        for i in range(self.base_dim):
-            w = np.zeros(self.base_dim)
-            w[i] = 1.0
-            cols.append(self.soldering(x, w))
-        return np.column_stack(cols)
+        """Soldering map at x on the coordinate basis, from one evaluation
+        of the induced form on the base directions of H'."""
+        e_prime = lg.identity(self.spec.tag)
+        push = self.spec.jacobian(self._reduction_point(x, e_prime).g, self.spec.origin)
+        return push @ self.spec.fiber_map @ self.reduced_form_matrix(x, e_prime)[:, :self.base_dim]
 
     # -- development ---------------------------------------------------------------------
 

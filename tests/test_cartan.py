@@ -249,6 +249,19 @@ def test_soldering_matrix_invertible_on_cartan_models():
             assert smallest > 1e-8, name
 
 
+def test_soldering_matrix_matches_per_direction_soldering():
+    # one form evaluation on all base directions against the column-by-
+    # column definition
+    rng = np.random.default_rng(13)
+    structures = [models.build_model(name) for name in sorted(models.MODEL_BUILDERS)]
+    structures.append(models.affine_structure(2, sigma0=rng.standard_normal((2, 2))))
+    for cs in structures:
+        for _ in range(5):
+            x = cs.conn.domain.sample(rng, scale=0.5)
+            reference = np.column_stack([cs.soldering(x, w) for w in np.eye(cs.base_dim)])
+            assert np.max(np.abs(cs.soldering_matrix(x) - reference)) < 1e-14, cs.spec.name
+
+
 @pytest.mark.parametrize("model", ["galilean", "affine", "homogeneous", "mobius"])
 def test_soldering_independent_of_choices(model):
     # the defining formula uses an arbitrary reduction point and an

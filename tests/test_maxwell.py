@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cartanconn import maxwell as mx
+from cartanconn import principal as pr
 from cartanconn.errors import GeometryError
 
 NATURAL = mx.EMConstants(eps0=1.0, mu0=1.0)
@@ -299,6 +300,111 @@ def test_grid_csv_rejects_incomplete_lattice(tmp_path):
         fh.write("t,x1,x2,x3,value\n0,0,0,0,1.0\n0,0,0,1,2.0\n1,0,0,0,3.0\n")
     with pytest.raises(GeometryError):
         mx.GridSampledField.from_csv(p)
+
+
+def test_grid_csv_rejects_duplicate_with_missing_point(tmp_path):
+    # the row count fills the lattice, but one point is given twice and
+    # another not at all
+    lattice = list(itertools.product([0.0, 1.0], repeat=4))
+    rows = lattice[:-1] + [lattice[0]]
+    p = tmp_path / "dup.csv"
+    with open(p, "w") as fh:
+        fh.write("t,x1,x2,x3,value\n")
+        fh.writelines(f"{t},{x1},{x2},{x3},1.0\n" for t, x1, x2, x3 in rows)
+    with pytest.raises(GeometryError, match="duplicate or missing"):
+        mx.GridSampledField.from_csv(p)
+
+
+def _quadratic_fields(seed=5):
+    """Sixteen random quadratics in (t, x1, x2, x3): a field set with
+    nonzero sources and nonzero residuals on every face, on which central
+    differences are exact up to rounding."""
+    rng = np.random.default_rng(seed)
+
+    def quadratic(c, g, q):
+        def f(t, x1, x2, x3):
+            p = (t, x1, x2, x3)
+            return c + sum(g[a] * p[a] for a in range(4)) + sum(
+                q[a, b] * p[a] * p[b] for a in range(4) for b in range(a, 4)
+            )
+
+        return f
+
+    fs = [quadratic(*rng.standard_normal(1), rng.standard_normal(4), rng.standard_normal((4, 4)))
+          for _ in range(16)]
+    return fs[0:3], fs[3:6], fs[6:9], fs[9:12], fs[12], fs[13:16]
+
+
+def test_sampled_and_callable_checks_agree_on_quadratic_fields():
+    E, B, D, Hm, rho, j = _quadratic_fields()
+    axes = (np.linspace(-0.5, 0.5, 5), np.linspace(-1.0, 1.0, 5),
+            np.linspace(0.0, 2.0, 5), np.linspace(-2.0, 0.0, 5))
+    lattice = np.meshgrid(*axes, indexing="ij")
+    sample = lambda f: mx.GridSampledField(axes, f(*lattice))
+    sampled = mx.maxwell_check_sampled(
+        [sample(f) for f in E], [sample(f) for f in B], [sample(f) for f in D],
+        [sample(f) for f in Hm], sample(rho), [sample(f) for f in j],
+    )
+    interior = list(itertools.product(*(a[1:-1] for a in axes)))
+    direct = mx.maxwell_check(E, B, D, Hm, rho, j, interior)
+    assert sampled.points == direct.points == 81
+    for (name, a), (_, b) in zip(sampled.rows(), direct.rows()):
+        assert abs(a - b) < 1e-10, name
+    # the fields are no solution: the residuals are far from rounding
+    assert min(direct.max_dF, direct.max_dG_minus_4piJ, direct.continuity_residual) > 0.1
+    assert direct.identification_gap < 1e-10
+
+
+def test_batched_and_per_point_user_fields_give_identical_reports():
+    fields = _quadratic_fields()
+    calls = []
+
+    def declared(f):
+        def g(t, x1, x2, x3):
+            calls.append(np.shape(t))
+            return f(t, x1, x2, x3)
+
+        return pr.batched(g)
+
+    grid = mx.probe_grid([0.0, 0.4], [1.0, 1.4, 1.8])
+    E, B, D, Hm, rho, j = fields
+    per_point = mx.maxwell_check(*fields, points=grid)
+    batched = mx.maxwell_check([declared(f) for f in E], [declared(f) for f in B],
+                               [declared(f) for f in D], [declared(f) for f in Hm],
+                               declared(rho), [declared(f) for f in j], points=grid)
+    assert batched == per_point
+    # each field is called once, on the probe points and their 8 neighbours
+    assert calls == [(9 * len(grid),)] * 16
+
+
+def test_field_error_at_one_probe_point_propagates_unchanged():
+    error = ZeroDivisionError("singular probe")
+
+    def field(t, x1, x2, x3):
+        if x1 > 1.3:
+            raise error
+        return x1 * x2
+
+    zero = (0.0, 0.0, 0.0)
+    with pytest.raises(ZeroDivisionError) as info:
+        mx.maxwell_check((field, 0.0, 0.0), zero, zero, zero, 0.0, zero,
+                         points=mx.probe_grid([0.0], [1.0, 1.4]))
+    assert info.value is error
+
+
+def test_per_point_field_with_unequal_rows_is_rejected():
+    ragged = lambda t, x1, x2, x3: np.zeros(2) if x1 > 1.2 else 0.0
+    zero = (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unequal shapes"):
+        mx.maxwell_check(zero, (ragged, 0.0, 0.0), zero, zero, 0.0, zero,
+                         points=mx.probe_grid([0.0], [1.0, 1.4]))
+
+
+@pytest.mark.parametrize("preset", sorted(mx.PRESETS))
+def test_presets_and_constant_fields_are_batched(preset):
+    E, B, D, Hm, rho, j = mx.PRESETS[preset](NATURAL)
+    fields = [mx.as_field(f) for f in (*E, *B, *D, *Hm, rho, *j)]
+    assert all(pr.is_batched(f) for f in fields)
 
 
 def test_wave_speed_definition():
