@@ -183,16 +183,19 @@ def _d3(p: np.ndarray) -> np.ndarray:
 
 
 def d_numeric(form: Form2Field, point, h: float = 1e-4) -> np.ndarray:
-    """Exterior derivative of a two-form at a point, as coefficients on
-    :data:`BASIS_3FORMS`; central differences, O(h^2) and exact for
+    """Exterior derivative of a two-form at a point ``(4,)`` or at each of a
+    stack of points ``(N, 4)``, as coefficients on :data:`BASIS_3FORMS`,
+    ``(4,)`` or ``(N, 4)``; central differences, O(h^2) and exact for
     polynomial coefficients of degree at most two."""
-    return _d2(_partials(form.coeffs, point, h)[1])[:, 0]
+    d = _d2(_partials(form.coeffs, point, h)[1]).T
+    return d if np.ndim(point) == 2 else d[0]
 
 
-def d3_numeric(form: Form3Field, point, h: float = 1e-4) -> float:
+def d3_numeric(form: Form3Field, point, h: float = 1e-4) -> float | np.ndarray:
     """Exterior derivative of a three-form: the coefficient of
-    dt^dx1^dx2^dx3."""
-    return float(_d3(_partials(form.coeffs, point, h)[1])[0])
+    dt^dx1^dx2^dx3, a float at a point ``(4,)``, ``(N,)`` at points ``(N, 4)``."""
+    d = _d3(_partials(form.coeffs, point, h)[1])
+    return d if np.ndim(point) == 2 else float(d[0])
 
 
 # ---------------------------------------------------------------------------

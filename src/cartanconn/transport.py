@@ -9,7 +9,8 @@ lifted tangent,
 with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
-without re-projection; it runs in stages on arrays over blocks of nodes.
+without re-projection; it runs in stages on arrays over blocks of nodes,
+and each block's product is a doubling scan of the step propagators.
 Path callables and coefficient maps are evaluated through
 :func:`~cartanconn.principal.stacked`: once per block with arrays over its
 nodes when declared :func:`~cartanconn.principal.batched`, else once per
@@ -298,11 +299,12 @@ def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> 
     ``g_{k+1} = exp(Omega) g_k``. Each block of ``_BLOCK`` steps runs in
     stages on arrays over its nodes: path points and velocities, the
     domain check (before any coefficient), the coefficients, every
-    ``Omega`` and one batched exponential, then the product scan and a
-    finiteness check. Path callables and ``conn.coeff`` go through
-    :func:`~cartanconn.principal.stacked` once per block (a block's last
-    node is the next one's first, so a step costs two coefficient
-    evaluations).
+    ``Omega`` and one batched exponential, then a doubling scan of the step
+    propagators (``ceil(log2 steps)`` batched matmuls) and a finiteness
+    check, which names the first non-finite node. Path callables and
+    ``conn.coeff`` go through :func:`~cartanconn.principal.stacked` once
+    per block (a block's last node is the next one's first, so a step costs
+    two coefficient evaluations).
     """
     tag, n_steps = conn.tag, len(ts) - 1
     h = (seg.t1 - seg.t0) / n_steps
@@ -327,9 +329,12 @@ def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> 
         a0, ah, a1 = coeffs[0:last - 1:2], coeffs[1:last:2], coeffs[2:last:2]
         omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
         props = lg.expm_matrix(tag, omega)
+        span = 1   # doubling scan: props[k] becomes props[k] @ ... @ props[0]
+        while span < steps:
+            props[span:] = props[span:] @ props[:-span]
+            span *= 2
         out = mats[k0:k0 + steps + 1]
-        for k in range(steps):
-            np.matmul(props[k], out[k], out=out[k + 1])
+        np.matmul(props, out[0], out=out[1:])
         finite = np.isfinite(out[1:]).all(axis=(1, 2))
         if not finite.all():
             t = ts[k0 + 1 + np.argmin(finite)]

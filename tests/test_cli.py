@@ -3,6 +3,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -373,3 +377,12 @@ def test_selftest_prints_table_and_reports(monkeypatch, capsys):
     bad = [acceptance.CriterionResult(1, "alpha", False, "broken", 0.1, 5.0)]
     monkeypatch.setattr(acceptance, "run_all", lambda seed: bad)
     assert cli.main(["--selftest"]) == 3
+
+
+def test_package_runs_as_a_module():
+    # ``python -m cartanconn`` reaches cli.main without the console script
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cartanconn", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Scenario runner" in done.stdout

@@ -126,6 +126,27 @@ def test_plane_wave_residual_scales_with_square_of_step():
     assert r1 > 0 and 3.0 < r1 / r2 < 5.0
 
 
+def test_exterior_derivatives_on_point_stacks_match_per_point_calls():
+    # batched presets (numpy cos, libm pow) and per-point user lambdas: one
+    # call on (N, 4) points equals N single-point calls bit for bit
+    wave = mx.preset_plane_wave(NATURAL, k=(0.6, 0.5, 0.3), e0=(0.5, -0.6, 0.0))
+    coulomb = mx.preset_coulomb(NATURAL)
+    poly = (lambda t, x1, x2, x3: x2 * x2 - t * x1, lambda t, x1, x2, x3: t * x3, 0.5)
+    twos = [mx.build_F(wave[0], wave[1]), mx.build_G(wave[2], wave[3]),
+            mx.build_F(coulomb[0], coulomb[1]), mx.build_F(poly, poly[::-1])]
+    threes = [mx.build_J(coulomb[0][0], coulomb[0]), mx.build_J(poly[0], poly)]
+    points = np.random.default_rng(5).uniform(0.5, 2.0, size=(40, 4))
+    for form in twos:
+        stacked = mx.d_numeric(form, points, h=1e-3)
+        per_point = np.array([mx.d_numeric(form, p, h=1e-3) for p in points])
+        assert stacked.shape == (40, 4) and stacked.tobytes() == per_point.tobytes()
+    for form in threes:
+        stacked = mx.d3_numeric(form, points)
+        per_point = np.array([mx.d3_numeric(form, p) for p in points])
+        assert stacked.shape == (40,) and stacked.tobytes() == per_point.tobytes()
+    assert isinstance(mx.d3_numeric(threes[1], tuple(points[0])), float)
+
+
 # ---------------------------------------------------------------------------
 # Hodge star
 # ---------------------------------------------------------------------------

@@ -175,6 +175,60 @@ def test_lift_names_the_first_non_finite_step():
             tp.horizontal_lift(conn, path, step=0.1)
 
 
+def test_lift_names_the_first_non_finite_step_in_a_later_block():
+    # 1100 steps on one segment; the infinite node, step 700, lies in the
+    # second block of 512 steps
+    t_bad = 700 * (1.1 / 1100)
+    conn = gravity_connection(lambda t, x: np.inf if t == t_bad else 1.0)
+    path = tp.SmoothPath(
+        0.0, 1.1, lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0])
+    )
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(LiftDivergedError) as info:
+            tp.horizontal_lift(conn, path, step=1e-3)
+    assert float(re.search(r"t = (\S+)$", str(info.value)).group(1)) == t_bad
+
+
+def sequential_magnus(conn, seg, n_steps, g0):
+    """Reference lift: the Magnus-4 propagators of every step, multiplied
+    onto ``g0`` one step after another."""
+    h = (seg.t1 - seg.t0) / n_steps
+    nodes = seg.t0 + np.arange(2 * n_steps + 1) * (h / 2)
+    a = pr.coeff_matrices(conn, seg.points(nodes), seg.velocities(nodes))
+    a0, ah, a1 = a[0:-1:2], a[1::2], a[2::2]
+    omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
+    mats = [g0]
+    for prop in lg.expm_matrix(conn.tag, omega):
+        mats.append(prop @ mats[-1])
+    return np.array(mats)
+
+
+def varying_connection(tag, seed):
+    """Batched connection on the plane whose coefficients vary with the point:
+    ``A(x, d) = d_0 (G_0 + sin(x_1) G_1) + d_1 (x_0 G_2 + G_3)``."""
+    rng = np.random.default_rng(seed)
+    g = [lg.random_algebra(tag, rng, scale=0.8).mat for _ in range(4)]
+
+    @pr.batched
+    def coeff(x, d):
+        (x0, x1), (d0, d1) = (np.moveaxis(np.asarray(v), -1, 0)[..., None, None] for v in (x, d))
+        return lg.AlgebraElement(tag, d0 * (g[0] + np.sin(x1) * g[1]) + d1 * (x0 * g[2] + g[3]))
+
+    return pr.LocalConnection(pr.ChartDomain.unbounded(2), tag, coeff)
+
+
+@pytest.mark.parametrize("tag", [lg.gl_tag(3), lg.so_tag(3)], ids=lambda t: t.name)
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 511, 512, 513, 1100])
+def test_doubling_scan_matches_the_sequential_product(tag, steps):
+    conn = varying_connection(tag, seed=steps)
+    g0 = lg.random_element(tag, np.random.default_rng(1), scale=0.4)
+    seg = tp.line_segment([0.3, -0.2], [-0.8, 1.1], 0.0, 1.0)
+    lifted = tp.horizontal_lift(conn, seg, g0, step=1.0 / steps)
+    assert len(lifted.ts) == steps + 1
+    reference = sequential_magnus(conn, seg, steps, g0.mat)
+    assert np.max(np.abs(lifted.mats - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
 @pytest.mark.parametrize("steps", [4, 1100])
 def test_lift_makes_two_coefficient_calls_per_step_plus_one_per_segment(steps):
     calls = []
