@@ -7,7 +7,13 @@ singles out the reduction
 
     H' = { (x, g) : g(o) = s0(x) },
 
-a principal ``G'``-bundle. The connection form restricted to ``H'`` (the
+a principal ``G'``-bundle. The section is the constant one at ``o``, or
+the diagonal ``x -> x`` when base and fibre share a chart; the canonical
+reduction point over ``x`` is the frame ``h'(x) = coset_section(s0(x))``,
+which lies in ``H'`` by construction. Frames, tangent bases of ``H'`` and
+the induced form are evaluated on stacks of base points as raw matrices.
+
+The connection form restricted to ``H'`` (the
 induced form) takes values in the full algebra of ``G``; the structure is
 
 * ``cartan``       when the induced form has zero kernel on each tangent
@@ -52,14 +58,16 @@ class HomogeneousSpec:
     project         quotient projection ``G -> F`` in chart coordinates,
                     ``project(g) = act(g, o)``, on a matrix or a stack of
                     matrices ``(..., n, n)``, giving ``(..., fiber_dim)``
-    coset_section   right inverse of ``project``: a group element mapping
-                    ``o`` to the given chart point
+    coset_section   right inverse of ``project`` on a stack of chart points
+                    ``(N, fiber_dim)``: raw group matrices ``(N, n, n)``
+                    mapping ``o`` to each point, the identity at ``o``
+    coset_derivative  derivative of ``coset_section`` at a stack of points
+                    along a stack of directions, both ``(N, fiber_dim)``,
+                    as ``(N, n, n)``
     stabilizer_basis  basis of the Lie algebra of ``G'``
     fiber_map       matrix of the projection ``T_e(G) -> T_o F`` on algebra
-                    coordinates (built by finite differences of the
-                    infinitesimal action when not supplied)
-    act_jacobian    derivative of ``act(g, .)`` at a chart point (finite
-                    differences when not supplied)
+                    coordinates
+    act_jacobian    derivative of ``act(g, .)`` at a chart point
     """
 
     name: str
@@ -68,38 +76,22 @@ class HomogeneousSpec:
     origin: np.ndarray
     act: Callable[[lg.GroupElement, np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
-    coset_section: Callable[[np.ndarray], lg.GroupElement]
+    coset_section: Callable[[np.ndarray], np.ndarray]
+    coset_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stabilizer_basis: tuple[lg.AlgebraElement, ...]
-    fiber_map: np.ndarray | None = None
-    act_jacobian: Callable[[lg.GroupElement, np.ndarray], np.ndarray] | None = None
+    fiber_map: np.ndarray
+    act_jacobian: Callable[[lg.GroupElement, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
-        if self.fiber_map is None:
-            self.fiber_map = self._fiber_map_fd()
         self.fiber_map = np.asarray(self.fiber_map, dtype=float)
-
-    def _fiber_map_fd(self, h: float = 1e-6) -> np.ndarray:
-        cols = []
-        for xi in lg.algebra_basis(self.tag):
-            plus = self.act(lg.exp(h * xi), self.origin)
-            minus = self.act(lg.exp((-h) * xi), self.origin)
-            cols.append((np.asarray(plus) - np.asarray(minus)) / (2 * h))
-        return np.column_stack(cols)
 
     def algebra_to_fiber(self, xi: lg.AlgebraElement) -> np.ndarray:
         """Tangent of the quotient projection at the identity applied to xi."""
         return self.fiber_map @ lg.algebra_coords(xi)
 
-    def jacobian(self, g: lg.GroupElement, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        if self.act_jacobian is not None:
-            return np.asarray(self.act_jacobian(g, point), dtype=float)
-        cols = []
-        for i in range(self.fiber_dim):
-            e = np.zeros(self.fiber_dim)
-            e[i] = h
-            cols.append((self.act(g, point + e) - self.act(g, point - e)) / (2 * h))
-        return np.column_stack(cols)
+    def jacobian(self, g: lg.GroupElement, point: np.ndarray) -> np.ndarray:
+        return np.asarray(self.act_jacobian(g, point), dtype=float)
 
     def random_stabilizer_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> lg.AlgebraElement:
         coords = rng.standard_normal(len(self.stabilizer_basis))
@@ -117,7 +109,9 @@ class HomogeneousSpec:
     def validate(self, rng: np.random.Generator | None = None, samples: int = 10,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         """Structural checks: the projection sends e to o, the stabilizer
-        fixes o, sections are right inverses, and dimensions add up."""
+        fixes o, the coset section of a stack of points lies in the group,
+        is a right inverse of the projection and is the identity at o, and
+        dimensions add up."""
         rng = rng or np.random.default_rng(0)
         e = lg.identity(self.tag)
         if np.max(np.abs(self.project(e.mat) - self.origin)) > tol.structural:
@@ -128,10 +122,14 @@ class HomogeneousSpec:
             gp = self.random_stabilizer_element(rng)
             if np.max(np.abs(self.act(gp, self.origin) - self.origin)) > 1e-9:
                 raise GeometryError(f"{self.name}: stabilizer element moved the base point")
-            z = self.origin + 0.5 * rng.standard_normal(self.fiber_dim)
-            sec = self.coset_section(z)
-            if np.max(np.abs(self.act(sec, self.origin) - z)) > 1e-9:
-                raise GeometryError(f"{self.name}: coset section is not a right inverse")
+        zs = np.vstack([self.origin, self.origin + 0.5 * rng.standard_normal((samples, self.fiber_dim))])
+        secs = self.coset_section(zs)
+        if not np.max(lg.group_defect(self.tag, secs)) <= tol.structural:
+            raise GeometryError(f"{self.name}: coset section leaves the group")
+        if np.max(np.abs(self.project(secs) - zs)) > 1e-9:
+            raise GeometryError(f"{self.name}: coset section is not a right inverse")
+        if np.max(np.abs(secs[0] - np.eye(self.tag.size))) > tol.structural:
+            raise GeometryError(f"{self.name}: coset section of the base point is not the identity")
 
 
 @dataclass(frozen=True)
@@ -154,22 +152,25 @@ class CartanReport:
 class CartanStructure:
     """Connection plus homogeneous data plus a section of the associated bundle.
 
-    ``section`` defaults to the constant section at the fibre base point, in
-    which case the reduction is ``B x G'`` and ``frame_section`` is the
-    identity; the flat homogeneous geometry instead uses the diagonal
-    section with the coset section as its canonical reduction frame.
+    The section is the constant one at the fibre base point ``o`` unless
+    ``diagonal`` is set, in which case it is ``x -> x`` (which needs
+    ``dim B = dim F``; the flat homogeneous geometry uses it). The
+    reduction frame over ``x`` is always the coset section at the
+    section's value, ``spec.coset_section(s(x))``, so it lies in ``H'`` by
+    construction: the constant section frames every point by
+    ``coset_section(o)``, the identity, and has a zero frame derivative.
     """
 
     name: str
     spec: HomogeneousSpec
     conn: LocalConnection
-    section: Callable[[np.ndarray], np.ndarray] | None = None
-    frame_section: Callable[[np.ndarray], lg.GroupElement] | None = None
-    frame_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    diagonal: bool = False
 
     def __post_init__(self):
         if self.conn.tag != self.spec.tag:
             raise GeometryError("connection and homogeneous data use different groups")
+        if self.diagonal and self.base_dim != self.spec.fiber_dim:
+            raise GeometryError("the diagonal section needs base dimension = fibre dimension")
 
     # -- geometry of the reduction -------------------------------------------------
 
@@ -178,24 +179,22 @@ class CartanStructure:
         return self.conn.domain.dim
 
     def section_value(self, x) -> np.ndarray:
-        if self.section is None:
-            return self.spec.origin.copy()
-        return np.asarray(self.section(np.asarray(x, dtype=float)), dtype=float)
-
-    def frame_at(self, x) -> lg.GroupElement:
-        if self.frame_section is None:
-            return lg.identity(self.spec.tag)
-        return self.frame_section(np.asarray(x, dtype=float))
-
-    def _frame_derivative(self, x, w, h: float = 1e-6) -> np.ndarray:
-        """Derivative of the reduction frame along the base direction w."""
-        if self.frame_section is None:
-            return np.zeros((self.spec.tag.size, self.spec.tag.size))
-        if self.frame_jacobian is not None:
-            return np.asarray(self.frame_jacobian(np.asarray(x, float), np.asarray(w, float)), float)
+        """Section at a base point (or at each row of a stack ``(N, m)``)."""
         x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return (self.frame_at(x + h * w).mat - self.frame_at(x - h * w).mat) / (2 * h)
+        if self.diagonal:
+            return x.copy()
+        return np.broadcast_to(self.spec.origin, x.shape[:-1] + self.spec.origin.shape).copy()
+
+    def _frames(self, xs) -> np.ndarray:
+        """Reduction frames ``(N, n, n)`` at a stack of base points ``(N, m)``."""
+        return self.spec.coset_section(self.section_value(xs))
+
+    def _frame_derivatives(self, xs, ws) -> np.ndarray:
+        """Derivatives ``(N, n, n)`` of the reduction frames at base points
+        ``xs`` along base directions ``ws``, both ``(N, m)``."""
+        ws = np.asarray(ws, dtype=float)
+        section_tangents = ws if self.diagonal else np.zeros(ws.shape[:-1] + self.spec.origin.shape)
+        return self.spec.coset_derivative(self.section_value(xs), section_tangents)
 
     def in_reduction(self, p: PrincipalPoint, tol: float = 1e-10) -> bool:
         """Membership test for H': the point maps o onto the section."""
@@ -229,34 +228,49 @@ class CartanStructure:
 
     # -- tangent frames of the reduction --------------------------------------------
 
-    def _reduction_point(self, x, gprime: lg.GroupElement | None = None) -> PrincipalPoint:
-        g = self.frame_at(x)
-        if gprime is not None:
-            g = lg.compose(g, gprime)
-        return PrincipalPoint(np.asarray(x, dtype=float), g)
-
-    def _reduction_tangent_basis(self, x, gprime: lg.GroupElement | None = None):
-        """Basis of T H' at the point over x framed by ``frame * gprime``, as
-        stacks ``(dxs, dgs)``: base directions follow the frame section,
-        verticals span g'. For PGL the point is stored normalized (as
-        :func:`lg.compose` returns it), and the tangents are scaled with it."""
-        x = np.asarray(x, dtype=float)
-        m, stabilizer = self.base_dim, self.spec.stabilizer_basis
-        gp_mat = np.eye(self.spec.tag.size) if gprime is None else gprime.mat
-        total = self.frame_at(x).mat @ gp_mat
+    def _reduction_point(self, xs, gps=None):
+        """Points ``frame(x) g'`` of H' over a stack of base points ``(N, m)``
+        as raw matrices ``(N, n, n)``, with the factors ``g'`` (identities by
+        default) rescaled alike: for PGL the point is stored normalized (as
+        :func:`lg.compose` returns it), so ``points = frames @ gps`` holds
+        for the returned pair."""
+        frames = self._frames(xs)
+        if gps is None:
+            gps = np.broadcast_to(np.eye(self.spec.tag.size), frames.shape)
+        points = frames @ gps
         if self.spec.tag.kind is lg.GroupKind.PGL:
-            pivot = total.flat[np.argmax(np.abs(total))]   # as lg.normalize_projective
-            total, gp_mat = total / pivot, gp_mat / pivot
-        dgs = [self._frame_derivative(x, w) @ gp_mat for w in np.eye(m)]
-        return np.eye(m + len(stabilizer), m), np.array(dgs + [total @ eta.mat for eta in stabilizer])
+            pivots = lg._pivots(points)[:, None, None]   # as lg.normalize_projective
+            points, gps = points / pivots, gps / pivots
+        return points, gps
 
-    def reduced_form_matrix(self, x, gprime: lg.GroupElement | None = None) -> np.ndarray:
-        """Matrix of the induced form on the tangent basis of H' at x,
-        expressed in algebra coordinates of G (columns = basis tangents),
-        evaluated on all basis tangents at once."""
-        p = self._reduction_point(x, gprime)
-        mats = _form_matrices(self.conn, p.x, p.g.mat, *self._reduction_tangent_basis(x, gprime))
-        return lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats)).T
+    def _reduction_tangent_basis(self, xs, gps=None):
+        """Points of H' over a stack of base points ``(N, m)`` framed by
+        ``frame * gps`` (as :meth:`_reduction_point`) and a basis of T H'
+        at each, as ``(points, dxs, dgs)`` with ``dxs`` ``(N, m + k, m)``
+        and ``dgs`` ``(N, m + k, n, n)``: base directions follow the frame,
+        verticals span g'. For PGL the tangents are scaled with the
+        normalized point."""
+        xs = np.asarray(xs, dtype=float)
+        (count, m), n = xs.shape, self.spec.tag.size
+        points, gps = self._reduction_point(xs, gps)
+        derivs = self._frame_derivatives(np.repeat(xs, m, axis=0), np.tile(np.eye(m), (count, 1)))
+        stabilizer = np.array([eta.mat for eta in self.spec.stabilizer_basis]).reshape(-1, n, n)
+        dgs = np.concatenate([derivs.reshape(count, m, n, n) @ gps[:, None], points[:, None] @ stabilizer], axis=1)
+        return points, np.broadcast_to(np.eye(dgs.shape[1], m), (count, dgs.shape[1], m)), dgs
+
+    def reduced_form_matrix(self, xs, gps=None) -> np.ndarray:
+        """Matrices ``(N, dim G, m + k)`` of the induced form on the tangent
+        bases of H' over a stack of base points ``(N, m)``, framed by
+        ``frame * gps`` (raw matrices ``(N, n, n)``, identities by default),
+        in algebra coordinates of G (columns = basis tangents); one form
+        evaluation on all basis tangents of all points."""
+        xs = np.asarray(xs, dtype=float)
+        points, dxs, dgs = self._reduction_tangent_basis(xs, gps)
+        count, width, m = dxs.shape
+        mats = _form_matrices(self.conn, np.repeat(xs, width, axis=0), np.repeat(points, width, axis=0),
+                              dxs.reshape(-1, m), dgs.reshape(-1, *points.shape[1:]))
+        coords = lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats))
+        return coords.reshape(count, width, -1).swapaxes(1, 2)
 
     # -- classification ---------------------------------------------------------------
 
@@ -264,21 +278,24 @@ class CartanStructure:
                   tol: Tolerances = DEFAULT_TOLERANCES) -> CartanReport:
         """Classify the structure by sampling the induced form's kernel.
 
-        The form matrix is assembled at random reduction points; the
-        structure is kernel-free when the smallest singular value stays
-        above the rank threshold at every sample.
+        The form matrices are assembled at random reduction points (drawn
+        one sample at a time, then evaluated as one stack); the structure
+        is kernel-free when the smallest singular value stays above the
+        rank threshold at every sample.
         """
+        if samples < 1:
+            raise ValueError("classification needs at least one sample")
         rng = np.random.default_rng(seed)
-        worst = np.inf
-        witness = ()
+        xs, gps = [], []
         for _ in range(samples):
-            x = self.conn.domain.sample(rng)
-            gprime = self.spec.random_stabilizer_element(rng)
-            matrix = self.reduced_form_matrix(x, gprime)
-            svals = np.linalg.svd(matrix, compute_uv=False)
-            smallest = float(svals[-1]) if matrix.shape[0] >= matrix.shape[1] else 0.0
-            if smallest < worst:
-                worst, witness = smallest, (x,)
+            xs.append(self.conn.domain.sample(rng))
+            gps.append(self.spec.random_stabilizer_element(rng).mat)
+        xs = np.array(xs)
+        matrices = self.reduced_form_matrix(xs, np.array(gps))
+        rows, cols = matrices.shape[1:]
+        smallest = np.linalg.svd(matrices, compute_uv=False)[:, -1] if rows >= cols else np.zeros(samples)
+        i = int(np.argmin(smallest))
+        worst = float(smallest[i])
         kernel_free = worst > tol.rank
         if kernel_free and self.base_dim == self.spec.fiber_dim:
             kind = "cartan"
@@ -292,24 +309,25 @@ class CartanStructure:
             base_dim=self.base_dim,
             fiber_dim=self.spec.fiber_dim,
             samples=samples,
-            worst_point=witness,
+            worst_point=(xs[i],),
         )
 
     # -- soldering ---------------------------------------------------------------------
+
+    def _push(self, point: np.ndarray) -> np.ndarray:
+        """``T_o h' . T_e pi`` at a reduction point given as a raw matrix."""
+        return self.spec.jacobian(lg.GroupElement(self.spec.tag, point), self.spec.origin) @ self.spec.fiber_map
 
     def soldering_with_choices(self, x, w, gprime: lg.GroupElement,
                                vertical: lg.AlgebraElement) -> np.ndarray:
         """Soldering value computed from an explicit admissible choice of
         reduction point (framed by ``gprime``) and lift (shifted by the
         stabilizer direction ``vertical``); used to exercise independence."""
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        p = self._reduction_point(x, gprime)
-        dg = self._frame_derivative(x, w) @ gprime.mat + p.g.mat @ vertical.mat
-        omega = full_form(self.conn, p, PrincipalTangent(w, dg), check_domain=False)
-        fiber_vec = self.spec.algebra_to_fiber(omega)
-        push = self.spec.jacobian(p.g, self.spec.origin)
-        return push @ fiber_vec
+        xs, ws = np.asarray(x, dtype=float)[None], np.asarray(w, dtype=float)[None]
+        points, gps = self._reduction_point(xs, gprime.mat[None])
+        dgs = self._frame_derivatives(xs, ws) @ gps + points @ vertical.mat
+        omega = _form_matrices(self.conn, xs, points, ws, dgs)[0]
+        return self._push(points[0]) @ lg.algebra_coords(lg.AlgebraElement(self.spec.tag, omega))
 
     def soldering(self, x, w) -> np.ndarray:
         """Soldering map at x applied to the base tangent w: a tangent to
@@ -320,9 +338,9 @@ class CartanStructure:
     def soldering_matrix(self, x) -> np.ndarray:
         """Soldering map at x on the coordinate basis, from one evaluation
         of the induced form on the base directions of H'."""
-        e_prime = lg.identity(self.spec.tag)
-        push = self.spec.jacobian(self._reduction_point(x, e_prime).g, self.spec.origin)
-        return push @ self.spec.fiber_map @ self.reduced_form_matrix(x, e_prime)[:, :self.base_dim]
+        xs = np.asarray(x, dtype=float)[None]
+        points, _ = self._reduction_point(xs)
+        return self._push(points[0]) @ self.reduced_form_matrix(xs)[0, :, :self.base_dim]
 
     # -- development ---------------------------------------------------------------------
 
@@ -330,29 +348,25 @@ class CartanStructure:
                           tol: Tolerances = DEFAULT_TOLERANCES) -> DevelopedPath:
         """Development of a base path in the fibre over its starting point.
 
-        The horizontal lift ``h`` starts at the canonical reduction point
-        ``h'(t0)``; the development is
-        ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)``, computed for all nodes
-        in one ``spec.project`` call. The node points come from one
-        ``points`` call per segment; a node on a corner belongs to the
-        earlier segment.
+        The horizontal lift started at the reduction point ``h'(t0)`` is
+        ``h(t) = P(t) h'(t0)``, with ``P`` the lift started at the identity,
+        so the development ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)`` is
+        ``project(P(t)^{-1} h'(t))``: one stacked inverse, one stacked
+        frame call and one ``spec.project`` call for all nodes. Under the
+        diagonal section the node points come from one ``points`` call per
+        segment (a node on a corner belongs to the earlier segment); the
+        constant section frames every node by the identity.
         """
-        segments = path.segments
-        x0 = segments[0].point(segments[0].t0)
-        h0 = self.frame_at(x0)
-        lifted = horizontal_lift(self.conn, path, h0, step, tol=tol)
-        ts, tag = lifted.ts, self.spec.tag
-        movers = lg.inverse_matrix(tag, lifted.mats)
-        # without a frame section h' is the identity everywhere
-        if self.frame_section is not None:
-            movers = h0.mat @ movers
+        segments, tag = path.segments, self.spec.tag
+        lifted = horizontal_lift(self.conn, path, None, step, tol=tol)
+        ts, movers = lifted.ts, lg.inverse_matrix(tag, lifted.mats)
+        if self.diagonal:
             xs = np.empty((len(ts), self.base_dim))
             cuts = [0, *np.searchsorted(ts, [seg.t1 + 1e-15 for seg in segments[:-1]], side="right"), len(ts)]
             for seg, i0, i1 in zip(segments, cuts, cuts[1:]):
                 seg.points(np.clip(ts[i0:i1], seg.t0, seg.t1), out=xs[i0:i1])
-            for i, x in enumerate(xs):
-                movers[i] = movers[i] @ self.frame_at(x).mat
-        return DevelopedPath(ts.copy(), self.spec.project(movers), x0)
+            movers = movers @ self._frames(xs)
+        return DevelopedPath(ts.copy(), self.spec.project(movers), segments[0].point(segments[0].t0))
 
     # -- parallelization -------------------------------------------------------------------
 
@@ -369,13 +383,14 @@ class CartanStructure:
         if not self.in_reduction(p):
             raise GeometryError("point does not belong to the reduction H'")
         # frame the point as frame(x) * g' to reuse the tangent basis
-        gprime = lg.compose(lg.inverse(self.frame_at(p.x)), p.g)
-        dxs, dgs = self._reduction_tangent_basis(p.x, gprime)
-        matrix = self.reduced_form_matrix(p.x, gprime)
+        xs = p.x[None]
+        gps = lg.inverse_matrix(self.spec.tag, self._frames(xs)) @ p.g.mat
+        _, dxs, dgs = self._reduction_tangent_basis(xs, gps)
+        matrix = self.reduced_form_matrix(xs, gps)[0]
         svals = np.linalg.svd(matrix, compute_uv=False)
         if svals[-1] <= tol.rank:
             raise NotCartanError(
                 f"induced form is singular at the requested point (sigma_min = {svals[-1]:.3e})"
             )
         coeffs = np.linalg.inv(matrix)  # column j: coordinates of frame vector j
-        return [PrincipalTangent(c @ dxs, np.tensordot(c, dgs, 1)) for c in coeffs.T]
+        return [PrincipalTangent(c @ dxs[0], np.tensordot(c, dgs[0], 1)) for c in coeffs.T]

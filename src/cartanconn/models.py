@@ -43,6 +43,22 @@ from .transport import SmoothPath
 # Homogeneous space data
 # ---------------------------------------------------------------------------
 
+def _translation_section(points) -> np.ndarray:
+    """Coset section of the Galileo and affine spaces on a stack of points
+    ``(N, dim)``: the identity with each point in its last column."""
+    points = np.asarray(points, dtype=float)
+    return np.eye(points.shape[-1] + 1) + _translation_derivative(points, points)
+
+
+def _translation_derivative(points, directions) -> np.ndarray:
+    """Derivative of :func:`_translation_section` along a stack of directions."""
+    directions = np.asarray(directions, dtype=float)
+    size = directions.shape[-1] + 1
+    out = np.zeros((len(directions), size, size))
+    out[:, :-1, -1] = directions
+    return out
+
+
 def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
     """Galileo group modulo boosts: the fibre carries coordinates (a, b)."""
     tag = lg.galileo_tag(spacetime_dim)
@@ -57,9 +73,6 @@ def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
     def project(mats):
         # (a, b) sit in the last column above the corner
         return mats[..., :-1, -1].copy()
-
-    def coset_section(point):
-        return lg.galileo_element(np.zeros(s), point[0], point[1:], tag)
 
     def act_jacobian(g, point):
         jac = np.eye(dim)
@@ -77,7 +90,8 @@ def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
         origin=np.zeros(dim),
         act=act,
         project=project,
-        coset_section=coset_section,
+        coset_section=_translation_section,
+        coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
         fiber_map=fiber_map,
         act_jacobian=act_jacobian,
@@ -94,11 +108,6 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
     def project(mats):
         return mats[..., :n, n].copy()
 
-    def coset_section(point):
-        mat = np.eye(n + 1)
-        mat[:n, n] = point
-        return lg.GroupElement(tag, mat)
-
     def act_jacobian(g, point):
         return g.mat[:n, :n].copy()
 
@@ -112,7 +121,8 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
         origin=np.zeros(n),
         act=act,
         project=project,
-        coset_section=coset_section,
+        coset_section=_translation_section,
+        coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
         fiber_map=fiber_map,
         act_jacobian=act_jacobian,
@@ -136,10 +146,15 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
             raise PointAtInfinityError("projection left the affine chart")
         return col[..., 1:] / col[..., :1]
 
-    def coset_section(point):
-        mat = np.eye(n + 1)
-        mat[1:, 0] = point
-        return lg.group_element(tag, mat, project=True)
+    def coset_section(points):
+        mats = np.tile(np.eye(n + 1), (len(points), 1, 1))
+        mats[:, 1:, 0] = points
+        return lg.normalize_projective(mats)
+
+    def coset_derivative(points, directions, h=1e-6):
+        # central difference of the normalized section, whose pivot changes
+        # where some |z_i| passes 1
+        return (coset_section(points + h * directions) - coset_section(points - h * directions)) / (2 * h)
 
     def act_jacobian(g, point):
         w = g.mat @ np.concatenate([[1.0], point])
@@ -156,6 +171,7 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         act=act,
         project=project,
         coset_section=coset_section,
+        coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
         fiber_map=fiber_map,
         act_jacobian=act_jacobian,
@@ -244,25 +260,6 @@ def mobius_rotation(rot) -> lg.GroupElement:
     return lg.group_element(lg.orthogonal_tag(n + 1, 1), mat)
 
 
-def _mobius_translation(c: np.ndarray) -> np.ndarray:
-    """Null translation by c: maps the ray of embed_plane(z) to that of
-    embed_plane(z + c); built in light-cone coordinates
-    (u, x, w) = (x0 + x_{n+1}, x, x0 - x_{n+1})."""
-    n = c.size
-    to_cone = np.zeros((n + 2, n + 2))
-    to_cone[0, 0] = 1.0
-    to_cone[0, -1] = 1.0
-    to_cone[1:-1, 1:-1] = np.eye(n)
-    to_cone[-1, 0] = 1.0
-    to_cone[-1, -1] = -1.0
-    from_cone = np.linalg.inv(to_cone)
-    mid = np.eye(n + 2)
-    mid[1:-1, 0] = c
-    mid[-1, 0] = float(np.dot(c, c))
-    mid[-1, 1:-1] = 2.0 * c
-    return from_cone @ mid @ to_cone
-
-
 def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
     """Mobius space of dimension n as O(n+1, 1) modulo the stabilizer of the
     null ray o, on the plane (stereographic) chart."""
@@ -302,8 +299,30 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
             raise PointAtInfinityError("Mobius action left the plane chart")
         return vec[..., 1:-1] / den[..., None]
 
-    def coset_section(point):
-        return lg.group_element(tag, _mobius_translation(np.asarray(point, dtype=float)))
+    # the coset section is the null translation by each point, mapping the
+    # ray of embed_plane(z) to that of embed_plane(z + c); it is built in
+    # light-cone coordinates (u, x, w) = (x0 + x_{n+1}, x, x0 - x_{n+1})
+    to_cone = np.zeros((n + 2, n + 2))
+    to_cone[0, 0] = 1.0
+    to_cone[0, -1] = 1.0
+    to_cone[1:-1, 1:-1] = np.eye(n)
+    to_cone[-1, 0] = 1.0
+    to_cone[-1, -1] = -1.0
+    from_cone = np.linalg.inv(to_cone)
+
+    def coset_section(points):
+        mid = np.tile(np.eye(n + 2), (len(points), 1, 1))
+        mid[:, 1:-1, 0] = points
+        mid[:, -1, 0] = np.sum(points * points, axis=-1)
+        mid[:, -1, 1:-1] = 2.0 * points
+        return from_cone @ mid @ to_cone
+
+    def coset_derivative(points, directions):
+        mid = np.zeros((len(points), n + 2, n + 2))
+        mid[:, 1:-1, 0] = directions
+        mid[:, -1, 0] = 2.0 * np.sum(points * directions, axis=-1)
+        mid[:, -1, 1:-1] = 2.0 * directions
+        return from_cone @ mid @ to_cone
 
     def act_jacobian(g, point):
         vec = g.mat @ mobius_embed_plane(point).ray
@@ -327,6 +346,7 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         act=act,
         project=project,
         coset_section=coset_section,
+        coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
         fiber_map=fiber_map,
         act_jacobian=act_jacobian,
@@ -429,60 +449,7 @@ def homogeneous_flat(spec: HomogeneousSpec, domain: ChartDomain | None = None) -
     Maurer-Cartan form.
     """
     domain = domain or ChartDomain.unbounded(spec.fiber_dim)
-    if domain.dim != spec.fiber_dim:
-        raise GeometryError("flat structure needs base dimension = fibre dimension")
-    return CartanStructure(
-        name=f"flat-{spec.name}",
-        spec=spec,
-        conn=zero_connection(domain, spec.tag),
-        section=lambda x: np.asarray(x, dtype=float),
-        frame_section=spec.coset_section,
-        frame_jacobian=_coset_jacobian(spec),
-    )
-
-
-def _coset_jacobian(spec: HomogeneousSpec):
-    """Exact derivative of the coset section for the homogeneous spaces
-    that have a simple one; None falls back to finite differences."""
-    kind = spec.tag.kind
-    if kind is lg.GroupKind.GALILEO:
-        size = spec.tag.size
-
-        def deriv(x, w):
-            out = np.zeros((size, size))
-            out[0, -1] = w[0]
-            out[1:-1, -1] = w[1:]
-            return out
-
-        return deriv
-    if kind is lg.GroupKind.AFF:
-        size = spec.tag.size
-
-        def deriv(x, w):
-            out = np.zeros((size, size))
-            out[:-1, -1] = w
-            return out
-
-        return deriv
-    if kind is lg.GroupKind.ORTHOGONAL:
-        n = spec.fiber_dim
-        to_cone = np.zeros((n + 2, n + 2))
-        to_cone[0, 0] = 1.0
-        to_cone[0, -1] = 1.0
-        to_cone[1:-1, 1:-1] = np.eye(n)
-        to_cone[-1, 0] = 1.0
-        to_cone[-1, -1] = -1.0
-        from_cone = np.linalg.inv(to_cone)
-
-        def deriv(x, w):
-            mid = np.zeros((n + 2, n + 2))
-            mid[1:-1, 0] = w
-            mid[-1, 0] = 2.0 * float(np.dot(x, w))
-            mid[-1, 1:-1] = 2.0 * w
-            return from_cone @ mid @ to_cone
-
-        return deriv
-    return None
+    return CartanStructure(f"flat-{spec.name}", spec, zero_connection(domain, spec.tag), diagonal=True)
 
 
 # ---------------------------------------------------------------------------

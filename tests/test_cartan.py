@@ -148,7 +148,7 @@ def column_by_column(conn, p, tangents):
     return np.column_stack([lg.algebra_coords(pr.full_form(conn, p, v, check_domain=False)) for v in tangents])
 
 
-@pytest.mark.parametrize("name", ["affine", "gravity", "projective"])
+@pytest.mark.parametrize("name", sorted(FORM_STRUCTURES))
 def test_reduced_form_matrix_matches_column_by_column_reference(name):
     cs = FORM_STRUCTURES[name]()
     rng = np.random.default_rng(14)
@@ -156,15 +156,28 @@ def test_reduced_form_matrix_matches_column_by_column_reference(name):
     for _ in range(10):
         x = cs.conn.domain.sample(rng)
         gprime = cs.spec.random_stabilizer_element(rng)
-        p = pr.PrincipalPoint(x, lg.compose(cs.frame_at(x), gprime))
-        framed = cs.frame_at(x).mat @ gprime.mat
+        frame = lg.GroupElement(cs.spec.tag, cs._frames(x[None])[0])
+        p = pr.PrincipalPoint(x, lg.compose(frame, gprime))
+        framed = frame.mat @ gprime.mat
         # for PGL the point is framed scaled to its normalized representative;
         # tangents at it scale alike (the least-squares ratio is exact here)
         scale = np.vdot(p.g.mat, framed) / np.vdot(framed, framed)
-        tangents = [pr.PrincipalTangent(w, scale * cs._frame_derivative(x, w) @ gprime.mat) for w in np.eye(m)]
+        tangents = [pr.PrincipalTangent(w, scale * cs._frame_derivatives(x[None], w[None])[0] @ gprime.mat)
+                    for w in np.eye(m)]
         tangents += [pr.PrincipalTangent(np.zeros(m), scale * framed @ eta.mat) for eta in cs.spec.stabilizer_basis]
         expected = column_by_column(cs.conn, p, tangents)
-        assert np.allclose(cs.reduced_form_matrix(x, gprime), expected, rtol=0.0, atol=1e-14)
+        assert np.allclose(cs.reduced_form_matrix(x[None], gprime.mat[None])[0], expected, rtol=0.0, atol=1e-14)
+
+
+def test_reduced_form_matrix_of_a_stack_matches_each_point():
+    cs = FORM_STRUCTURES["projective"]()
+    rng = np.random.default_rng(16)
+    xs = 2.0 * rng.standard_normal((6, cs.base_dim))
+    gps = np.array([cs.spec.random_stabilizer_element(rng).mat for _ in xs])
+    stack = cs.reduced_form_matrix(xs, gps)
+    assert stack.shape == (6, lg.algebra_dim(cs.spec.tag), cs.base_dim + len(cs.spec.stabilizer_basis))
+    for x, gp, matrix in zip(xs, gps, stack):
+        assert np.array_equal(cs.reduced_form_matrix(x[None], gp[None])[0], matrix)
 
 
 @pytest.mark.parametrize("name", ["affine", "gravity", "projective"])
@@ -202,6 +215,11 @@ def test_is_cartan_keeps_its_classification(name, kind, smallest):
     report = FORM_STRUCTURES[name]().is_cartan(samples=20, seed=11)
     assert report.kind == kind
     assert abs(report.min_singular_value - smallest) <= 1e-14
+
+
+def test_classification_needs_a_sample(gravity):
+    with pytest.raises(ValueError, match="at least one sample"):
+        gravity.is_cartan(samples=0)
 
 
 def test_classification_stable_under_refinement():
@@ -262,7 +280,7 @@ def test_soldering_matrix_matches_per_direction_soldering():
             assert np.max(np.abs(cs.soldering_matrix(x) - reference)) < 1e-14, cs.spec.name
 
 
-@pytest.mark.parametrize("model", ["galilean", "affine", "homogeneous", "mobius"])
+@pytest.mark.parametrize("model", ["galilean", "affine", "homogeneous", "mobius", "projective"])
 def test_soldering_independent_of_choices(model):
     # the defining formula uses an arbitrary reduction point and an
     # arbitrary lift of the base tangent; all choices must agree
@@ -317,13 +335,19 @@ def test_shipped_models_match_dimension_condition():
         assert cs.base_dim == cs.spec.fiber_dim
 
 
-@pytest.mark.parametrize("spec", [
+SPECS = [
     models.galileo_homogeneous_spec(2),
     models.galileo_homogeneous_spec(3),
     models.affine_homogeneous_spec(2),
+    models.affine_homogeneous_spec(3),
     models.projective_homogeneous_spec(2),
+    models.projective_homogeneous_spec(3),
     models.mobius_homogeneous_spec(2),
-], ids=lambda s: s.name)
+    models.mobius_homogeneous_spec(3),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_projection_of_a_stack_is_the_action_on_the_origin(spec):
     # develop_base_path projects all node matrices in one call, relying on
     # project(g) = act(g, o) for every shipped homogeneous space
@@ -334,6 +358,57 @@ def test_projection_of_a_stack_is_the_action_on_the_origin(spec):
     for g, row in zip(elements, stacked):
         assert np.max(np.abs(row - spec.act(g, spec.origin))) < 1e-14
         assert np.array_equal(row, spec.project(g.mat))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_coset_derivative_matches_central_difference(spec):
+    # points of scale 2 put the projective pivot off the leading 1 (|z| > 1)
+    rng = np.random.default_rng(17)
+    zs = 2.0 * rng.standard_normal((20, spec.fiber_dim))
+    ws = rng.standard_normal((20, spec.fiber_dim))
+    h = 1e-5
+    reference = (spec.coset_section(zs + h * ws) - spec.coset_section(zs - h * ws)) / (2 * h)
+    derivs = spec.coset_derivative(zs, ws)
+    assert derivs.shape == (20, spec.tag.size, spec.tag.size)
+    assert np.max(np.abs(derivs - reference)) <= 1e-7 * max(1.0, np.max(np.abs(reference)))
+    if spec.tag.kind is lg.GroupKind.PGL:
+        assert np.any(np.abs(lg.normalize_projective(spec.coset_section(zs))[:, 0, 0]) < 1.0)
+
+
+@pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])
+def test_reduction_frames_lie_in_the_reduction(space):
+    # the frame is the coset section at the section's value, so every
+    # stacked frame, and every frame times a stabilizer element, is in H'
+    cs = models._build_homogeneous(space=space)
+    rng = np.random.default_rng(18)
+    xs = 2.0 * rng.standard_normal((20, cs.base_dim))
+    gps = np.array([cs.spec.random_stabilizer_element(rng).mat for _ in xs])
+    for frames in (cs._frames(xs), cs._reduction_point(xs, gps)[0]):
+        for x, frame in zip(xs, frames):
+            assert cs.in_reduction(pr.PrincipalPoint(x, lg.GroupElement(cs.spec.tag, frame)))
+    if space == "projective":
+        assert np.any(np.max(np.abs(xs), axis=1) > 1.0)
+
+
+def test_diagonal_section_frames_a_curved_structure_in_its_reduction(gravity):
+    # a diagonal section cannot disagree with its frame: the reduction
+    # point of a curved structure is in H' and the structure stays Cartan
+    cs = CartanStructure("diagonal-gravity", gravity.spec, gravity.conn, diagonal=True)
+    rng = np.random.default_rng(19)
+    for x in rng.standard_normal((10, 2)):
+        point = cs._reduction_point(x[None])[0][0]
+        assert cs.in_reduction(pr.PrincipalPoint(x, lg.GroupElement(cs.spec.tag, point)))
+        assert not gravity.in_reduction(pr.PrincipalPoint(x, lg.GroupElement(cs.spec.tag, point)))
+    assert cs.is_cartan(samples=10, seed=3).kind == "cartan"
+
+
+def test_diagonal_section_needs_matching_dimensions():
+    spec = models.galileo_homogeneous_spec(2)
+    conn = pr.zero_connection(pr.ChartDomain.unbounded(1), spec.tag)
+    with pytest.raises(GeometryError, match="diagonal section"):
+        CartanStructure("thin-diagonal", spec, conn, diagonal=True)
+    with pytest.raises(GeometryError, match="diagonal section"):
+        models.homogeneous_flat(spec, pr.ChartDomain.unbounded(3))
 
 
 def test_shipped_fiber_actions_satisfy_action_laws():
@@ -367,7 +442,7 @@ def test_parallelization_frame_invertible_at_many_points(gradient_gravity):
         x = rng.standard_normal(2)
         gp = cs.spec.random_stabilizer_element(rng)
         p = pr.PrincipalPoint(x, gp)
-        matrix = cs.reduced_form_matrix(x, gp)
+        matrix = cs.reduced_form_matrix(x[None], gp.mat[None])[0]
         assert abs(np.linalg.det(matrix)) > 1e-8
 
 
@@ -386,8 +461,9 @@ def test_projective_tangents_are_tangent_to_the_reduction():
     for _ in range(5):
         x = cs.conn.domain.sample(rng)
         gprime = cs.spec.random_stabilizer_element(rng)
-        p = pr.PrincipalPoint(x, lg.compose(cs.frame_at(x), gprime))
-        dxs, dgs = cs._reduction_tangent_basis(x, gprime)
-        tangents = [pr.PrincipalTangent(dx, dg) for dx, dg in zip(dxs, dgs)]
+        frame = lg.GroupElement(cs.spec.tag, cs._frames(x[None])[0])
+        p = pr.PrincipalPoint(x, lg.compose(frame, gprime))
+        _, dxs, dgs = cs._reduction_tangent_basis(x[None], gprime.mat[None])
+        tangents = [pr.PrincipalTangent(dx, dg) for dx, dg in zip(dxs[0], dgs[0])]
         for v in tangents + cs.parallelization_frame(p):
             assert cs.reduction_tangency_residual(p, v) < 1e-8

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cartanconn import acceptance, cli, models
 from cartanconn import principal as pr
@@ -153,11 +154,12 @@ def test_maxwell_csv_grid_scenario(tmp_path):
     assert summary["status"] == "SATISFIED"
 
 
-def test_homogeneous_demo_scenario(tmp_path):
+@pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])
+def test_homogeneous_demo_scenario(tmp_path, space):
     out = tmp_path / "out"
     doc = {
         "scenario": "homogeneous-demo",
-        "model": {"space": "galileo"},
+        "model": {"space": space},
         "integrator": {"step": 0.005},
         "output": {"path": str(out)},
     }

@@ -1,5 +1,7 @@
 """Tests for the shipped geometries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,19 @@ def test_homogeneous_specs_validate():
     ]
     for spec in specs:
         spec.validate(rng)
+
+
+def test_validate_rejects_a_bad_coset_section():
+    spec = models.affine_homogeneous_spec(2)
+    shifted = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs + 0.1))
+    with pytest.raises(GeometryError, match="right inverse"):
+        shifted.validate()
+    sheared = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs) + 0.1)
+    with pytest.raises(GeometryError, match="leaves the group"):
+        sheared.validate()
+    scaled = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs) * [2.0, 2.0, 1.0])
+    with pytest.raises(GeometryError, match="not the identity"):
+        scaled.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +310,7 @@ def test_flat_transport_is_identity_and_holonomy_trivial():
 
 
 def test_flat_development_is_base_path_in_fibre():
-    for space in ("galileo", "affine", "projective"):
+    for space in ("galileo", "affine", "projective", "mobius"):
         cs = models._build_homogeneous(space=space)
         rng = np.random.default_rng(2)
         path = trig_path(rng, cs.base_dim, amp=0.3)
