@@ -45,7 +45,7 @@ import numpy as np
 
 from . import liegroup as lg
 from .errors import GeometryError, NotCartanError
-from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, full_form
+from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, coeff_matrices, full_form
 from .settings import DEFAULT_TOLERANCES, Tolerances
 from .transport import DevelopedPath, FiberAction, Path, horizontal_lift
 
@@ -267,8 +267,8 @@ class CartanStructure:
         xs = np.asarray(xs, dtype=float)
         points, dxs, dgs = self._reduction_tangent_basis(xs, gps)
         count, width, m = dxs.shape
-        mats = _form_matrices(self.conn, np.repeat(xs, width, axis=0), np.repeat(points, width, axis=0),
-                              dxs.reshape(-1, m), dgs.reshape(-1, *points.shape[1:]))
+        coeffs = coeff_matrices(self.conn, np.repeat(xs, width, axis=0), dxs.reshape(-1, m))
+        mats = _form_matrices(self.conn.tag, coeffs, np.repeat(points, width, axis=0), dgs.reshape(-1, *points.shape[1:]))
         coords = lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats))
         return coords.reshape(count, width, -1).swapaxes(1, 2)
 
@@ -326,7 +326,7 @@ class CartanStructure:
         xs, ws = np.asarray(x, dtype=float)[None], np.asarray(w, dtype=float)[None]
         points, gps = self._reduction_point(xs, gprime.mat[None])
         dgs = self._frame_derivatives(xs, ws) @ gps + points @ vertical.mat
-        omega = _form_matrices(self.conn, xs, points, ws, dgs)[0]
+        omega = _form_matrices(self.conn.tag, coeff_matrices(self.conn, xs, ws), points, dgs)[0]
         return self._push(points[0]) @ lg.algebra_coords(lg.AlgebraElement(self.spec.tag, omega))
 
     def soldering(self, x, w) -> np.ndarray:

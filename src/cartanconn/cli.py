@@ -176,21 +176,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _emit(out_dir: Path, name: str, header, rows, summary: dict, fmt: str) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    table = out_dir / f"{name}.{fmt}"   # fmt is "csv" or "json"
     if fmt == "csv":
-        table = out_dir / f"{name}.csv"
         _write_csv(table, header, rows)
-        outputs.append(table.name)
     else:
-        table = out_dir / f"{name}.json"
-        _write_json(
-            table,
-            {"header": header,
-             "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in rows]},
-        )
-        outputs.append(table.name)
-    summary = dict(summary)
-    summary["outputs"] = sorted(outputs + ["summary.json"])
+        _write_json(table, {"header": header,
+                            "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in rows]})
+    summary = {**summary, "outputs": sorted([table.name, "summary.json"])}
     _write_json(out_dir / "summary.json", summary)
     return summary
 
@@ -353,6 +345,8 @@ def _run_holonomy(cfg: dict, out_dir: Path) -> dict:
 
 
 def _run_check_axioms(cfg: dict, out_dir: Path) -> dict:
+    if cfg["samples"] < 1:
+        raise ConfigError("samples must be at least 1")
     model_cfg = dict(cfg["model"])
     allowed = {
         "name": (str, False),

@@ -72,14 +72,22 @@ class ChartDomain:
         """Random point of the domain: normal with standard deviation
         ``scale`` on an unbounded domain, uniform on a box shrunk about its
         centre by the factor ``scale`` in (0, 1] (the whole box at 1)."""
+        return self.sample_rows(rng, 1, scale=scale)[0]
+
+    def sample_rows(self, rng: np.random.Generator, count: int, normals: int = 0, scale: float = 1.0) -> np.ndarray:
+        """``count`` rows, each a point drawn as by :meth:`sample` followed
+        by ``normals`` standard normal draws, as ``(count, dim + normals)``
+        in the stream of drawing row after row. On an unbounded domain that
+        stream is one normal draw of the whole stack; a box interleaves its
+        uniform draws with the normal ones, so it draws row by row."""
         if self.lower is None:
-            return scale * rng.standard_normal(self.dim)
+            return rng.standard_normal((count, self.dim + normals)) * np.repeat([scale, 1.0], [self.dim, normals])
         if not 0.0 < scale <= 1.0:
             raise ValueError(f"box sample scale must lie in (0, 1], got {scale}")
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
+        lo, hi = np.asarray(self.lower), np.asarray(self.upper)
         pad = (hi - lo) * (1.0 - scale) / 2
-        return rng.uniform(lo + pad, hi - pad)
+        return np.array([np.concatenate([rng.uniform(lo + pad, hi - pad), rng.standard_normal(normals)])
+                         for _ in range(count)]).reshape(count, self.dim + normals)
 
 
 def batched(fn: Callable) -> Callable:
@@ -202,13 +210,12 @@ def coeff_matrices(conn: LocalConnection, xs, dxs, out: np.ndarray | None = None
     return stacked(conn.coeff, xs, dxs, out=out, what="coefficient map")
 
 
-def _form_matrices(conn: LocalConnection, xs, gs, dxs, dgs) -> np.ndarray:
-    """Connection form ``g^{-1} (A(x, dx) g + dg)``, projected onto the
-    algebra, on stacks ``(N, m)`` and ``(N, n, n)`` of base and group
-    tangents at points ``xs`` and elements ``gs`` (one each, or stacks), as
-    ``(N, n, n)``; no domain check. Raises :class:`InvalidElementError` on a
-    non-finite value."""
-    tag, coeffs = conn.tag, coeff_matrices(conn, np.broadcast_to(xs, np.shape(dxs)), dxs)
+def _form_matrices(tag: lg.GroupTag, coeffs, gs, dgs) -> np.ndarray:
+    """Connection form ``g^{-1} (A g + dg)``, projected onto the algebra, as
+    ``(..., n, n)`` from stacks of coefficient matrices ``A`` (from
+    :func:`coeff_matrices`) and group tangents ``dgs`` at elements ``gs``
+    (one, or a stack broadcast against them); no domain check. Raises
+    :class:`InvalidElementError` on a non-finite value."""
     mats = lg.project_to_algebra(tag, lg.inverse_matrix(tag, gs) @ (coeffs @ gs + dgs))
     if not np.isfinite(mats).all():
         raise InvalidElementError(f"connection form of {tag.name} is not finite")
@@ -226,7 +233,8 @@ def full_form(
     ``Ad_{g^{-1}} A(x, dx) + g^{-1} dg``."""
     if check_domain and not conn.domain.contains(p.x):
         raise DomainError(f"base point {p.x} lies outside the chart domain")
-    return lg.AlgebraElement(conn.tag, _form_matrices(conn, p.x, p.g.mat, v.dx[None], v.dg[None])[0])
+    coeffs = coeff_matrices(conn, p.x[None], v.dx[None])
+    return lg.AlgebraElement(conn.tag, _form_matrices(conn.tag, coeffs, p.g.mat, v.dg[None])[0])
 
 
 def fundamental_vector(eta: lg.AlgebraElement, p: PrincipalPoint) -> PrincipalTangent:
@@ -257,10 +265,7 @@ class AxiomReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.residual_fundamental < self.tolerance
-            and self.residual_equivariance < self.tolerance
-        )
+        return self.residual_fundamental < self.tolerance and self.residual_equivariance < self.tolerance
 
 
 def check_axioms(
@@ -274,22 +279,24 @@ def check_axioms(
     """Audit the two defining properties of a connection form on random
     samples, drawn once in the order ``x``, ``g``, ``eta``, ``dx``, ``zeta``,
     ``g0``; elements, products and inverses are computed on arrays over all
-    samples. The form is evaluated three times per sample: on the
-    fundamental field of ``eta`` at ``(x, g)``, and on ``(dx, g zeta)`` at
-    ``(x, g)`` and right-translated by ``g0``.
+    samples. The form is evaluated on the fundamental field of ``eta`` at
+    ``(x, g)``, and on ``(dx, g zeta)`` at ``(x, g)`` and right-translated
+    by ``g0``.
 
-    ``form`` defaults to the form reconstructed from ``conn``, evaluated on
-    the stacks of all samples (three calls of a batched ``conn.coeff``).
+    ``form`` defaults to the form reconstructed from ``conn``, from two
+    coefficient evaluations per sample, ``A(x, 0)`` and ``A(x, dx)``, made
+    in one stack (one call of a batched ``conn.coeff``); ``A(x, dx)`` is
+    shared by both sides of the equivariance rule, and ``g^{-1}`` by both
+    forms at ``(x, g)``.
     Pass another callable, called per sample on bundle points and tangents,
     to audit an externally supplied (possibly corrupted) form.
     """
+    if samples < 1:
+        raise ValueError("the axiom audit needs at least one sample")
     tag = conn.tag
     rng = np.random.default_rng(seed)
     m, k, n = conn.domain.dim, lg.algebra_dim(tag), tag.size
-    draws = np.empty((samples, 2 * m + 4 * k))   # x, g, eta, dx, zeta, g0
-    for row in draws:
-        row[:m] = conn.domain.sample(rng)
-        row[m:] = rng.standard_normal(m + 4 * k)
+    draws = conn.domain.sample_rows(rng, samples, m + 4 * k)   # x, g, eta, dx, zeta, g0
     xs, dxs = draws[:, :m], draws[:, m + 2 * k:2 * m + 2 * k]
     coords = np.stack([draws[:, j:j + k] for j in (m, 2 * m + 3 * k, m + k, 2 * m + 2 * k)])
     basis = lg.algebra_basis_matrices(tag).reshape(k, n * n)
@@ -310,8 +317,9 @@ def check_axioms(
     dg_translated = dg @ g0 / factor[:, None, None]
 
     if form is None:
-        fundamental, translated, untranslated = (_form_matrices(conn, xs, *args) for args in (
-            (g, np.zeros_like(dxs), g @ eta), (gg0, dxs, dg_translated), (g, dxs, dg)))
+        coeffs = coeff_matrices(conn, np.concatenate([xs, xs]), np.concatenate([np.zeros_like(dxs), dxs]))
+        fundamental, untranslated = _form_matrices(tag, coeffs.reshape(2, samples, n, n), g, np.stack([g @ eta, dg]))
+        translated = _form_matrices(tag, coeffs[samples:], gg0, dg_translated)
     else:
         fundamental, translated, untranslated = np.empty((3, samples, n, n))
         for i in range(samples):
@@ -353,9 +361,7 @@ def curvature(
     map along the two directions; ``x`` must sit at least one step inside
     the chart domain along both.
     """
-    x = np.asarray(x, dtype=float)
-    dx1 = np.asarray(dx1, dtype=float)
-    dx2 = np.asarray(dx2, dtype=float)
+    x, dx1, dx2 = (np.asarray(v, dtype=float) for v in (x, dx1, dx2))
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     probes = np.array([x + fd_step * dx1, x - fd_step * dx1, x + fd_step * dx2, x - fd_step * dx2])
@@ -380,7 +386,7 @@ def horizontal_space_dimension(
     tangents at once; kernel dimension uses a relative singular-value threshold.
     """
     m, g = conn.domain.dim, p.g.mat
-    dgs = np.array([0 * g] * m + [g @ eta.mat for eta in lg.algebra_basis(conn.tag)])
-    mats = _form_matrices(conn, p.x, g, np.eye(len(dgs), m), dgs)
+    dgs = np.concatenate([np.zeros((m, *g.shape)), g @ lg.algebra_basis_matrices(conn.tag)])
+    mats = _form_matrices(conn.tag, coeff_matrices(conn, np.tile(p.x, (len(dgs), 1)), np.eye(len(dgs), m)), g, dgs)
     svals = np.linalg.svd(lg.algebra_coords(lg.AlgebraElement(conn.tag, mats)).T, compute_uv=False)
     return len(dgs) - int(np.sum(svals > tol.rank * svals[0]))

@@ -136,7 +136,7 @@ def test_generalized_structure_flagged():
 
 SIGMA = np.array([[1.2, 0.3], [-0.4, 0.9]])
 FORM_STRUCTURES = {
-    "affine": lambda: models.affine_structure(2, sigma0=SIGMA),
+    "affine-sigma": lambda: models.affine_structure(2, sigma0=SIGMA),
     "affine-zero": lambda: models.affine_structure(2, sigma0=np.zeros((2, 2))),
     "gravity": lambda: models.galilean_gravity(models.GravityField(lambda t, x: 9.81 + 0.3 * x)),
     **{name: lambda name=name: models.build_model(name) for name in models.MODEL_BUILDERS},
@@ -180,7 +180,7 @@ def test_reduced_form_matrix_of_a_stack_matches_each_point():
         assert np.array_equal(cs.reduced_form_matrix(x[None], gp[None])[0], matrix)
 
 
-@pytest.mark.parametrize("name", ["affine", "gravity", "projective"])
+@pytest.mark.parametrize("name", ["affine", "affine-sigma", "gravity", "projective"])
 def test_horizontal_space_dimension_matches_column_by_column_reference(name, monkeypatch):
     cs = FORM_STRUCTURES[name]()
     conn, rng = cs.conn, np.random.default_rng(15)
@@ -215,6 +215,14 @@ def test_is_cartan_keeps_its_classification(name, kind, smallest):
     report = FORM_STRUCTURES[name]().is_cartan(samples=20, seed=11)
     assert report.kind == kind
     assert abs(report.min_singular_value - smallest) <= 1e-14
+
+
+def test_affine_sigma_structure_solders_by_its_endomorphism():
+    cs = FORM_STRUCTURES["affine-sigma"]()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        assert np.allclose(cs.soldering_matrix(cs.conn.domain.sample(rng)), SIGMA, rtol=0.0, atol=1e-12)
+    assert cs.is_cartan(samples=20, seed=11).kind == "cartan"
 
 
 def test_classification_needs_a_sample(gravity):

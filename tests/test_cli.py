@@ -251,6 +251,14 @@ def test_check_axioms_rejects_bad_model_parameters(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_check_axioms_rejects_an_audit_without_samples(tmp_path, capsys):
+    for samples in (0, -3):
+        doc = {"scenario": "check-axioms", "samples": samples, "output": {"path": str(tmp_path / "out")}}
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_axioms_accepts_model_parameters(tmp_path):
     good = [
         {"name": "galilean", "V": "9.81", "W": "0.3*x"},

@@ -228,9 +228,9 @@ def per_point(conn):
     return pr.LocalConnection(conn.domain, conn.tag, lambda x, dx: conn.coeff(x, dx))
 
 
-def curved_connection(tag, seed):
-    """Connection on the (x0, x1) plane with position-dependent, mutually
-    non-commuting coefficients ``A = sum_i dx_i (B_i + sin(x_{1-i}) C_i)``."""
+def curved_connection(tag, seed, domain=pr.ChartDomain.unbounded(2)):
+    """Connection on the (x0, x1) plane (``domain``) with position-dependent,
+    mutually non-commuting coefficients ``A = sum_i dx_i (B_i + sin(x_{1-i}) C_i)``."""
     rng = np.random.default_rng(seed)
     base, slope = (
         [lg.project_to_algebra(tag, rng.standard_normal((tag.size, tag.size))) for _ in range(2)]
@@ -241,7 +241,7 @@ def curved_connection(tag, seed):
         mat = sum(dx[i] * (base[i] + np.sin(x[1 - i]) * slope[i]) for i in range(2))
         return lg.AlgebraElement(tag, mat)
 
-    return pr.LocalConnection(pr.ChartDomain.unbounded(2), tag, coeff)
+    return pr.LocalConnection(domain, tag, coeff)
 
 
 @pytest.mark.parametrize("tag", [
@@ -262,6 +262,8 @@ DEFAULT_ROUTE_CASES = {
     **{tag.name: lambda tag=tag: curved_connection(tag, seed=5) for tag in (
         lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3), lg.product_tag(lg.GALILEO2, lg.so_tag(2)))},
     "per-point galilean": lambda: per_point(models.build_model("galilean").conn),
+    # a box chart interleaves its uniform draws with the normal ones
+    "box PGL(2)": lambda: curved_connection(lg.pgl_tag(2), seed=5, domain=pr.ChartDomain.box([-1.0, 0.5], [2.0, 3.0])),
 }
 
 
@@ -283,16 +285,18 @@ def test_default_audit_matches_per_sample_audit(case):
 
 def counted(fn, calls):
     """``fn`` wrapped with ``functools.wraps`` (as the benchmark tracer does),
-    appending to ``calls`` on each call."""
+    appending copies of its arguments to ``calls`` on each call."""
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
+    def wrapper(*args):
+        calls.append([np.array(arg) for arg in args])
+        return fn(*args)
     return wrapper
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["batched", "per-point"])
 def test_default_audit_calls_the_coefficients_once_per_stack(declared):
+    # one stack of the rows (x, 0) and then (x, dx), with x and dx where the
+    # documented draw order puts them
     conn = models.build_model("galilean").conn
     assert pr.is_batched(conn.coeff)
     conn = conn if declared else per_point(conn)
@@ -300,9 +304,21 @@ def test_default_audit_calls_the_coefficients_once_per_stack(declared):
     traced = pr.LocalConnection(conn.domain, conn.tag, counted(conn.coeff, calls))
     reference = pr.check_axioms(conn, samples=40, seed=2)
     report = pr.check_axioms(traced, samples=40, seed=2)
-    assert len(calls) == (3 if declared else 3 * 40)
+    assert len(calls) == (1 if declared else 2 * 40)
+    xs, dxs = calls[0] if declared else map(np.array, zip(*calls))
+    m, k = conn.domain.dim, lg.algebra_dim(conn.tag)
+    draws = np.random.default_rng(2).standard_normal((40, 2 * m + 4 * k))
+    x, dx = draws[:, :m], draws[:, m + 2 * k:2 * m + 2 * k]
+    assert np.array_equal(xs, np.concatenate([x, x]))
+    assert np.array_equal(dxs, np.concatenate([np.zeros_like(dx), dx]))
     assert (report.residual_fundamental, report.residual_equivariance) == (
         reference.residual_fundamental, reference.residual_equivariance)
+
+
+def test_audit_needs_a_sample(const_gravity):
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample"):
+            pr.check_axioms(const_gravity, samples=samples)
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["batched", "per-point"])
