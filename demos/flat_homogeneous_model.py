@@ -13,7 +13,6 @@ from cartanconn import parallel_transport
 from cartanconn.models import galileo_homogeneous_spec, homogeneous_flat
 
 structure = homogeneous_flat(galileo_homogeneous_spec(2))
-action = structure.spec.fiber_action()
 
 path_coeff = np.array([[0.4, -0.2], [0.1, 0.5]])
 
@@ -31,7 +30,7 @@ from cartanconn import SmoothPath
 path = SmoothPath(0.0, 0.75, x, xdot)
 
 z0 = np.array([0.3, -0.8])
-z1 = parallel_transport(structure.conn, path, action, z0, step=1e-2)
+z1 = parallel_transport(structure.conn, path, structure.spec, z0, step=1e-2)
 print(f"transport of the fibre point {z0} along a wandering path: {z1}")
 print(f"  (identity in the trivialization: gap {np.max(np.abs(z1 - z0)):.2e})")
 

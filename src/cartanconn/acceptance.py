@@ -114,14 +114,13 @@ def criterion_2_flat_model(seed: int = 0) -> CriterionResult:
 
     def body():
         cs = models.build_model("homogeneous")
-        action = cs.spec.fiber_action()
         rng = np.random.default_rng(seed)
         worst_transport = 0.0
         worst_dev = 0.0
         for _ in range(20):
             path = _random_smooth_path(rng, 2)
             z0 = rng.standard_normal(2)
-            moved = tp.parallel_transport(cs.conn, path, action, z0, step=5e-3)
+            moved = tp.parallel_transport(cs.conn, path, cs.spec, z0, step=5e-3)
             worst_transport = max(worst_transport, float(np.max(np.abs(moved - z0))))
             dev = cs.develop_base_path(path, step=5e-3)
             worst_dev = max(worst_dev, float(np.max(np.abs(dev.values - path.points(dev.ts)))))

@@ -2,8 +2,11 @@
 
 A Cartan structure couples a connection on a trivialized principal
 ``G``-bundle with homogeneous data: the fibre is a chart of ``F = G / G'``
-with base point ``o``, and a global section ``s0`` of the associated bundle
-singles out the reduction
+with base point ``o``, and one datum fixes the fibre side, the action of
+``G`` on that chart (:attr:`HomogeneousSpec.act`, on stacks of raw
+matrices and points): the projection ``G -> F`` is the action on ``o``,
+and transport and development apply it to a lift. A global section ``s0``
+of the associated bundle singles out the reduction
 
     H' = { (x, g) : g(o) = s0(x) },
 
@@ -47,40 +50,42 @@ from . import liegroup as lg
 from .errors import GeometryError, NotCartanError
 from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, coeff_matrices, full_form
 from .settings import DEFAULT_TOLERANCES, Tolerances
-from .transport import DevelopedPath, FiberAction, Path, horizontal_lift
+from .transport import DevelopedPath, Path, horizontal_lift
 
 
 @dataclass(eq=False)
 class HomogeneousSpec:
     """Homogeneous-space data for a fibre ``F = G / G'`` realized on a chart.
 
-    act             left action of ``G`` on the fibre chart
-    project         quotient projection ``G -> F`` in chart coordinates,
-                    ``project(g) = act(g, o)``, on a matrix or a stack of
-                    matrices ``(..., n, n)``, giving ``(..., fiber_dim)``
-    coset_section   right inverse of ``project`` on a stack of chart points
-                    ``(N, fiber_dim)``: raw group matrices ``(N, n, n)``
-                    mapping ``o`` to each point, the identity at ``o``
+    act             left action of ``G`` on the fibre chart, on raw group
+                    matrices ``(..., n, n)`` and chart points
+                    ``(..., fiber_dim)`` that broadcast against each other,
+                    giving ``(..., fiber_dim)``; the quotient projection
+                    ``G -> F`` is ``act(mats, origin)``
+    coset_section   right inverse of the projection on a stack of chart
+                    points ``(N, fiber_dim)``: raw group matrices
+                    ``(N, n, n)`` mapping ``o`` to each point, the identity
+                    at ``o``
     coset_derivative  derivative of ``coset_section`` at a stack of points
                     along a stack of directions, both ``(N, fiber_dim)``,
                     as ``(N, n, n)``
     stabilizer_basis  basis of the Lie algebra of ``G'``
     fiber_map       matrix of the projection ``T_e(G) -> T_o F`` on algebra
                     coordinates
-    act_jacobian    derivative of ``act(g, .)`` at a chart point
+    act_jacobian    derivative of ``act(mat, .)`` at a chart point, for one
+                    raw group matrix ``(n, n)``
     """
 
     name: str
     tag: lg.GroupTag
     fiber_dim: int
     origin: np.ndarray
-    act: Callable[[lg.GroupElement, np.ndarray], np.ndarray]
-    project: Callable[[np.ndarray], np.ndarray]
+    act: Callable[[np.ndarray, np.ndarray], np.ndarray]
     coset_section: Callable[[np.ndarray], np.ndarray]
     coset_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stabilizer_basis: tuple[lg.AlgebraElement, ...]
     fiber_map: np.ndarray
-    act_jacobian: Callable[[lg.GroupElement, np.ndarray], np.ndarray]
+    act_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -89,9 +94,6 @@ class HomogeneousSpec:
     def algebra_to_fiber(self, xi: lg.AlgebraElement) -> np.ndarray:
         """Tangent of the quotient projection at the identity applied to xi."""
         return self.fiber_map @ lg.algebra_coords(xi)
-
-    def jacobian(self, g: lg.GroupElement, point: np.ndarray) -> np.ndarray:
-        return np.asarray(self.act_jacobian(g, point), dtype=float)
 
     def random_stabilizer_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> lg.AlgebraElement:
         coords = rng.standard_normal(len(self.stabilizer_basis))
@@ -103,30 +105,31 @@ class HomogeneousSpec:
     def random_stabilizer_element(self, rng: np.random.Generator, scale: float = 0.5) -> lg.GroupElement:
         return lg.exp(self.random_stabilizer_algebra(rng, scale))
 
-    def fiber_action(self) -> FiberAction:
-        return FiberAction(self.tag, self.fiber_dim, self.origin, self.act)
-
     def validate(self, rng: np.random.Generator | None = None, samples: int = 10,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-        """Structural checks: the projection sends e to o, the stabilizer
-        fixes o, the coset section of a stack of points lies in the group,
-        is a right inverse of the projection and is the identity at o, and
-        dimensions add up."""
+        """Structural checks on stacks of samples: the identity fixes the
+        base point and every sampled point, the action obeys the composition
+        law ``act(g1 g2, z) = act(g1, act(g2, z))``, the stabilizer fixes o,
+        the coset section lies in the group, is a right inverse of the
+        projection ``act(., o)`` and is the identity at o, and dimensions
+        add up."""
         rng = rng or np.random.default_rng(0)
-        e = lg.identity(self.tag)
-        if np.max(np.abs(self.project(e.mat) - self.origin)) > tol.structural:
-            raise GeometryError(f"{self.name}: projection of the identity is not the base point")
         if len(self.stabilizer_basis) + self.fiber_dim != lg.algebra_dim(self.tag):
             raise GeometryError(f"{self.name}: dim G != dim G' + dim F")
-        for _ in range(samples):
-            gp = self.random_stabilizer_element(rng)
-            if np.max(np.abs(self.act(gp, self.origin) - self.origin)) > 1e-9:
-                raise GeometryError(f"{self.name}: stabilizer element moved the base point")
         zs = np.vstack([self.origin, self.origin + 0.5 * rng.standard_normal((samples, self.fiber_dim))])
+        if np.max(np.abs(self.act(np.eye(self.tag.size), zs) - zs)) > tol.structural:
+            raise GeometryError(f"{self.name}: the identity moves points of the fibre")
+        pairs = np.array([[lg.random_element(self.tag, rng, scale=0.4).mat for _ in range(2)] for _ in zs])
+        g1, g2 = pairs[:, 0], pairs[:, 1]
+        if np.max(np.abs(self.act(g1 @ g2, zs) - self.act(g1, self.act(g2, zs)))) > tol.structural:
+            raise GeometryError(f"{self.name}: the action violates the composition law")
+        stabilizer = np.array([self.random_stabilizer_element(rng).mat for _ in range(samples)])
+        if np.max(np.abs(self.act(stabilizer, self.origin) - self.origin)) > 1e-9:
+            raise GeometryError(f"{self.name}: stabilizer element moved the base point")
         secs = self.coset_section(zs)
         if not np.max(lg.group_defect(self.tag, secs)) <= tol.structural:
             raise GeometryError(f"{self.name}: coset section leaves the group")
-        if np.max(np.abs(self.project(secs) - zs)) > 1e-9:
+        if np.max(np.abs(self.act(secs, self.origin) - zs)) > 1e-9:
             raise GeometryError(f"{self.name}: coset section is not a right inverse")
         if np.max(np.abs(secs[0] - np.eye(self.tag.size))) > tol.structural:
             raise GeometryError(f"{self.name}: coset section of the base point is not the identity")
@@ -198,15 +201,14 @@ class CartanStructure:
 
     def in_reduction(self, p: PrincipalPoint, tol: float = 1e-10) -> bool:
         """Membership test for H': the point maps o onto the section."""
-        image = self.spec.act(p.g, self.spec.origin)
+        image = self.spec.act(p.g.mat, self.spec.origin)
         return bool(np.max(np.abs(image - self.section_value(p.x))) <= tol)
 
     def reduction_tangency_residual(self, p: PrincipalPoint, v: PrincipalTangent,
                                     h: float = 1e-6) -> float:
         """Residual of the differentiated membership constraint along v."""
         def constraint(s: float) -> np.ndarray:
-            g = lg.GroupElement(p.g.tag, p.g.mat + s * v.dg)
-            return self.spec.act(g, self.spec.origin) - self.section_value(p.x + s * v.dx)
+            return self.spec.act(p.g.mat + s * v.dg, self.spec.origin) - self.section_value(p.x + s * v.dx)
 
         return float(np.max(np.abs((constraint(h) - constraint(-h)) / (2 * h))))
 
@@ -316,7 +318,7 @@ class CartanStructure:
 
     def _push(self, point: np.ndarray) -> np.ndarray:
         """``T_o h' . T_e pi`` at a reduction point given as a raw matrix."""
-        return self.spec.jacobian(lg.GroupElement(self.spec.tag, point), self.spec.origin) @ self.spec.fiber_map
+        return self.spec.act_jacobian(point, self.spec.origin) @ self.spec.fiber_map
 
     def soldering_with_choices(self, x, w, gprime: lg.GroupElement,
                                vertical: lg.AlgebraElement) -> np.ndarray:
@@ -351,8 +353,8 @@ class CartanStructure:
         The horizontal lift started at the reduction point ``h'(t0)`` is
         ``h(t) = P(t) h'(t0)``, with ``P`` the lift started at the identity,
         so the development ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)`` is
-        ``project(P(t)^{-1} h'(t))``: one stacked inverse, one stacked
-        frame call and one ``spec.project`` call for all nodes. Under the
+        ``act(P(t)^{-1} h'(t), o)``: one stacked inverse, one stacked frame
+        call and one ``spec.act`` call for all nodes. Under the
         diagonal section the node points come from one ``points`` call per
         segment (a node on a corner belongs to the earlier segment); the
         constant section frames every node by the identity.
@@ -366,7 +368,7 @@ class CartanStructure:
             for seg, i0, i1 in zip(segments, cuts, cuts[1:]):
                 seg.points(np.clip(ts[i0:i1], seg.t0, seg.t1), out=xs[i0:i1])
             movers = movers @ self._frames(xs)
-        return DevelopedPath(ts.copy(), self.spec.project(movers), segments[0].point(segments[0].t0))
+        return DevelopedPath(ts.copy(), self.spec.act(movers, self.spec.origin), segments[0].point(segments[0].t0))
 
     # -- parallelization -------------------------------------------------------------------
 

@@ -62,7 +62,8 @@ EXIT_IO = 4
 def _require_keys(obj: dict, allowed: dict, where: str) -> None:
     """Reject unknown keys and type-check the known ones.
 
-    ``allowed`` maps key -> (types, required).
+    ``allowed`` maps key -> (types, required). JSON booleans are no
+    numbers here, although Python counts ``bool`` as ``int``.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
@@ -71,7 +72,7 @@ def _require_keys(obj: dict, allowed: dict, where: str) -> None:
             raise ConfigError(f"unknown key '{key}' in {where}")
     for key, (types, required) in allowed.items():
         if key in obj:
-            if not isinstance(obj[key], types):
+            if isinstance(obj[key], bool) or not isinstance(obj[key], types):
                 raise ConfigError(f"{where}.{key} has the wrong type")
         elif required:
             raise ConfigError(f"missing required key '{key}' in {where}")
@@ -462,9 +463,8 @@ def _run_homogeneous_demo(cfg: dict, out_dir: Path) -> dict:
     dev = cs.develop_base_path(path, step=cfg["step"])
     points = path.points(dev.ts)
     gap = float(np.max(np.abs(dev.values - points)))
-    action = cs.spec.fiber_action()
     z0 = cs.spec.origin + 0.2 * rng.standard_normal(dim)
-    transported = tp.parallel_transport(cs.conn, path, action, z0, step=cfg["step"])
+    transported = tp.parallel_transport(cs.conn, path, cs.spec, z0, step=cfg["step"])
     transport_gap = float(np.max(np.abs(transported - z0)))
     rows = np.column_stack([dev.ts, points, dev.values])
     header = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"dev{i+1}" for i in range(dim)]

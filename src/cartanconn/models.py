@@ -59,25 +59,34 @@ def _translation_derivative(points, directions) -> np.ndarray:
     return out
 
 
+def _apply(mats, vecs) -> np.ndarray:
+    """Products ``mats @ vecs`` of broadcasting stacks of matrices
+    ``(..., r, c)`` and vectors ``(..., c)``, summed one column at a time,
+    which on small matrices is much faster than a stacked ``matmul``."""
+    vecs = np.asarray(vecs, dtype=float)
+    out = mats[..., :, 0] * vecs[..., :1]
+    for j in range(1, vecs.shape[-1]):
+        out = out + mats[..., :, j] * vecs[..., j, None]
+    return out
+
+
+def _affine_act(mats, points) -> np.ndarray:
+    """Action ``z -> L z + t`` of affine matrices ``[[L, t], [0, 1]]`` on
+    stacks. The Galileo groups are affine: ``(v, a2, b2)`` sends ``(a, b)``
+    to ``(a + a2, b + b2 + v a)``."""
+    return _apply(mats[..., :-1, :-1], points) + mats[..., :-1, -1]
+
+
+def _linear_part(mat, point) -> np.ndarray:
+    """Derivative of :func:`_affine_act` at any point: the block ``L``."""
+    return mat[:-1, :-1].copy()
+
+
 def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
     """Galileo group modulo boosts: the fibre carries coordinates (a, b)."""
     tag = lg.galileo_tag(spacetime_dim)
     s = spacetime_dim - 1
     dim = spacetime_dim
-
-    def act(g, point):
-        a, b = point[0], point[1:]
-        v = g.mat[1:-1, 0]
-        return np.concatenate([[g.mat[0, -1] + a], g.mat[1:-1, -1] + b + v * a])
-
-    def project(mats):
-        # (a, b) sit in the last column above the corner
-        return mats[..., :-1, -1].copy()
-
-    def act_jacobian(g, point):
-        jac = np.eye(dim)
-        jac[1:, 0] = g.mat[1:-1, 0]
-        return jac
 
     # algebra coordinates are ordered (boosts, time shift, space shifts);
     # the quotient projection strips the boosts
@@ -88,28 +97,18 @@ def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
         tag=tag,
         fiber_dim=dim,
         origin=np.zeros(dim),
-        act=act,
-        project=project,
+        act=_affine_act,
         coset_section=_translation_section,
         coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
         fiber_map=fiber_map,
-        act_jacobian=act_jacobian,
+        act_jacobian=_linear_part,
     )
 
 
 def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
     """Affine group of R^n modulo the linear group: the fibre is R^n."""
     tag = lg.aff_tag(n)
-
-    def act(g, point):
-        return g.mat[:n, :n] @ point + g.mat[:n, n]
-
-    def project(mats):
-        return mats[..., :n, n].copy()
-
-    def act_jacobian(g, point):
-        return g.mat[:n, :n].copy()
 
     # algebra coordinates are (linear block entries, translations)
     fiber_map = np.hstack([np.zeros((n, n * n)), np.eye(n)])
@@ -119,13 +118,12 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
         tag=tag,
         fiber_dim=n,
         origin=np.zeros(n),
-        act=act,
-        project=project,
+        act=_affine_act,
         coset_section=_translation_section,
         coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
         fiber_map=fiber_map,
-        act_jacobian=act_jacobian,
+        act_jacobian=_linear_part,
     )
 
 
@@ -134,17 +132,13 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
     o = [1, 0, ..., 0], on the affine chart z -> [1, z]."""
     tag = lg.pgl_tag(n)
 
-    def act(g, point):
-        w = g.mat @ np.concatenate([[1.0], point])
-        if abs(w[0]) <= 1e-12 * np.max(np.abs(w)):
+    def act(mats, points):
+        points = np.asarray(points, dtype=float)
+        w = _apply(mats, np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1))
+        # |w0| <= 1e-12 max |w|, without a slow reduction along the short axis
+        if np.any(np.abs(w[..., :1]) <= 1e-12 * np.abs(w)):
             raise PointAtInfinityError("projective action left the affine chart")
-        return w[1:] / w[0]
-
-    def project(mats):
-        col = mats[..., :, 0]
-        if np.any(np.abs(col[..., 0]) <= 1e-12 * np.max(np.abs(col), axis=-1)):
-            raise PointAtInfinityError("projection left the affine chart")
-        return col[..., 1:] / col[..., :1]
+        return w[..., 1:] / w[..., :1]
 
     def coset_section(points):
         mats = np.tile(np.eye(n + 1), (len(points), 1, 1))
@@ -156,9 +150,9 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         # where some |z_i| passes 1
         return (coset_section(points + h * directions) - coset_section(points - h * directions)) / (2 * h)
 
-    def act_jacobian(g, point):
-        w = g.mat @ np.concatenate([[1.0], point])
-        return (g.mat[1:, 1:] * w[0] - np.outer(w[1:], g.mat[0, 1:])) / w[0] ** 2
+    def act_jacobian(mat, point):
+        w = mat @ np.concatenate([[1.0], point])
+        return (mat[1:, 1:] * w[0] - np.outer(w[1:], mat[0, 1:])) / w[0] ** 2
 
     basis = lg.algebra_basis(tag)
     fiber_map = np.column_stack([b.mat[1:, 0] for b in basis])
@@ -169,7 +163,6 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         fiber_dim=n,
         origin=np.zeros(n),
         act=act,
-        project=project,
         coset_section=coset_section,
         coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
@@ -225,12 +218,18 @@ def mobius_embed_sphere(y) -> MobiusPoint:
     return MobiusPoint(np.concatenate([[1.0], y]))
 
 
+def _plane_rays(points) -> np.ndarray:
+    """Null vectors ((1 + |z|^2)/2, z, (1 - |z|^2)/2) of plane points z
+    (one, or a stack ``(..., n)``), not normalized."""
+    z = np.asarray(points, dtype=float)
+    s = np.sum(z * z, axis=-1, keepdims=True)
+    return np.concatenate([(1.0 + s) / 2.0, z, (1.0 - s) / 2.0], axis=-1)
+
+
 def mobius_embed_plane(z) -> MobiusPoint:
     """Embed a plane point z as the ray through
     ((1 + |z|^2)/2, z, (1 - |z|^2)/2); the origin maps to the base point o."""
-    z = np.asarray(z, dtype=float)
-    s = float(np.dot(z, z))
-    return MobiusPoint(np.concatenate([[(1.0 + s) / 2.0], z, [(1.0 - s) / 2.0]]))
+    return MobiusPoint(_plane_rays(z))
 
 
 def mobius_to_plane(p: MobiusPoint) -> np.ndarray:
@@ -280,24 +279,17 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         jac[-1, :] = -z
         return jac
 
-    def act(g, point):
-        vec = g.mat @ mobius_embed_plane(point).ray
-        den = vec[0] + vec[-1]
-        if abs(den) <= 1e-12 * np.max(np.abs(vec)):
+    def act(mats, points):
+        vec = _apply(mats, _plane_rays(points))
+        den = vec[..., 0] + vec[..., -1]
+        if np.any(np.abs(den)[..., None] <= 1e-12 * np.abs(vec)):
             raise PointAtInfinityError("Mobius action left the plane chart")
-        return vec[1:-1] / den
+        return vec[..., 1:-1] / den[..., None]
 
     # the origin embeds as the ray through p0 = (1, 0, ..., 0, 1)
     p0 = np.zeros(n + 2)
     p0[0] = 1.0
     p0[-1] = 1.0
-
-    def project(mats):
-        vec = mats @ p0
-        den = vec[..., 0] + vec[..., -1]
-        if np.any(np.abs(den) <= 1e-12 * np.max(np.abs(vec), axis=-1)):
-            raise PointAtInfinityError("Mobius action left the plane chart")
-        return vec[..., 1:-1] / den[..., None]
 
     # the coset section is the null translation by each point, mapping the
     # ray of embed_plane(z) to that of embed_plane(z + c); it is built in
@@ -324,9 +316,11 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         mid[:, -1, 1:-1] = 2.0 * directions
         return from_cone @ mid @ to_cone
 
-    def act_jacobian(g, point):
-        vec = g.mat @ mobius_embed_plane(point).ray
-        return stereo_jacobian(vec) @ g.mat @ embed_jacobian(np.asarray(point, dtype=float))
+    def act_jacobian(mat, point):
+        # chain rule through the ray as embedded, not rescaled: the chart map
+        # is scale-invariant, but its Jacobian at a rescaled ray is not
+        point = np.asarray(point, dtype=float)
+        return stereo_jacobian(mat @ _plane_rays(point)) @ mat @ embed_jacobian(point)
 
     basis = lg.algebra_basis(tag)
     # infinitesimal action on the chart at the origin
@@ -344,7 +338,6 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         fiber_dim=n,
         origin=np.zeros(n),
         act=act,
-        project=project,
         coset_section=coset_section,
         coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
@@ -551,8 +544,14 @@ def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> 
 
     the soldering map is the identity, and the development of a trajectory
     (t, x(t)) is a straight line exactly when V + W x' - x'' = 0. The
-    coefficient map is batched; it evaluates ``V`` and ``W`` through
-    :func:`~cartanconn.principal.stacked`.
+    curvature is
+
+        F(dt, dx) = (dx V - dt W) eps_v + W eps_b.
+
+    Its ``eps_b`` part lies in ``g/g'`` (the boosts ``eps_v`` span ``g'``),
+    so ``W`` is torsion; ``V`` alone gives Cartan's torsion-free Newtonian
+    connection. The coefficient map is batched; it evaluates ``V`` and
+    ``W`` through :func:`~cartanconn.principal.stacked`.
     """
     domain = domain or ChartDomain.unbounded(2)
     tag = lg.GALILEO2

@@ -33,19 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import liegroup as lg
-from .errors import (
-    DomainError,
-    GeometryError,
-    LiftDivergedError,
-    LoopNotClosedError,
-)
+from .errors import DomainError, LiftDivergedError, LoopNotClosedError
 from .principal import LocalConnection, batched, coeff_matrices, stacked
 from .settings import DEFAULT_TOLERANCES, Tolerances
+
+if TYPE_CHECKING:   # cartan imports this module
+    from .cartan import HomogeneousSpec
 
 
 # ---------------------------------------------------------------------------
@@ -215,42 +213,6 @@ def square_loop(corner, side: float, axes=(0, 1), dim: int | None = None, t0: fl
 
 
 # ---------------------------------------------------------------------------
-# Fibre actions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class FiberAction:
-    """Left action of the structure group on a chart of the standard fibre."""
-
-    tag: lg.GroupTag
-    dim: int
-    origin: np.ndarray
-    act: Callable[[lg.GroupElement, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=float)
-        o.setflags(write=False)
-        object.__setattr__(self, "origin", o)
-
-    def __call__(self, g: lg.GroupElement, point) -> np.ndarray:
-        return np.asarray(self.act(g, np.asarray(point, dtype=float)), dtype=float)
-
-    def validate(self, rng: np.random.Generator, samples: int = 20, tol: float = 1e-10) -> None:
-        """Check act(e, .) = id and the composition law on random samples."""
-        e = lg.identity(self.tag)
-        for _ in range(samples):
-            xi = self.origin + 0.5 * rng.standard_normal(self.dim)
-            if np.max(np.abs(self(e, xi) - xi)) > tol:
-                raise GeometryError("fibre action does not fix points under the identity")
-            g1 = lg.random_element(self.tag, rng, scale=0.4)
-            g2 = lg.random_element(self.tag, rng, scale=0.4)
-            lhs = self(lg.compose(g1, g2), xi)
-            rhs = self(g1, self(g2, xi))
-            if np.max(np.abs(lhs - rhs)) > tol:
-                raise GeometryError("fibre action violates the composition law")
-
-
-# ---------------------------------------------------------------------------
 # Horizontal lift
 # ---------------------------------------------------------------------------
 
@@ -416,18 +378,19 @@ def lift_error_estimate(
 def parallel_transport(
     conn: LocalConnection,
     path: Path,
-    action: FiberAction,
+    spec: HomogeneousSpec,
     z0,
     step: float = 1e-3,
     *,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """Parallel transport of the fibre point ``z0`` along ``path``.
+    """Parallel transport of the fibre point ``z0`` along ``path``, in the
+    chart of the homogeneous space ``spec``.
 
     In the trivialization the transport map is ``act(g(t1) g(t0)^{-1}, .)``
     where ``g`` is any horizontal lift: ``act(g(t1), .)`` for the lift from the identity.
     """
-    return action(horizontal_lift(conn, path, None, step, tol=tol).end, z0)
+    return spec.act(horizontal_lift(conn, path, None, step, tol=tol).mats[-1], z0)
 
 
 def holonomy(
@@ -484,7 +447,7 @@ class DevelopedPath:
 
 def develop_total_path(
     conn: LocalConnection,
-    action: FiberAction,
+    spec: HomogeneousSpec,
     base_path: Path,
     fiber_path: Callable[[float], np.ndarray],
     step: float = 1e-3,
@@ -492,14 +455,17 @@ def develop_total_path(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DevelopedPath:
     """Development of the total-space path ``t -> (x(t), zeta(t))`` into the
-    fibre over ``x(t0)``: inverse parallel transport applied sample-wise,
+    fibre over ``x(t0)``: inverse parallel transport applied at every node,
     ``t -> act(g(t)^{-1}, zeta(t))`` for the lift ``g`` from the identity.
 
-    The development is constant exactly when the input path is horizontal.
+    The fibre path is read at the lift's node times through
+    :func:`~cartanconn.principal.stacked` (once when batched), and one
+    ``spec.act`` call moves all its points; values of the wrong shape raise
+    ``ValueError``. The development is constant exactly when the input path
+    is horizontal.
     """
     lifted = horizontal_lift(conn, base_path, None, step, tol=tol)
-    values = np.empty((len(lifted.ts), action.dim))
-    for i, (t, g_inv) in enumerate(zip(lifted.ts, lg.inverse_matrix(conn.tag, lifted.mats))):
-        values[i] = action(lg.GroupElement(conn.tag, g_inv), fiber_path(t))
+    zetas = stacked(fiber_path, lifted.ts, out=np.empty((len(lifted.ts), spec.fiber_dim)), what="fibre path")
+    values = spec.act(lg.inverse_matrix(conn.tag, lifted.mats), zetas)
     start = base_path.segments[0]
     return DevelopedPath(lifted.ts.copy(), values, start.point(start.t0))

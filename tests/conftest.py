@@ -19,22 +19,6 @@ def gravity_connection(V, W=None):
     return pr.LocalConnection(domain, lg.GALILEO2, coeff)
 
 
-def galileo_action(tag=lg.GALILEO2):
-    """Coset action of the Galileo group on its homogeneous space
-    (time and space translations): act((v, a2, b2), (a, b)) = (a2 + a, b2 + b + v a)."""
-    s = tag.dims[0] - 1
-
-    def act(g, point):
-        point = np.asarray(point, dtype=float)
-        a, b = point[0], point[1:]
-        v = g.mat[1:-1, 0]
-        a2 = g.mat[0, -1]
-        b2 = g.mat[1:-1, -1]
-        return np.concatenate([[a2 + a], b2 + b + v * a])
-
-    return tp.FiberAction(tag, 1 + s, np.zeros(1 + s), act)
-
-
 def trig_path(rng, dim, t0=0.0, t1=1.0, modes=3, amp=0.4):
     """Random smooth path built from a low-order trigonometric polynomial."""
     base = rng.standard_normal(dim)

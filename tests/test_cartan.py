@@ -75,9 +75,9 @@ def test_induced_form_is_maurer_cartan_on_flat_structure(flat_galileo):
     rng = np.random.default_rng(2)
     for _ in range(20):
         g = lg.random_element(cs.spec.tag, rng)
-        x = cs.spec.act(g, cs.spec.origin)
+        x = cs.spec.act(g.mat, cs.spec.origin)
         xi = lg.random_algebra(cs.spec.tag, rng)
-        dx = cs.spec.jacobian(g, cs.spec.origin) @ cs.spec.algebra_to_fiber(xi)
+        dx = cs.spec.act_jacobian(g.mat, cs.spec.origin) @ cs.spec.algebra_to_fiber(xi)
         v = pr.PrincipalTangent(dx, g.mat @ xi.mat)
         p = pr.PrincipalPoint(x, g)
         assert cs.in_reduction(p)
@@ -357,15 +357,44 @@ SPECS = [
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_projection_of_a_stack_is_the_action_on_the_origin(spec):
-    # develop_base_path projects all node matrices in one call, relying on
-    # project(g) = act(g, o) for every shipped homogeneous space
+    # develop_base_path projects all node matrices by one act call at o, and
+    # develop_total_path moves all fibre points by one act call: the stacked
+    # action must equal the action row by row, bit for bit
     rng = np.random.default_rng(14)
-    elements = [lg.random_element(spec.tag, rng, scale=0.6) for _ in range(25)]
-    stacked = spec.project(np.stack([g.mat for g in elements]))
-    assert stacked.shape == (25, spec.fiber_dim)
-    for g, row in zip(elements, stacked):
-        assert np.max(np.abs(row - spec.act(g, spec.origin))) < 1e-14
-        assert np.array_equal(row, spec.project(g.mat))
+    mats = np.stack([lg.random_element(spec.tag, rng, scale=0.6).mat for _ in range(25)])
+    points = 0.5 * rng.standard_normal((25, spec.fiber_dim))
+    projected = spec.act(mats, spec.origin)
+    moved = spec.act(mats, points)
+    assert projected.shape == moved.shape == (25, spec.fiber_dim)
+    for mat, point, row, moved_row in zip(mats, points, projected, moved):
+        assert np.array_equal(row, spec.act(mat, spec.origin))
+        assert np.array_equal(moved_row, spec.act(mat, point))
+    # one matrix against a stack of points broadcasts the same way
+    assert np.array_equal(spec.act(mats[0], points), np.array([spec.act(mats[0], p) for p in points]))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_act_jacobian_matches_central_difference(spec):
+    # the soldering map pushes through act_jacobian at o; away from o too
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    for _ in range(5):
+        mat = lg.random_element(spec.tag, rng, scale=0.6).mat
+        for point in (spec.origin, 0.5 * rng.standard_normal(spec.fiber_dim)):
+            steps = point + h * np.eye(spec.fiber_dim)
+            reference = (spec.act(mat, steps) - spec.act(mat, steps - 2 * h * np.eye(spec.fiber_dim))).T / (2 * h)
+            assert np.max(np.abs(spec.act_jacobian(mat, point) - reference)) < 1e-7
+
+
+@pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])
+def test_flat_soldering_is_the_identity(space):
+    # the flat structure develops every path to itself, so the soldering
+    # map, the initial velocity of the development, is the identity
+    cs = models._build_homogeneous(space=space)
+    rng = np.random.default_rng(16)
+    for x in 0.5 * rng.standard_normal((5, cs.base_dim)):
+        # the projective coset derivative is a central difference
+        assert np.max(np.abs(cs.soldering_matrix(x) - np.eye(cs.base_dim))) < 1e-9
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
@@ -422,7 +451,7 @@ def test_diagonal_section_needs_matching_dimensions():
 def test_shipped_fiber_actions_satisfy_action_laws():
     rng = np.random.default_rng(11)
     for name in models.MODEL_BUILDERS:
-        models.build_model(name).spec.fiber_action().validate(rng, samples=10)
+        models.build_model(name).spec.validate(rng, samples=10)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +464,7 @@ def test_parallelization_frame_roundtrip(flat_galileo):
     basis = lg.algebra_basis(cs.spec.tag)
     for _ in range(10):
         g = lg.random_element(cs.spec.tag, rng)
-        p = pr.PrincipalPoint(cs.spec.act(g, cs.spec.origin), g)
+        p = pr.PrincipalPoint(cs.spec.act(g.mat, cs.spec.origin), g)
         frame = cs.parallelization_frame(p)
         assert len(frame) == len(basis)
         for vec, eta in zip(frame, basis):

@@ -228,6 +228,20 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.main(["run", write_config(tmp_path, doc)]) == 2
 
 
+@pytest.mark.parametrize("where, key", [
+    ("integrator", "step"), (None, "tolerance"), (None, "samples"), (None, "seed"),
+    ("trajectory", "t1"), ("model", "V"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_for_a_number_rejected(tmp_path, capsys, where, key, value):
+    # Python counts bool as int, so without a check `true` ran as 1
+    doc = gravity_config(tmp_path / "out")
+    (doc.setdefault(where, {}) if where else doc)[key] = value
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 2
+    assert f"{key} has the wrong type" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_scenario_rejected(tmp_path):
     assert cli.main(["run", write_config(tmp_path, {"scenario": "nope"})]) == 2
 

@@ -134,6 +134,22 @@ def test_constant_gravity_curvature_vanishes():
     assert f.norm() < 1e-8
 
 
+def test_gravity_curvature_splits_into_newtonian_part_and_torsion():
+    # F(dt, dx) = (dx V - dt W) eps_v + W eps_b: the eps_b part lies in
+    # g/g' (the velocity coupling W is torsion), the eps_v part in g'
+    V = pr.batched(lambda t, x: 9.81 + 0.7 * np.sin(x) * (1 + np.cos(t) / 2))
+    W = pr.batched(lambda t, x: 0.3 * t * x)
+    t, x = 0.3, 0.2
+    expected = [0.7 * np.cos(x) * (1 + np.cos(t) / 2) - 0.3 * x, 0.0, 0.3 * t * x]
+    for field, closed_form in ((models.GravityField(V, W), expected),
+                               (models.GravityField(V), [expected[0] + 0.3 * x, 0.0, 0.0])):
+        cs = models.galilean_gravity(field)
+        f = lg.algebra_coords(pr.curvature(cs.conn, [t, x], [1, 0], [0, 1]))
+        assert np.max(np.abs(f - closed_form)) < 1e-8
+        # the torsion, the g/g' part of F, is (0, W): zero for V alone
+        assert np.max(np.abs(cs.spec.fiber_map @ f - closed_form[1:])) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Three-dimensional gravity and the Kepler field
 # ---------------------------------------------------------------------------
@@ -298,11 +314,10 @@ def test_kepler_newton_stops_per_element():
 
 def test_flat_transport_is_identity_and_holonomy_trivial():
     cs = models.build_model("homogeneous")
-    action = cs.spec.fiber_action()
     rng = np.random.default_rng(1)
     path = trig_path(rng, 2)
     z0 = rng.standard_normal(2)
-    out = tp.parallel_transport(cs.conn, path, action, z0, step=1e-2)
+    out = tp.parallel_transport(cs.conn, path, cs.spec, z0, step=1e-2)
     assert np.max(np.abs(out - z0)) < 1e-10
     loop = tp.square_loop([0.2, -0.1], 0.8)
     hol = tp.holonomy(cs.conn, loop, step=1e-2)

@@ -167,19 +167,23 @@ def test_axioms_fail_on_a_non_finite_form(const_gravity):
 
 def per_sample_audit(conn, samples, seed, form=None):
     """Worst residuals of both axioms, one validated sample at a time, in
-    the sampling order that :func:`pr.check_axioms` documents; ``form``
+    the sampling order that :func:`pr.check_axioms` documents, and the
+    sample ``(x, g, eta)`` of the worst residual of axiom (i); ``form``
     defaults to ``Ad_{g^{-1}} A(x, dx) + g^{-1} dg`` from validated group
     operations, independently of :func:`pr.full_form`."""
     tag = conn.tag
     form = form or (lambda p, v: lg.Ad(p.g.inv(), conn(p.x, v.dx)) + lg.maurer_cartan(p.g, v.dg))
     rng = np.random.default_rng(seed)
     worst_i = worst_ii = 0.0
+    witness = ()
     for _ in range(samples):
         x = conn.domain.sample(rng)
         g = lg.random_element(tag, rng, scale=0.6)
         p = pr.PrincipalPoint(x, g)
         eta = lg.random_algebra(tag, rng)
-        worst_i = max(worst_i, (form(p, pr.fundamental_vector(eta, p)) - eta).norm())
+        residual = (form(p, pr.fundamental_vector(eta, p)) - eta).norm()
+        if residual > worst_i:
+            worst_i, witness = residual, (x, g, eta)
         dx = rng.standard_normal(conn.domain.dim)
         zeta = lg.random_algebra(tag, rng)
         g0 = lg.random_element(tag, rng, scale=0.6)
@@ -190,7 +194,7 @@ def per_sample_audit(conn, samples, seed, form=None):
         lhs = form(pr.PrincipalPoint(x, translated), pr.PrincipalTangent(dx, v.dg @ g0.mat / scale))
         rhs = lg.inverse_matrix(tag, g0.mat) @ form(p, v).mat @ g0.mat
         worst_ii = max(worst_ii, float(np.linalg.norm(lhs.mat - rhs)))
-    return worst_i, worst_ii
+    return worst_i, worst_ii, witness
 
 
 @pytest.mark.parametrize("name", ["galilean", "affine", "mobius", "projective"])
@@ -214,11 +218,14 @@ def test_axiom_audit_matches_per_sample_audit(name):
 
 
 def offset_connection(conn, shift):
-    """``conn`` with the constant algebra matrix ``shift`` added to its
-    coefficients, batched when ``conn.coeff`` is. ``A(x, 0) = shift`` breaks
-    axiom (i) by ``|Ad_{g^{-1}} shift|``, which differs from sample to sample."""
+    """``conn`` with ``(1 + x0^2) shift`` added to its coefficients, for a
+    constant algebra matrix ``shift``, batched when ``conn.coeff`` is.
+    ``A(x, 0) = (1 + x0^2) shift`` breaks axiom (i) by
+    ``(1 + x0^2) |Ad_{g^{-1}} shift|``, which depends on the draw of ``x``
+    even where ``Ad`` is an isometry (SO(3))."""
     def shifted(x, dx):
-        return lg.AlgebraElement(conn.tag, conn.coeff(x, dx).mat + shift)
+        factor = 1.0 + np.asarray(x, dtype=float)[..., 0] ** 2
+        return lg.AlgebraElement(conn.tag, conn.coeff(x, dx).mat + factor[..., None, None] * shift)
 
     return pr.LocalConnection(conn.domain, conn.tag, pr.batched(shifted) if pr.is_batched(conn.coeff) else shifted)
 
@@ -271,7 +278,8 @@ DEFAULT_ROUTE_CASES = {
 def test_default_audit_matches_per_sample_audit(case):
     # the stacked route of form=None against validated per-sample calls of
     # full_form; the shifted connection makes axiom (i) fail by amounts
-    # that differ per sample, so agreement means the same samples
+    # that depend on the draws of x and g, so equal worst residuals at the
+    # same worst sample (x, g, eta) mean the same draws in the same order
     conn = DEFAULT_ROUTE_CASES[case]()
     rng = np.random.default_rng(8)
     shift = lg.project_to_algebra(conn.tag, rng.standard_normal((conn.tag.size, conn.tag.size)))
@@ -281,6 +289,9 @@ def test_default_audit_matches_per_sample_audit(case):
         assert abs(report.residual_fundamental - expected[0]) < 1e-13
         assert abs(report.residual_equivariance - expected[1]) < 1e-13
     assert report.residual_fundamental > 0.1 and report.residual_equivariance < 1e-12
+    (x, g, eta), (x_ref, g_ref, eta_ref) = report.worst_fundamental, expected[2]
+    assert np.array_equal(x, x_ref)
+    assert np.max(np.abs(g.mat - g_ref.mat)) < 1e-13 and (eta - eta_ref).norm() < 1e-13
 
 
 def counted(fn, calls):

@@ -1,5 +1,6 @@
 """Tests for horizontal lifts, parallel transport, holonomy and development."""
 
+import dataclasses
 import functools
 import re
 
@@ -11,15 +12,23 @@ from cartanconn import liegroup as lg
 from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn import transport as tp
-from cartanconn.errors import DomainError, LiftDivergedError, LoopNotClosedError
+from cartanconn.errors import (
+    DomainError,
+    GeometryError,
+    LiftDivergedError,
+    LoopNotClosedError,
+    PointAtInfinityError,
+)
 
 from conftest import (
     freefall_path,
-    galileo_action,
     gravity_connection,
     perturbed_freefall_path,
     trig_path,
 )
+
+
+GALILEO = models.galileo_homogeneous_spec(2)
 
 
 def flat_connection(dim=2, tag=lg.GALILEO2):
@@ -389,17 +398,15 @@ def test_reversed_and_retimed_per_node_pieces_match_the_forward_path():
 
 
 def test_fiber_action_validation():
-    from conftest import galileo_action
-
     rng = np.random.default_rng(11)
-    galileo_action().validate(rng)
+    GALILEO.validate(rng)
+    # (v, a2, b2) sends (a, b) to (a + a2, b + b2 + v a)
+    g = lg.galileo_element(0.7, 0.2, -0.3)
+    assert np.allclose(GALILEO.act(g.mat, [0.5, 1.0]), [0.5 + 0.2, 1.0 - 0.3 + 0.7 * 0.5], rtol=0, atol=1e-15)
 
-    bad = tp.FiberAction(
-        lg.GALILEO2, 2, np.zeros(2), lambda g, xi: xi + g.mat[0, -1] ** 2
-    )
-    from cartanconn.errors import GeometryError
-
-    with pytest.raises(GeometryError):
+    # fixes every point under the identity but does not compose
+    bad = dataclasses.replace(GALILEO, act=lambda mats, points: points + mats[..., 0, -1, None] ** 2)
+    with pytest.raises(GeometryError, match="composition law"):
         bad.validate(rng)
 
 
@@ -411,7 +418,7 @@ def test_transport_along_constant_path_is_identity():
     conn = gravity_connection(lambda t, x: 5.0)
     path = tp.SmoothPath(0.0, 1.0, lambda t: np.array([0.1, 0.2]), lambda t: np.zeros(2))
     z0 = np.array([0.3, -0.7])
-    out = tp.parallel_transport(conn, path, galileo_action(), z0, step=1e-2)
+    out = tp.parallel_transport(conn, path, GALILEO, z0, step=1e-2)
     assert np.max(np.abs(out - z0)) < 1e-12
 
 
@@ -422,25 +429,23 @@ def test_flat_transport_is_identity_in_trivialization():
     for _ in range(5):
         path = trig_path(rng, 2)
         z0 = rng.standard_normal(2)
-        out = tp.parallel_transport(conn, path, galileo_action(), z0, step=1e-2)
+        out = tp.parallel_transport(conn, path, GALILEO, z0, step=1e-2)
         assert np.max(np.abs(out - z0)) < 1e-10
 
 
 def test_transport_reverse_composition_returns_start():
     conn = gravity_connection(lambda t, x: 9.81 + 0.3 * x, lambda t, x: 0.1 * np.sin(t))
     rng = np.random.default_rng(3)
-    action = galileo_action()
     for _ in range(3):
         path = trig_path(rng, 2)
         z0 = rng.standard_normal(2)
-        mid = tp.parallel_transport(conn, path, action, z0, step=1e-3)
-        back = tp.parallel_transport(conn, path.reverse(), action, mid, step=1e-3)
+        mid = tp.parallel_transport(conn, path, GALILEO, z0, step=1e-3)
+        back = tp.parallel_transport(conn, path.reverse(), GALILEO, mid, step=1e-3)
         assert np.max(np.abs(back - z0)) < 1e-7
 
 
 def test_transport_concatenation_is_composition():
     conn = gravity_connection(lambda t, x: 9.81 + 0.3 * x)
-    action = galileo_action()
     rng = np.random.default_rng(4)
     first = trig_path(rng, 2, t0=0.0, t1=1.0)
     second_raw = trig_path(rng, 2, t0=1.0, t1=2.0)
@@ -451,9 +456,9 @@ def test_transport_concatenation_is_composition():
     )
     z0 = rng.standard_normal(2)
     step_by_step = tp.parallel_transport(
-        conn, second, action, tp.parallel_transport(conn, first, action, z0, step=1e-3), step=1e-3
+        conn, second, GALILEO, tp.parallel_transport(conn, first, GALILEO, z0, step=1e-3), step=1e-3
     )
-    joined = tp.parallel_transport(conn, tp.concat(first, second), action, z0, step=1e-3)
+    joined = tp.parallel_transport(conn, tp.concat(first, second), GALILEO, z0, step=1e-3)
     assert np.max(np.abs(step_by_step - joined)) < 1e-7
 
 
@@ -504,24 +509,22 @@ def test_gradient_gravity_holonomy_matches_curvature():
 
 def test_development_of_horizontal_path_is_constant():
     conn = gravity_connection(lambda t, x: 9.81 + 0.3 * x)
-    action = galileo_action()
     rng = np.random.default_rng(5)
     base = trig_path(rng, 2)
     z0 = rng.standard_normal(2)
     lifted = tp.horizontal_lift(conn, base, step=1e-3)
     # the development samples the fibre path at the lift's own node times
     nodes = dict(zip(lifted.ts, lifted.elements))
-    zeta = lambda t: action(nodes[t], z0)
-    dev = tp.develop_total_path(conn, action, base, zeta, step=1e-3)
+    zeta = lambda t: GALILEO.act(nodes[t].mat, z0)
+    dev = tp.develop_total_path(conn, GALILEO, base, zeta, step=1e-3)
     assert np.max(np.abs(dev.values - dev.values[0])) < 1e-7
 
 
 def test_development_over_constant_base_is_fiber_path():
     conn = gravity_connection(lambda t, x: 2.0)
-    action = galileo_action()
     base = tp.SmoothPath(0.0, 1.0, lambda t: np.array([0.3, 0.1]), lambda t: np.zeros(2))
     zeta = lambda t: np.array([np.sin(t), np.cos(t)])
-    dev = tp.develop_total_path(conn, action, base, zeta, step=1e-2)
+    dev = tp.develop_total_path(conn, GALILEO, base, zeta, step=1e-2)
     expected = np.array([zeta(t) for t in dev.ts])
     assert np.max(np.abs(dev.values - expected)) < 1e-12
 
@@ -529,12 +532,71 @@ def test_development_over_constant_base_is_fiber_path():
 def test_flat_development_of_section_image_reproduces_base_path():
     # image of the diagonal section over x(t) develops to t -> x(t)
     conn = flat_connection()
-    action = galileo_action()
     rng = np.random.default_rng(6)
     base = trig_path(rng, 2)
-    dev = tp.develop_total_path(conn, action, base, lambda t: base.point(t), step=1e-2)
+    dev = tp.develop_total_path(conn, GALILEO, base, lambda t: base.point(t), step=1e-2)
     expected = np.array([base.point(t) for t in dev.ts])
     assert np.max(np.abs(dev.values - expected)) < 1e-10
+
+
+@pr.batched
+def wavy_fiber_path(t):
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.sin(t), np.cos(3 * t)], axis=-1)
+
+
+@pytest.mark.parametrize("structure", ["gravity", "flat"])
+def test_development_matches_per_node_action(structure):
+    # one stacked act call against act(g_i^{-1}, zeta(t_i)) node by node
+    if structure == "gravity":
+        cs = models.galilean_gravity(models.GravityField(
+            pr.batched(lambda t, x: 9.81 + 0.7 * np.sin(x)), pr.batched(lambda t, x: 0.3 * t * x)))
+        conn, spec = cs.conn, cs.spec
+    else:
+        conn, spec = flat_connection(), GALILEO
+    base = trig_path(np.random.default_rng(9), 2)
+    dev = tp.develop_total_path(conn, spec, base, wavy_fiber_path, step=1e-3)
+    lifted = tp.horizontal_lift(conn, base, step=1e-3)
+    expected = [spec.act(lg.inverse(g).mat, wavy_fiber_path(t)) for t, g in zip(lifted.ts, lifted.elements)]
+    assert np.array_equal(dev.ts, lifted.ts)
+    assert np.max(np.abs(dev.values - np.array(expected))) < 1e-14
+
+
+def test_development_reads_a_batched_fiber_path_once():
+    calls = []
+
+    @pr.batched
+    def zeta(t):
+        calls.append(np.array(t))
+        return wavy_fiber_path(t)
+
+    base = trig_path(np.random.default_rng(10), 2)
+    dev = tp.develop_total_path(gravity_connection(lambda t, x: 9.81), GALILEO, base, zeta, step=1e-3)
+    assert len(calls) == 1 and np.array_equal(calls[0], dev.ts)
+
+
+def test_development_rejects_a_fiber_path_of_the_wrong_shape():
+    base = trig_path(np.random.default_rng(11), 2)
+    conn = flat_connection()
+    for zeta in (lambda t: np.zeros(3), pr.batched(lambda t: np.zeros((len(t), 3))),
+                 pr.batched(lambda t: np.zeros((len(t) - 1, 2)))):
+        with pytest.raises(ValueError, match="fibre path"):
+            tp.develop_total_path(conn, GALILEO, base, zeta, step=1e-2)
+
+
+def test_development_raises_where_the_projective_action_leaves_the_chart():
+    # A = dx (E_10 - E_01) on a line: the inverse lift at x = pi/2 rotates
+    # the fibre origin [1, 0, 0] onto the hyperplane at infinity
+    spec = models.projective_homogeneous_spec(2)
+    rotation = np.zeros((3, 3))
+    rotation[1, 0], rotation[0, 1] = 1.0, -1.0
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(1), spec.tag,
+                              lambda x, dx: lg.AlgebraElement(spec.tag, dx[0] * rotation))
+    zeta = pr.batched(lambda t: np.zeros((len(t), 2)))
+    short = tp.line_segment([0.0], [1.0], 0.0, 1.0)
+    assert np.all(np.isfinite(tp.develop_total_path(conn, spec, short, zeta, step=1e-2).values))
+    with pytest.raises(PointAtInfinityError, match="left the affine chart"):
+        tp.develop_total_path(conn, spec, tp.line_segment([0.0], [np.pi / 2], 0.0, 1.0), zeta, step=1e-2)
 
 
 # ---------------------------------------------------------------------------
