@@ -232,17 +232,23 @@ def mobius_embed_plane(z) -> MobiusPoint:
     return MobiusPoint(_plane_rays(z))
 
 
+def _plane_chart(rays: np.ndarray, message: str) -> np.ndarray:
+    """Plane chart z_i = x_i / (x0 + x_{n+1}) of rays (one, or a stack
+    ``(..., n + 2)``); raises ``PointAtInfinityError(message)`` where
+    |x0 + x_{n+1}| <= 1e-12 max |x|."""
+    den = rays[..., :1] + rays[..., -1:]
+    if np.any(np.abs(den) <= 1e-12 * np.abs(rays)):
+        raise PointAtInfinityError(message)
+    return rays[..., 1:-1] / den
+
+
 def mobius_to_plane(p: MobiusPoint) -> np.ndarray:
     """Inverse of the plane embedding: z_i = x_i / (x0 + x_{n+1}).
 
     Composed with the sphere chart this is stereographic projection from
     the south pole. The ray with x0 + x_{n+1} = 0 has no chart image.
     """
-    x = p.ray
-    den = x[0] + x[-1]
-    if abs(den) <= 1e-12 * np.max(np.abs(x)):
-        raise PointAtInfinityError("point at infinity: the ray x0 + x_{n+1} = 0 has no plane image")
-    return x[1:-1] / den
+    return _plane_chart(p.ray, "point at infinity: the ray x0 + x_{n+1} = 0 has no plane image")
 
 
 def mobius_origin(n: int) -> MobiusPoint:
@@ -280,11 +286,7 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         return jac
 
     def act(mats, points):
-        vec = _apply(mats, _plane_rays(points))
-        den = vec[..., 0] + vec[..., -1]
-        if np.any(np.abs(den)[..., None] <= 1e-12 * np.abs(vec)):
-            raise PointAtInfinityError("Mobius action left the plane chart")
-        return vec[..., 1:-1] / den[..., None]
+        return _plane_chart(_apply(mats, _plane_rays(points)), "Mobius action left the plane chart")
 
     # the origin embeds as the ray through p0 = (1, 0, ..., 0, 1)
     p0 = np.zeros(n + 2)

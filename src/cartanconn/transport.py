@@ -9,12 +9,12 @@ lifted tangent,
 with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
-without re-projection; it runs in stages on arrays over blocks of nodes,
-and each block's product is a doubling scan of the step propagators.
-Path callables and coefficient maps are evaluated through
-:func:`~cartanconn.principal.stacked`: once per block with arrays over its
-nodes when declared :func:`~cartanconn.principal.batched`, else once per
-node.
+without re-projection. One pass runs the whole path in blocks of steps
+that may span segments, in stages on arrays over each block's nodes; a
+block's product is a doubling scan of its step propagators. Through
+:func:`~cartanconn.principal.stacked`, the coefficient map is called once
+per block and a path once per segment in the block when declared
+:func:`~cartanconn.principal.batched`, else once per node.
 
 Every node's group defect is checked against the round-trip tolerance.
 The step is not adapted: :func:`lift_error_estimate` returns the Richardson
@@ -31,6 +31,8 @@ holonomy of a small coordinate square of side ``d`` spanned by directions
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -59,9 +61,10 @@ class SmoothPath:
     ``N`` times to ``(N, dim)`` values in one call. The library reads them
     only through :meth:`points` and :meth:`velocities` (:meth:`point` and
     :meth:`velocity` are their one-row case), which call a batched callable
-    once per array and any other once per time. On construction both must
-    give ``(N, dim)`` values at ten probe times, and the derivative is
-    checked against central finite differences there.
+    once per array and any other once per time. On construction ``x`` is
+    read in one call at ten probe times and at those times +- h, ``xdot``
+    at the probes; both must give ``(N, dim)`` values, and the derivative
+    is checked against the central finite differences.
     """
 
     t0: float
@@ -75,16 +78,16 @@ class SmoothPath:
         self._validate()
 
     def _validate(self, tol: Tolerances = DEFAULT_TOLERANCES):
-        h = 1e-6 * (1.0 + abs(self.t0) + abs(self.t1))
-        probes = np.linspace(self.t0 + 2 * h, self.t1 - 2 * h, 10)
-        values, derivs = self.points(probes), self.velocities(probes)
-        if values.ndim != 2 or len(values) != len(probes) or derivs.shape != values.shape:
-            raise ValueError(f"path callables returned shapes {values.shape} and {derivs.shape} "
-                             f"for {len(probes)} times; expected (N, dim) for N = {len(probes)}")
-        finite = np.isfinite(values).all(axis=-1) & np.isfinite(derivs).all(axis=-1)
+        h, n = 1e-6 * (1.0 + abs(self.t0) + abs(self.t1)), 10
+        probes = np.linspace(self.t0 + 2 * h, self.t1 - 2 * h, n)
+        points, derivs = self.points(np.concatenate([probes, probes + h, probes - h])), self.velocities(probes)
+        if points.ndim != 2 or len(points) != 3 * n or derivs.shape != (n, points.shape[1]):
+            raise ValueError(f"path callables returned shapes {points.shape} and {derivs.shape} "
+                             f"for {3 * n} and {n} times; expected (N, dim) for N times")
+        finite = np.isfinite(points[:n]).all(axis=-1) & np.isfinite(derivs).all(axis=-1)
         if not finite.all():
             raise ValueError(f"path is not finite at t = {probes[np.argmin(finite)]}")
-        fd = (self.points(probes + h) - self.points(probes - h)) / (2 * h)
+        fd = (points[n:2 * n] - points[2 * n:]) / (2 * h)
         agrees = np.abs(fd - derivs).max(axis=-1) <= tol.path_check
         if not agrees.all():
             raise ValueError(
@@ -117,8 +120,8 @@ class SmoothPath:
 class PiecewisePath:
     """Concatenation of time-contiguous smooth pieces.
 
-    Lifts and transports treat each piece exactly, so corners cost no
-    integration accuracy.
+    Lifts and transports step each piece on its own grid, so corners cost
+    no integration accuracy.
     """
 
     def __init__(self, segments: Sequence[SmoothPath]):
@@ -139,10 +142,9 @@ class PiecewisePath:
         return self.pieces
 
     def point(self, t: float) -> np.ndarray:
-        for seg in self.pieces:
-            if t <= seg.t1 or seg is self.pieces[-1]:
-                return seg.point(t)
-        raise ValueError("time outside path interval")
+        if not self.t0 <= t <= self.t1:
+            raise ValueError("time outside path interval")
+        return next(seg for seg in self.pieces if t <= seg.t1).point(t)
 
     def reverse(self) -> "PiecewisePath":
         # each piece, reversed, on the mirrored slot of the interval
@@ -178,10 +180,7 @@ def line_segment(p, q, t0: float, t1: float) -> SmoothPath:
 
 
 def concat(*paths: Path) -> PiecewisePath:
-    pieces: list[SmoothPath] = []
-    for p in paths:
-        pieces.extend(p.segments)
-    return PiecewisePath(pieces)
+    return PiecewisePath([seg for p in paths for seg in p.segments])
 
 
 def square_loop(corner, side: float, axes=(0, 1), dim: int | None = None, t0: float = 0.0) -> PiecewisePath:
@@ -192,24 +191,11 @@ def square_loop(corner, side: float, axes=(0, 1), dim: int | None = None, t0: fl
     ``t0 + 4 side``; closure is exact.
     """
     corner = np.asarray(corner, dtype=float)
-    dim = corner.size if dim is None else dim
-    e1 = np.zeros(dim)
-    e1[axes[0]] = 1.0
-    e2 = np.zeros(dim)
-    e2[axes[1]] = 1.0
-    c0 = corner
-    c1 = corner + side * e1
-    c2 = corner + side * (e1 + e2)
-    c3 = corner + side * e2
-    ts = [t0 + k * side for k in range(5)]
-    return PiecewisePath(
-        [
-            line_segment(c0, c1, ts[0], ts[1]),
-            line_segment(c1, c2, ts[1], ts[2]),
-            line_segment(c2, c3, ts[2], ts[3]),
-            line_segment(c3, c0, ts[3], ts[4]),
-        ]
-    )
+    legs = np.zeros((2, corner.size if dim is None else dim))
+    legs[0, axes[0]] = legs[1, axes[1]] = side
+    corners = [corner, corner + legs[0], corner + legs[0] + legs[1], corner + legs[1], corner]
+    return PiecewisePath([line_segment(p, q, t0 + k * side, t0 + (k + 1) * side)
+                          for k, (p, q) in enumerate(zip(corners, corners[1:]))])
 
 
 # ---------------------------------------------------------------------------
@@ -252,56 +238,72 @@ class LiftedPath:
 _BLOCK = 512   # steps per pass through the lift's stages; bounds their arrays
 
 
-def _magnus_segment(conn, seg: SmoothPath, ts: np.ndarray, mats: np.ndarray) -> None:
-    """Lift over one smooth segment in ``len(ts) - 1`` equal steps, filling
-    ``ts[1:]`` and ``mats[1:]`` from ``mats[0]``.
+def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarray):
+    """Node times ``(N,)`` and matrices ``(N, n, n)`` of the lift from ``g0``
+    along ``segments``, each cut into the fewest equal steps no longer than
+    ``step``; a segment of ``n`` steps has its own ``2 n + 1`` Simpson nodes,
+    so a corner is a node of both its segments, with two velocities.
 
-    Fourth-order Magnus step at the Simpson nodes, with ``M = -A``:
-    ``Omega = (h/6)(M0 + 4 Mh + M1) + (h^2/12)[M1, M0]`` and
-    ``g_{k+1} = exp(Omega) g_k``. Each block of ``_BLOCK`` steps runs in
-    stages on arrays over its nodes: path points and velocities, the
-    domain check (before any coefficient), the coefficients, every
-    ``Omega`` and one batched exponential, then a doubling scan of the step
+    Magnus-4 step, with ``M = -A`` and the step ``h`` of its segment:
+    ``Omega = (h/6)(M0 + 4 Mh + M1) + (h^2/12)[M1, M0]``,
+    ``g_{k+1} = exp(Omega) g_k``. The path's steps run in blocks of
+    ``_BLOCK`` that may span segments, each in stages on arrays over its
+    nodes: path points and velocities (one call per segment in the block),
+    the domain check (before any coefficient), one coefficient call, every
+    ``Omega`` and one batched exponential, a doubling scan of the step
     propagators (``ceil(log2 steps)`` batched matmuls) and a finiteness
-    check, which names the first non-finite node. Path callables and
-    ``conn.coeff`` go through :func:`~cartanconn.principal.stacked` once
-    per block (a block's last node is the next one's first, so a step costs
-    two coefficient evaluations).
+    check naming the first non-finite node. A block that continues a
+    segment reuses the previous block's last coefficient, so a step costs
+    two coefficient evaluations.
     """
-    tag, n_steps = conn.tag, len(ts) - 1
-    h = (seg.t1 - seg.t0) / n_steps
-    starts = seg.t0 + np.arange(n_steps + 1) * h
-    ts[1:] = starts[1:]
-    node_ts = np.repeat(starts, 2)[:-1]
-    node_ts[1::2] += h / 2
-    width = 2 * min(n_steps, _BLOCK) + 1
+    # the slack keeps round-off (0.07 / 0.0025 = 28.000000000000004) from adding a step
+    counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in segments]
+    tag, total = conn.tag, sum(counts)
+    firsts = list(itertools.accumulate(counts, initial=0))   # first step of each segment
+    hs = np.array([(seg.t1 - seg.t0) / n for seg, n in zip(segments, counts)])
+    ts, mats = np.empty(total + 1), np.empty((total + 1,) + g0.shape)
+    ts[0], mats[0] = segments[0].t0, g0
+    node_ts = np.empty(2 * total + len(segments))   # segment j's nodes: rows 2 firsts[j] + j onwards
+    for j, (seg, n, h, k) in enumerate(zip(segments, counts, hs, firsts)):
+        starts = seg.t0 + np.arange(n + 1) * h
+        ts[k + 1:k + n + 1] = starts[1:]
+        node_ts[2 * k + j:2 * (k + n) + j + 1:2] = starts
+        node_ts[2 * k + j + 1:2 * (k + n) + j:2] = starts[:-1] + h / 2
+    width = 2 * min(total, _BLOCK) + min(len(segments), _BLOCK)
     xs, vs = np.empty((2, width, conn.domain.dim))
     coeffs = np.empty((width, tag.size, tag.size))
-    first = 0   # later blocks start at the previous block's last node
-    for k0 in range(0, n_steps, _BLOCK):
-        steps = min(_BLOCK, n_steps - k0)
-        last = 2 * steps + 1
-        block_ts = node_ts[2 * k0 + first:2 * k0 + last]
-        seg.points(block_ts, out=xs[first:last])
-        seg.velocities(block_ts, out=vs[first:last])
-        inside = conn.domain.contains(xs[first:last])
+    for k0 in range(0, total, _BLOCK):
+        k1 = min(k0 + _BLOCK, total)
+        j0, j1 = bisect.bisect_right(firsts, k0) - 1, bisect.bisect_left(firsts, k1)
+        r0, rows = 2 * k0 + j0, 2 * (k1 - k0) + j1 - j0   # the block's first row and row count
+        first = int(firsts[j0] < k0)   # row 0 is then the previous block's last node
+        for j in range(j0, j1):
+            lo, hi = max(2 * firsts[j] + j, r0 + first) - r0, min(2 * firsts[j + 1] + j + 1 - r0, rows)
+            segments[j].points(node_ts[r0 + lo:r0 + hi], out=xs[lo:hi])
+            segments[j].velocities(node_ts[r0 + lo:r0 + hi], out=vs[lo:hi])
+        inside = conn.domain.contains(xs[first:rows])
         if not inside.all():
-            raise DomainError(f"path left the chart domain at t = {block_ts[np.argmin(inside)]}")
-        coeff_matrices(conn, xs[first:last], vs[first:last], out=coeffs[first:last])
-        a0, ah, a1 = coeffs[0:last - 1:2], coeffs[1:last:2], coeffs[2:last:2]
+            raise DomainError(f"path left the chart domain at t = {node_ts[r0 + first + np.argmin(inside)]}")
+        coeff_matrices(conn, xs[first:rows], vs[first:rows], out=coeffs[first:rows])
+        if j1 - j0 == 1:
+            h, a0, ah, a1 = hs[j0], coeffs[0:rows - 1:2], coeffs[1:rows:2], coeffs[2:rows:2]
+        else:   # each later segment's rows are shifted by one more
+            pieces = [min(firsts[j + 1], k1) - max(firsts[j], k0) for j in range(j0, j1)]
+            i0 = 2 * np.arange(k1 - k0) + np.repeat(np.arange(j1 - j0), pieces)
+            h, a0, ah, a1 = np.repeat(hs[j0:j1], pieces)[:, None, None], coeffs[i0], coeffs[i0 + 1], coeffs[i0 + 2]
         omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
         props = lg.expm_matrix(tag, omega)
         span = 1   # doubling scan: props[k] becomes props[k] @ ... @ props[0]
-        while span < steps:
+        while span < k1 - k0:
             props[span:] = props[span:] @ props[:-span]
             span *= 2
-        out = mats[k0:k0 + steps + 1]
+        out = mats[k0:k1 + 1]
         np.matmul(props, out[0], out=out[1:])
         finite = np.isfinite(out[1:]).all(axis=(1, 2))
         if not finite.all():
-            t = ts[k0 + 1 + np.argmin(finite)]
-            raise LiftDivergedError(f"lift diverged near t = {t}")
-        coeffs[0], first = coeffs[last - 1], 1
+            raise LiftDivergedError(f"lift diverged near t = {ts[k0 + 1 + np.argmin(finite)]}")
+        coeffs[0] = coeffs[rows - 1]
+    return ts, mats
 
 
 def horizontal_lift(
@@ -315,8 +317,10 @@ def horizontal_lift(
     """Horizontal lift of ``path`` starting at ``g0`` (identity by default).
 
     Each smooth segment is cut into the fewest equal steps no longer than
-    ``step`` and integrated with a fourth-order Magnus method, which keeps
-    the nodes on the group without re-projection. A path point outside the
+    ``step``, and the whole path is integrated in one pass with a
+    fourth-order Magnus method, which keeps the nodes on the group without
+    re-projection (one coefficient call, exponential and doubling scan per
+    block of steps, across segments). A path point outside the
     chart raises ``DomainError`` before the coefficient there is evaluated;
     a non-finite step, or a node whose group defect exceeds
     ``tol.roundtrip``, raises ``LiftDivergedError``.
@@ -328,15 +332,7 @@ def horizontal_lift(
     if g0.tag != conn.tag:
         raise lg.TagMismatchError("initial element tag does not match the connection")
 
-    # fewest equal steps no longer than ``step``; the slack keeps round-off
-    # (0.07 / 0.0025 = 28.000000000000004) from adding one
-    counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in path.segments]
-    ts = np.empty(1 + sum(counts))
-    mats = np.empty((len(ts),) + g0.mat.shape)
-    ts[0], mats[0] = path.segments[0].t0, g0.mat
-    ends = np.cumsum([0] + counts)
-    for seg, k0, k1 in zip(path.segments, ends, ends[1:]):
-        _magnus_segment(conn, seg, ts[k0:k1 + 1], mats[k0:k1 + 1])
+    ts, mats = _magnus_path(conn, path.segments, step, g0.mat)
     if conn.tag.kind is lg.GroupKind.PGL:
         # scaling commutes with left multiplication: normalizing once at the
         # end picks the same representatives as normalizing every step
@@ -402,12 +398,9 @@ def holonomy(
 ) -> lg.GroupElement:
     """Holonomy ``g(t0)^{-1} g(t1)`` of a closed loop: the end of its lift from the identity."""
     segs = loop.segments
-    start = segs[0].point(segs[0].t0)
-    end = segs[-1].point(segs[-1].t1)
-    if np.max(np.abs(start - end)) > tol.loop_closure:
-        raise LoopNotClosedError(
-            f"loop endpoints differ by {np.max(np.abs(start - end)):.3e}"
-        )
+    gap = np.max(np.abs(segs[0].point(segs[0].t0) - segs[-1].point(segs[-1].t1)))
+    if gap > tol.loop_closure:
+        raise LoopNotClosedError(f"loop endpoints differ by {gap:.3e}")
     return horizontal_lift(conn, loop, None, step, tol=tol).end
 
 
@@ -416,8 +409,9 @@ class DevelopedPath:
     """Development of a path, sampled in the fibre over the starting base point.
 
     ``values[i]`` are fibre-chart coordinates at time ``ts[i]``;
-    ``initial_tangent`` is a one-sided fourth-order finite-difference
-    estimate of the development's velocity at ``t0``.
+    ``initial_tangent`` is a one-sided finite-difference estimate of the
+    development's velocity at ``t0`` from the leading uniformly spaced nodes
+    (fourth order from five, second order from three or four).
     """
 
     ts: np.ndarray
@@ -426,9 +420,13 @@ class DevelopedPath:
 
     @property
     def initial_tangent(self) -> np.ndarray:
-        y, h = self.values, self.ts[1] - self.ts[0]
-        if len(y) >= 5:
+        y, d = self.values, np.diff(self.ts[:5])
+        h = d[0]
+        uniform = 1 + int(np.cumprod(np.abs(d - h) <= 1e-9 * h).sum())   # leading uniform nodes
+        if uniform == 5:
             return (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
+        if uniform >= 3:
+            return (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
         return (y[1] - y[0]) / h
 
     def second_differences(self) -> np.ndarray:

@@ -408,6 +408,21 @@ def test_excluded_ray_raises_point_at_infinity():
         models.mobius_to_plane(p)
 
 
+def test_mobius_action_and_point_chart_agree_and_keep_their_messages():
+    spec = models.mobius_homogeneous_spec(2)
+    rng = np.random.default_rng(11)
+    g = lg.random_element(spec.tag, rng, scale=0.5).mat
+    zs = rng.standard_normal((6, 2))
+    per_point = [models.mobius_to_plane(models.MobiusPoint(g @ models.mobius_embed_plane(z).ray)) for z in zs]
+    assert np.max(np.abs(spec.act(g, zs) - per_point)) < 1e-12 * np.max(np.abs(per_point))
+    # the reflection x3 -> -x3 carries the origin to the excluded ray
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(PointAtInfinityError, match="^Mobius action left the plane chart$"):
+        spec.act(np.stack([np.eye(4), flip]), np.zeros(2))
+    with pytest.raises(PointAtInfinityError, match=r"^point at infinity: the ray x0 \+ x_\{n\+1\} = 0 has no plane image$"):
+        models.mobius_to_plane(models.MobiusPoint(flip @ models.mobius_origin(2).ray))
+
+
 def test_plane_chart_is_south_pole_stereographic_projection():
     rng = np.random.default_rng(6)
     for _ in range(20):

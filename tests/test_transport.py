@@ -44,6 +44,47 @@ def test_path_derivative_consistency_enforced():
         tp.SmoothPath(0.0, 1.0, lambda t: np.array([t, t * t]), lambda t: np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_path_probes_are_one_call_per_callable(batched):
+    # construction reads x at the probes and at the probes +- h in one
+    # call, and xdot at the probes in one: 30 and 10 rows per node
+    rows = {"x": [], "xdot": []}
+
+    def x(t):
+        rows["x"].append(np.size(t))
+        return np.stack([np.asarray(t, dtype=float), np.sin(t)], axis=-1)
+
+    def xdot(t):
+        rows["xdot"].append(np.size(t))
+        return np.stack([np.ones_like(t, dtype=float), np.cos(t)], axis=-1)
+
+    mark = pr.batched if batched else (lambda fn: fn)
+    tp.SmoothPath(0.0, 1.0, mark(x), mark(xdot))
+    assert rows == ({"x": [30], "xdot": [10]} if batched else {"x": [1] * 30, "xdot": [1] * 10})
+
+
+def test_path_probe_checks_name_what_failed():
+    with pytest.raises(ValueError, match=r"^declared derivative disagrees with finite differences at t = "):
+        tp.SmoothPath(0.0, 1.0, lambda t: np.array([t, t * t]), lambda t: np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^path is not finite at t = 0\.555"):   # the sixth probe
+        tp.SmoothPath(0.0, 1.0, pr.batched(lambda t: np.stack([t, np.where(t > 0.5, np.inf, t)], -1)),
+                      pr.batched(lambda t: np.ones((len(t), 2))))
+    # x is read at 30 times (the probes and the probes +- h), xdot at 10
+    with pytest.raises(ValueError, match=r"^path callables returned shapes \(30, 2\) and \(10, 3\) for 30 and 10 times"):
+        tp.SmoothPath(0.0, 1.0, lambda t: np.array([t, t]), lambda t: np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^path callables returned shapes \(2, 30\) and \(10, 2\) for 30 and 10 times"):
+        tp.SmoothPath(0.0, 1.0, pr.batched(lambda t: np.array([t, t])), pr.batched(lambda t: np.ones((len(t), 2))))
+
+
+def test_piecewise_point_rejects_times_outside_the_path():
+    loop = tp.square_loop([0.0, 0.0], 0.5, t0=1.0)
+    assert np.array_equal(loop.point(1.0), [0.0, 0.0])
+    assert np.array_equal(loop.point(3.0), [0.0, 0.0])
+    for t in (1.0 - 1e-9, 3.0 + 1e-9, -5.0, 10.0):
+        with pytest.raises(ValueError, match="time outside path interval"):
+            loop.point(t)
+
+
 def test_square_loop_is_closed():
     loop = tp.square_loop([0.25, -0.5], 0.5)
     start = loop.pieces[0].point(loop.t0)
@@ -266,16 +307,106 @@ def counting_gravity_coeff(calls, g0=9.81):
     return coeff
 
 
-@pytest.mark.parametrize("steps, calls_per_segment", [(4, 1), (512, 1), (1100, 3)])
-def test_batched_connection_gets_one_coefficient_call_per_block(steps, calls_per_segment):
+@pytest.mark.parametrize("steps, blocks", [(4, 1), (512, 4), (1100, 9)])
+def test_batched_connection_gets_one_coefficient_call_per_block(steps, blocks):
+    # the 4 legs of ``steps`` steps each run in blocks of 512 steps that span
+    # the corners: one call per block of the path
     calls = []
     conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, counting_gravity_coeff(calls))
     lifted = tp.horizontal_lift(conn, tp.square_loop([0.0, 0.0], 0.5), step=0.5 / steps)
     assert len(lifted.ts) == 4 * steps + 1
-    assert len(calls) == 4 * calls_per_segment
-    # every node is evaluated once: the first block of a segment has all
-    # 2 B + 1 nodes, later blocks reuse the previous block's last node
+    assert len(calls) == blocks
+    # every node is evaluated once: each segment has its own 2 n + 1 nodes,
+    # and a block that continues a segment reuses the previous block's last node
     assert sum(len(x) for x in calls) == 4 * (2 * steps + 1)
+
+
+def chained_reference(conn, path, step, g0):
+    """:func:`sequential_magnus` on each segment of ``path``, each from the
+    previous segment's end, joined at the corners."""
+    mats = [g0[None]]
+    for seg in path.segments:
+        n = max(1, int(np.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))))
+        mats.append(sequential_magnus(conn, seg, n, mats[-1][-1])[1:])
+    return np.concatenate(mats)
+
+
+def three_legs(durations, per_node=()):
+    """Three straight legs of the plane, joined at corners, over the given
+    durations; the legs in ``per_node`` are read one node at a time."""
+    corners = np.array([[0.3, -0.2], [-0.8, 0.4], [0.1, 1.1], [0.9, 0.2]])
+    ends = np.cumsum([0.0, *durations])
+    legs = [tp.line_segment(p, q, a, b) for p, q, a, b in zip(corners, corners[1:], ends, ends[1:])]
+    for i in per_node:
+        leg = legs[i]
+        legs[i] = tp.SmoothPath(leg.t0, leg.t1, lambda t, leg=leg: leg.x(t), lambda t, leg=leg: leg.xdot(t))
+    return tp.PiecewisePath(legs)
+
+
+@pytest.mark.parametrize("tag", [lg.gl_tag(3), lg.so_tag(3)], ids=lambda t: t.name)
+@pytest.mark.parametrize("durations, steps", [((1.0, 1.0, 1.0), 900), ((1.0, 0.8015, 0.9007), 812)])
+def test_blocks_spanning_segments_match_the_per_segment_product(tag, durations, steps):
+    # 300 steps on the first leg: the blocks of 512 steps straddle both
+    # corners; the second case has a different step on each leg
+    conn = varying_connection(tag, seed=4)
+    g0 = lg.random_element(tag, np.random.default_rng(2), scale=0.4).mat
+    path = three_legs(durations)
+    lifted = tp.horizontal_lift(conn, path, lg.GroupElement(tag, g0), step=1.0 / 300)
+    reference = chained_reference(conn, path, 1.0 / 300, g0)
+    assert len(lifted.ts) == len(reference) == 1 + steps
+    assert np.max(np.abs(lifted.mats - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_batched_and_per_node_legs_lift_in_one_pass():
+    # the middle leg is read one node at a time, the others in one call per block
+    conn = varying_connection(lg.gl_tag(3), seed=5)
+    g0 = np.eye(3)
+    mixed = three_legs((1.0, 1.0, 1.0), per_node=(1,))
+    assert [pr.is_batched(seg.x) for seg in mixed.segments] == [True, False, True]
+    lifted = tp.horizontal_lift(conn, mixed, step=1.0 / 300)
+    assert np.array_equal(lifted.mats, tp.horizontal_lift(conn, three_legs((1.0, 1.0, 1.0)), step=1.0 / 300).mats)
+    reference = chained_reference(conn, mixed, 1.0 / 300, g0)
+    assert np.max(np.abs(lifted.mats - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_coefficient_rows_are_the_nodes_of_every_segment():
+    # 300, 240 and 270 steps: two blocks, and 2 n + 1 nodes per segment
+    calls = []
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, counting_gravity_coeff(calls))
+    lifted = tp.horizontal_lift(conn, three_legs((1.0, 0.8, 0.9)), step=1.0 / 300)
+    assert len(lifted.ts) == 811
+    assert len(calls) == 2
+    assert sum(len(x) for x in calls) == (2 * 300 + 1) + (2 * 240 + 1) + (2 * 270 + 1)
+
+
+@pytest.mark.parametrize("step", [0.05, 1.0 / 300])
+def test_domain_error_in_a_later_segment_names_its_first_node_outside(step):
+    # the third leg runs along x1 = 1 from x0 = 0 to 1 over t in [2, 3]; the
+    # chart ends at x0 = 0.6102, so the first node outside lies in (2.6102, 2.6102 + step / 2]
+    calls = []
+    domain = pr.ChartDomain.box([-1.0, -1.0], [0.6102, 1.5])
+    conn = pr.LocalConnection(domain, lg.GALILEO2, counting_gravity_coeff(calls))
+    path = tp.PiecewisePath([tp.line_segment([0.0, 0.0], [0.5, 0.0], 0.0, 1.0),
+                             tp.line_segment([0.5, 0.0], [0.0, 1.0], 1.0, 2.0),
+                             tp.line_segment([0.0, 1.0], [1.0, 1.0], 2.0, 3.0)])
+    with pytest.raises(DomainError) as info:
+        tp.horizontal_lift(conn, path, step=step)
+    t_out = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
+    assert 2.6102 < t_out <= 2.6102 + step / 2
+    assert all(np.all(x[:, 0] < 0.6102) for x in calls)
+    assert len(calls) == (1 if step < 0.01 else 0)   # only the block before the exit's block
+
+
+def test_lift_names_the_first_non_finite_node_in_a_later_segment():
+    # the coefficient is infinite at the 37th step end of the second leg
+    t_bad = 1.0 + 37 * 0.01
+    conn = gravity_connection(lambda t, x: np.inf if t == t_bad else 1.0)
+    path = tp.PiecewisePath([tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0),
+                             tp.line_segment([1.0, 0.0], [2.0, 0.0], 1.0, 2.0)])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(LiftDivergedError) as info:
+            tp.horizontal_lift(conn, path, step=0.01)
+    assert float(re.search(r"t = (\S+)$", str(info.value)).group(1)) == t_bad
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -597,6 +728,23 @@ def test_development_raises_where_the_projective_action_leaves_the_chart():
     assert np.all(np.isfinite(tp.develop_total_path(conn, spec, short, zeta, step=1e-2).values))
     with pytest.raises(PointAtInfinityError, match="left the affine chart"):
         tp.develop_total_path(conn, spec, tp.line_segment([0.0], [np.pi / 2], 0.0, 1.0), zeta, step=1e-2)
+
+
+def test_initial_tangent_reads_only_the_uniform_leading_nodes():
+    # a first leg of 1.5 steps is cut into two steps of 7.5e-4, and the
+    # spacing changes at the corner: the tangent uses the three leading nodes
+    cs = models.galilean_gravity(models.GravityField(lambda t, x: 9.81, lambda t, x: 0.0))
+    fall = freefall_path(v0=0.3)
+    split = tp.PiecewisePath([tp.SmoothPath(0.0, 0.0015, fall.x, fall.xdot),
+                              tp.SmoothPath(0.0015, 1.0, fall.x, fall.xdot)])
+    dev = cs.develop_base_path(split, step=1e-3)
+    assert np.allclose(np.diff(dev.ts[:4]), [7.5e-4, 7.5e-4, 9.995e-4])
+    assert np.max(np.abs(dev.initial_tangent - cs.soldering(fall.point(0.0), fall.velocity(0.0)))) < 1e-6
+    # on uniform nodes it is the five-point formula
+    whole = cs.develop_base_path(fall, step=1e-3)
+    y, h = whole.values, whole.ts[1] - whole.ts[0]
+    five = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
+    assert np.array_equal(whole.initial_tangent, five)
 
 
 # ---------------------------------------------------------------------------
