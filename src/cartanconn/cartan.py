@@ -49,7 +49,7 @@ import numpy as np
 from . import liegroup as lg
 from .errors import GeometryError, NotCartanError
 from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, coeff_matrices, full_form
-from .settings import DEFAULT_TOLERANCES, Tolerances
+from .settings import AXIOM, RANK, STRUCTURAL
 from .transport import DevelopedPath, Path, horizontal_lift
 
 
@@ -105,8 +105,7 @@ class HomogeneousSpec:
     def random_stabilizer_element(self, rng: np.random.Generator, scale: float = 0.5) -> lg.GroupElement:
         return lg.exp(self.random_stabilizer_algebra(rng, scale))
 
-    def validate(self, rng: np.random.Generator | None = None, samples: int = 10,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    def validate(self, rng: np.random.Generator | None = None, samples: int = 10) -> None:
         """Structural checks on stacks of samples: the identity fixes the
         base point and every sampled point, the action obeys the composition
         law ``act(g1 g2, z) = act(g1, act(g2, z))``, the stabilizer fixes o,
@@ -117,21 +116,21 @@ class HomogeneousSpec:
         if len(self.stabilizer_basis) + self.fiber_dim != lg.algebra_dim(self.tag):
             raise GeometryError(f"{self.name}: dim G != dim G' + dim F")
         zs = np.vstack([self.origin, self.origin + 0.5 * rng.standard_normal((samples, self.fiber_dim))])
-        if np.max(np.abs(self.act(np.eye(self.tag.size), zs) - zs)) > tol.structural:
+        if np.max(np.abs(self.act(np.eye(self.tag.size), zs) - zs)) > STRUCTURAL:
             raise GeometryError(f"{self.name}: the identity moves points of the fibre")
         pairs = np.array([[lg.random_element(self.tag, rng, scale=0.4).mat for _ in range(2)] for _ in zs])
         g1, g2 = pairs[:, 0], pairs[:, 1]
-        if np.max(np.abs(self.act(g1 @ g2, zs) - self.act(g1, self.act(g2, zs)))) > tol.structural:
+        if np.max(np.abs(self.act(g1 @ g2, zs) - self.act(g1, self.act(g2, zs)))) > STRUCTURAL:
             raise GeometryError(f"{self.name}: the action violates the composition law")
         stabilizer = np.array([self.random_stabilizer_element(rng).mat for _ in range(samples)])
         if np.max(np.abs(self.act(stabilizer, self.origin) - self.origin)) > 1e-9:
             raise GeometryError(f"{self.name}: stabilizer element moved the base point")
         secs = self.coset_section(zs)
-        if not np.max(lg.group_defect(self.tag, secs)) <= tol.structural:
+        if not np.max(lg.group_defect(self.tag, secs)) <= STRUCTURAL:
             raise GeometryError(f"{self.name}: coset section leaves the group")
         if np.max(np.abs(self.act(secs, self.origin) - zs)) > 1e-9:
             raise GeometryError(f"{self.name}: coset section is not a right inverse")
-        if np.max(np.abs(secs[0] - np.eye(self.tag.size))) > tol.structural:
+        if np.max(np.abs(secs[0] - np.eye(self.tag.size))) > STRUCTURAL:
             raise GeometryError(f"{self.name}: coset section of the base point is not the identity")
 
 
@@ -199,23 +198,21 @@ class CartanStructure:
         section_tangents = ws if self.diagonal else np.zeros(ws.shape[:-1] + self.spec.origin.shape)
         return self.spec.coset_derivative(self.section_value(xs), section_tangents)
 
-    def in_reduction(self, p: PrincipalPoint, tol: float = 1e-10) -> bool:
+    def in_reduction(self, p: PrincipalPoint) -> bool:
         """Membership test for H': the point maps o onto the section."""
         image = self.spec.act(p.g.mat, self.spec.origin)
-        return bool(np.max(np.abs(image - self.section_value(p.x))) <= tol)
+        return bool(np.max(np.abs(image - self.section_value(p.x))) <= STRUCTURAL)
 
-    def reduction_tangency_residual(self, p: PrincipalPoint, v: PrincipalTangent,
-                                    h: float = 1e-6) -> float:
-        """Residual of the differentiated membership constraint along v."""
+    def reduction_tangency_residual(self, p: PrincipalPoint, v: PrincipalTangent) -> float:
+        """Residual of the differentiated membership constraint along v (central difference, step 1e-6)."""
         def constraint(s: float) -> np.ndarray:
             return self.spec.act(p.g.mat + s * v.dg, self.spec.origin) - self.section_value(p.x + s * v.dx)
 
-        return float(np.max(np.abs((constraint(h) - constraint(-h)) / (2 * h))))
+        return float(np.max(np.abs((constraint(1e-6) - constraint(-1e-6)) / 2e-6)))
 
     # -- induced form ---------------------------------------------------------------
 
-    def induced_form(self, p: PrincipalPoint, v: PrincipalTangent, *,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> lg.AlgebraElement:
+    def induced_form(self, p: PrincipalPoint, v: PrincipalTangent) -> lg.AlgebraElement:
         """Restriction of the connection form to the reduction.
 
         The point must belong to H' and the tangent must be tangent to H'
@@ -224,7 +221,7 @@ class CartanStructure:
         """
         if not self.in_reduction(p):
             raise GeometryError("point does not belong to the reduction H'")
-        if self.reduction_tangency_residual(p, v) > tol.axiom * (1.0 + float(np.max(np.abs(v.dg)))):
+        if self.reduction_tangency_residual(p, v) > AXIOM * (1.0 + float(np.max(np.abs(v.dg)))):
             raise GeometryError("tangent vector is not tangent to the reduction H'")
         return full_form(self.conn, p, v)
 
@@ -276,8 +273,7 @@ class CartanStructure:
 
     # -- classification ---------------------------------------------------------------
 
-    def is_cartan(self, samples: int = 20, seed: int = 0, *,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> CartanReport:
+    def is_cartan(self, samples: int = 20, seed: int = 0) -> CartanReport:
         """Classify the structure by sampling the induced form's kernel.
 
         The form matrices are assembled at random reduction points (drawn
@@ -298,7 +294,7 @@ class CartanStructure:
         smallest = np.linalg.svd(matrices, compute_uv=False)[:, -1] if rows >= cols else np.zeros(samples)
         i = int(np.argmin(smallest))
         worst = float(smallest[i])
-        kernel_free = worst > tol.rank
+        kernel_free = worst > RANK
         if kernel_free and self.base_dim == self.spec.fiber_dim:
             kind = "cartan"
         elif kernel_free and self.base_dim < self.spec.fiber_dim:
@@ -346,8 +342,7 @@ class CartanStructure:
 
     # -- development ---------------------------------------------------------------------
 
-    def develop_base_path(self, path: Path, step: float = 1e-3, *,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> DevelopedPath:
+    def develop_base_path(self, path: Path, step: float = 1e-3) -> DevelopedPath:
         """Development of a base path in the fibre over its starting point.
 
         The horizontal lift started at the reduction point ``h'(t0)`` is
@@ -360,7 +355,7 @@ class CartanStructure:
         constant section frames every node by the identity.
         """
         segments, tag = path.segments, self.spec.tag
-        lifted = horizontal_lift(self.conn, path, None, step, tol=tol)
+        lifted = horizontal_lift(self.conn, path, None, step)
         ts, movers = lifted.ts, lg.inverse_matrix(tag, lifted.mats)
         if self.diagonal:
             xs = np.empty((len(ts), self.base_dim))
@@ -372,8 +367,7 @@ class CartanStructure:
 
     # -- parallelization -------------------------------------------------------------------
 
-    def parallelization_frame(self, p: PrincipalPoint, *,
-                              tol: Tolerances = DEFAULT_TOLERANCES) -> list[PrincipalTangent]:
+    def parallelization_frame(self, p: PrincipalPoint) -> list[PrincipalTangent]:
         """Tangent frame of H' at p indexed by the algebra basis of G:
         the inverse images of the basis under the induced form.
 
@@ -390,7 +384,7 @@ class CartanStructure:
         _, dxs, dgs = self._reduction_tangent_basis(xs, gps)
         matrix = self.reduced_form_matrix(xs, gps)[0]
         svals = np.linalg.svd(matrix, compute_uv=False)
-        if svals[-1] <= tol.rank:
+        if svals[-1] <= RANK:
             raise NotCartanError(
                 f"induced form is singular at the requested point (sigma_min = {svals[-1]:.3e})"
             )

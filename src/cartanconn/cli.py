@@ -80,6 +80,16 @@ def _require_keys(obj: dict, allowed: dict, where: str) -> None:
 
 NUMBER = (int, float)
 
+
+def _number_list(obj: dict, key: str, default: list, where: str) -> list[float]:
+    """``obj[key]`` (``default`` when absent) as floats: a non-empty list of
+    JSON numbers, booleans excluded."""
+    values = obj.get(key, default)
+    if not values or any(isinstance(v, bool) or not isinstance(v, NUMBER) for v in values):
+        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
+    return [float(v) for v in values]
+
+
 _COMMON = {
     "scenario": (str, True),
     "seed": (int, False),
@@ -320,10 +330,12 @@ def _run_holonomy(cfg: dict, out_dir: Path) -> dict:
     cs, _ = _gravity_structure(cfg["model"])
     loop_cfg = cfg["loop"]
     _require_keys(loop_cfg, {"corner": (list, False), "side": (NUMBER, False)}, "loop")
-    corner = [float(v) for v in loop_cfg.get("corner", [0.0, 0.0])]
+    corner = _number_list(loop_cfg, "corner", [0.0, 0.0], "loop")
     side = float(loop_cfg.get("side", 0.5))
     if len(corner) != 2:
         raise ConfigError("loop.corner must have two entries")
+    if side <= 0:
+        raise ConfigError("loop.side must be positive")
     loop = tp.square_loop(corner, side)
     hol = tp.holonomy(cs.conn, loop, step=cfg["step"])
     coords = lg.algebra_coords(lg.log(hol))
@@ -396,6 +408,9 @@ def _run_maxwell(cfg: dict, out_dir: Path) -> dict:
     constants = mx.EMConstants(
         eps0=float(model_cfg.get("eps0", 1.0)), mu0=float(model_cfg.get("mu0", 1.0))
     )
+    h = float(model_cfg.get("h", 1e-4))
+    if h <= 0:
+        raise ConfigError("model.h must be positive")
     if "csv" in model_cfg:
         components = model_cfg["csv"]
         wanted = ["E1", "E2", "E3", "B1", "B2", "B3", "D1", "D2", "D3",
@@ -420,10 +435,9 @@ def _run_maxwell(cfg: dict, out_dir: Path) -> dict:
         fields = mx.PRESETS[preset](constants)
         grid_cfg = cfg["grid"]
         _require_keys(grid_cfg, {"t": (list, False), "x": (list, False)}, "grid")
-        ts = [float(v) for v in grid_cfg.get("t", [0.0, 0.4])]
-        xs = [float(v) for v in grid_cfg.get("x", [1.0, 1.4, 1.8])]
-        points = mx.probe_grid(ts, xs)
-        report = mx.maxwell_check(*fields, points=points, h=float(model_cfg.get("h", 1e-4)))
+        ts = _number_list(grid_cfg, "t", [0.0, 0.4], "grid")
+        xs = _number_list(grid_cfg, "x", [1.0, 1.4, 1.8], "grid")
+        report = mx.maxwell_check(*fields, points=mx.probe_grid(ts, xs), h=h)
         source = preset
     rows = report.rows()
     summary = {

@@ -56,7 +56,7 @@ from .errors import (
     NoPrincipalLogarithmError,
     TagMismatchError,
 )
-from .settings import DEFAULT_TOLERANCES, Tolerances
+from .settings import STRUCTURAL
 
 
 class GroupKind(Enum):
@@ -316,7 +316,7 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
 
     O(p, q) uses the generalized polar (Newton) iteration with respect to
     eta, raising :class:`InvalidElementError` when an iterate is singular or
-    the last residual exceeds the default structural tolerance; SO(n) the
+    the last residual exceeds ``settings.STRUCTURAL``; SO(n) the
     orthogonal polar factor; the structured groups rebuild their exact
     patterns; PGL normalizes the representative.
     """
@@ -347,7 +347,7 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
                     f"polar projection onto {tag.name} hit a singular iterate"
                 ) from exc
             residual = np.max(np.abs(x.T @ eta @ x - eta))
-        if not residual <= DEFAULT_TOLERANCES.structural:
+        if not residual <= STRUCTURAL:
             raise InvalidElementError(
                 f"polar projection onto {tag.name} did not converge: residual {residual:.3e}"
             )
@@ -367,13 +367,7 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_element(
-    tag: GroupTag,
-    mat: np.ndarray,
-    *,
-    project: bool = False,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> GroupElement:
+def group_element(tag: GroupTag, mat: np.ndarray, *, project: bool = False) -> GroupElement:
     """Validated construction of a group element.
 
     With ``project=True`` the matrix is first re-projected onto the group,
@@ -383,7 +377,7 @@ def group_element(
     if project:
         mat = project_to_group(tag, mat)
     defect = group_defect(tag, mat)
-    if not defect <= tol.structural:
+    if not defect <= STRUCTURAL:
         raise InvalidElementError(
             f"matrix violates the defining relations of {tag.name}: residual {defect:.3e}"
         )
@@ -430,18 +424,12 @@ def project_to_algebra(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def algebra_element(
-    tag: GroupTag,
-    mat: np.ndarray,
-    *,
-    project: bool = False,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> AlgebraElement:
+def algebra_element(tag: GroupTag, mat: np.ndarray, *, project: bool = False) -> AlgebraElement:
     mat = np.asarray(mat, dtype=float)
     if project:
         mat = project_to_algebra(tag, mat)
     defect = algebra_defect(tag, mat)
-    if not defect <= tol.structural:
+    if not defect <= STRUCTURAL:
         raise InvalidElementError(
             f"matrix violates the algebra pattern of {tag.name}: residual {defect:.3e}"
         )

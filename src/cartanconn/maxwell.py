@@ -303,7 +303,11 @@ def maxwell_check(
     worst gap of the componentwise identification between the two, and the
     charge-continuity residual d(4 pi J) / 4 pi. Each field is evaluated
     once on all points ``+- h e_a``: one call if :func:`batched`, else one per point.
+    No probe point raises ``ValueError``.
     """
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    if not len(points):
+        raise ValueError("the Maxwell check needs at least one probe point")
     fields = [*_triple(E), *_triple(B), *_triple(D), *_triple(Hm), as_field(rho), *_triple(j)]
     return _report(*_partials(fields, points, h))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import liegroup as lg
 from .errors import DomainError, InvalidElementError, TagMismatchError
-from .settings import DEFAULT_TOLERANCES, Tolerances
+from .settings import AXIOM, RANK
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,15 @@ class ChartDomain:
             raise ValueError("box lower bounds must be below upper bounds")
         return ChartDomain(len(lower), lower, upper)
 
-    def contains(self, x, margin: float = 0.0):
+    def contains(self, x):
         """Whether ``x`` lies in the domain (per point for a stack ``(N, dim)``)."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             return False if x.ndim != 2 else np.zeros(len(x), dtype=bool)
         inside = np.isfinite(x).all(axis=-1)
         if self.lower is not None:
-            inside &= (x >= np.asarray(self.lower) + margin).all(axis=-1)
-            inside &= (x <= np.asarray(self.upper) - margin).all(axis=-1)
+            inside &= (x >= np.asarray(self.lower)).all(axis=-1)
+            inside &= (x <= np.asarray(self.upper)).all(axis=-1)
         return inside if x.ndim == 2 else bool(inside)
 
     def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -274,7 +274,6 @@ def check_axioms(
     seed: int = 0,
     *,
     form: FormFunction | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> AxiomReport:
     """Audit the two defining properties of a connection form on random
     samples, drawn once in the order ``x``, ``g``, ``eta``, ``dx``, ``zeta``,
@@ -333,7 +332,7 @@ def check_axioms(
     worst_ii, j = _worst(_frobenius(translated - lg.inverse_matrix(tag, g0) @ untranslated @ g0))
     witness_i = () if i is None else (xs[i], lg.GroupElement(tag, g[i]), lg.AlgebraElement(tag, eta[i]))
     witness_ii = () if j is None else (xs[j], lg.GroupElement(tag, g[j]), lg.GroupElement(tag, g0[j]))
-    return AxiomReport(samples, worst_i, worst_ii, tol.axiom, witness_i, witness_ii)
+    return AxiomReport(samples, worst_i, worst_ii, AXIOM, witness_i, witness_ii)
 
 
 def _frobenius(mats: np.ndarray) -> np.ndarray:
@@ -373,12 +372,7 @@ def curvature(
     return lg.algebra_element(conn.tag, d1 - d2 + (a[4] @ a[5] - a[5] @ a[4]), project=True)
 
 
-def horizontal_space_dimension(
-    conn: LocalConnection,
-    p: PrincipalPoint,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> int:
+def horizontal_space_dimension(conn: LocalConnection, p: PrincipalPoint) -> int:
     """Dimension of the kernel of the form at ``p``.
 
     The form is assembled as a linear map from (base tangent, algebra
@@ -389,4 +383,4 @@ def horizontal_space_dimension(
     dgs = np.concatenate([np.zeros((m, *g.shape)), g @ lg.algebra_basis_matrices(conn.tag)])
     mats = _form_matrices(conn.tag, coeff_matrices(conn, np.tile(p.x, (len(dgs), 1)), np.eye(len(dgs), m)), g, dgs)
     svals = np.linalg.svd(lg.algebra_coords(lg.AlgebraElement(conn.tag, mats)).T, compute_uv=False)
-    return len(dgs) - int(np.sum(svals > tol.rank * svals[0]))
+    return len(dgs) - int(np.sum(svals > RANK * svals[0]))

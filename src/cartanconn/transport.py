@@ -42,7 +42,7 @@ import numpy as np
 from . import liegroup as lg
 from .errors import DomainError, LiftDivergedError, LoopNotClosedError
 from .principal import LocalConnection, batched, coeff_matrices, stacked
-from .settings import DEFAULT_TOLERANCES, Tolerances
+from .settings import LOOP_CLOSURE, PATH_CHECK, ROUNDTRIP
 
 if TYPE_CHECKING:   # cartan imports this module
     from .cartan import HomogeneousSpec
@@ -77,7 +77,7 @@ class SmoothPath:
             raise ValueError("path needs t0 < t1")
         self._validate()
 
-    def _validate(self, tol: Tolerances = DEFAULT_TOLERANCES):
+    def _validate(self):
         h, n = 1e-6 * (1.0 + abs(self.t0) + abs(self.t1)), 10
         probes = np.linspace(self.t0 + 2 * h, self.t1 - 2 * h, n)
         points, derivs = self.points(np.concatenate([probes, probes + h, probes - h])), self.velocities(probes)
@@ -88,7 +88,7 @@ class SmoothPath:
         if not finite.all():
             raise ValueError(f"path is not finite at t = {probes[np.argmin(finite)]}")
         fd = (points[n:2 * n] - points[2 * n:]) / (2 * h)
-        agrees = np.abs(fd - derivs).max(axis=-1) <= tol.path_check
+        agrees = np.abs(fd - derivs).max(axis=-1) <= PATH_CHECK
         if not agrees.all():
             raise ValueError(
                 f"declared derivative disagrees with finite differences at t = {probes[np.argmin(agrees)]}"
@@ -311,8 +311,6 @@ def horizontal_lift(
     path: Path,
     g0: lg.GroupElement | None = None,
     step: float = 1e-3,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> LiftedPath:
     """Horizontal lift of ``path`` starting at ``g0`` (identity by default).
 
@@ -323,7 +321,7 @@ def horizontal_lift(
     block of steps, across segments). A path point outside the
     chart raises ``DomainError`` before the coefficient there is evaluated;
     a non-finite step, or a node whose group defect exceeds
-    ``tol.roundtrip``, raises ``LiftDivergedError``.
+    ``settings.ROUNDTRIP``, raises ``LiftDivergedError``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -339,7 +337,7 @@ def horizontal_lift(
         mats = lg.normalize_projective(mats)
     lifted = LiftedPath(conn.tag, ts, mats)
     defect = float(np.max(lifted.group_defects()))
-    if defect > tol.roundtrip:
+    if defect > ROUNDTRIP:
         raise LiftDivergedError(f"lift left the group manifold: defect {defect:.3e}")
     return lifted
 
@@ -377,8 +375,6 @@ def parallel_transport(
     spec: HomogeneousSpec,
     z0,
     step: float = 1e-3,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Parallel transport of the fibre point ``z0`` along ``path``, in the
     chart of the homogeneous space ``spec``.
@@ -386,22 +382,16 @@ def parallel_transport(
     In the trivialization the transport map is ``act(g(t1) g(t0)^{-1}, .)``
     where ``g`` is any horizontal lift: ``act(g(t1), .)`` for the lift from the identity.
     """
-    return spec.act(horizontal_lift(conn, path, None, step, tol=tol).mats[-1], z0)
+    return spec.act(horizontal_lift(conn, path, None, step).mats[-1], z0)
 
 
-def holonomy(
-    conn: LocalConnection,
-    loop: Path,
-    step: float = 1e-3,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> lg.GroupElement:
+def holonomy(conn: LocalConnection, loop: Path, step: float = 1e-3) -> lg.GroupElement:
     """Holonomy ``g(t0)^{-1} g(t1)`` of a closed loop: the end of its lift from the identity."""
     segs = loop.segments
     gap = np.max(np.abs(segs[0].point(segs[0].t0) - segs[-1].point(segs[-1].t1)))
-    if gap > tol.loop_closure:
+    if gap > LOOP_CLOSURE:
         raise LoopNotClosedError(f"loop endpoints differ by {gap:.3e}")
-    return horizontal_lift(conn, loop, None, step, tol=tol).end
+    return horizontal_lift(conn, loop, None, step).end
 
 
 @dataclass(eq=False)
@@ -449,8 +439,6 @@ def develop_total_path(
     base_path: Path,
     fiber_path: Callable[[float], np.ndarray],
     step: float = 1e-3,
-    *,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DevelopedPath:
     """Development of the total-space path ``t -> (x(t), zeta(t))`` into the
     fibre over ``x(t0)``: inverse parallel transport applied at every node,
@@ -462,7 +450,7 @@ def develop_total_path(
     ``ValueError``. The development is constant exactly when the input path
     is horizontal.
     """
-    lifted = horizontal_lift(conn, base_path, None, step, tol=tol)
+    lifted = horizontal_lift(conn, base_path, None, step)
     zetas = stacked(fiber_path, lifted.ts, out=np.empty((len(lifted.ts), spec.fiber_dim)), what="fibre path")
     values = spec.act(lg.inverse_matrix(conn.tag, lifted.mats), zetas)
     start = base_path.segments[0]

@@ -242,6 +242,42 @@ def test_boolean_for_a_number_rejected(tmp_path, capsys, where, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def scenario_config(out, scenario, where, key, value):
+    doc = {"scenario": scenario, where: {key: value}, "output": {"path": str(out)}}
+    if scenario == "holonomy":
+        doc["model"] = {"V": "9.81"}
+    return doc
+
+
+@pytest.mark.parametrize("scenario, where, key, value", [
+    ("holonomy", "loop", "corner", [True, 0]),
+    ("holonomy", "loop", "corner", ["a", 0]),
+    ("holonomy", "loop", "corner", []),
+    ("maxwell", "grid", "t", ["x"]),
+    ("maxwell", "grid", "x", [1.0, False]),
+    ("maxwell", "grid", "x", [[1.0], 1.4]),
+    ("maxwell", "grid", "t", []),
+])
+def test_number_lists_reject_booleans_non_numbers_and_empty_lists(tmp_path, capsys, scenario, where, key, value):
+    # Python counts bool as int and float() of a string raises ValueError
+    # (exit 3); an empty probe grid has no point to check
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, scenario_config(out, scenario, where, key, value))]) == 2
+    assert f"{where}.{key} must be a non-empty list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, where, key", [("holonomy", "loop", "side"), ("maxwell", "model", "h")])
+@pytest.mark.parametrize("value", [0, -0.5])
+def test_nonpositive_loop_side_and_maxwell_step_rejected(tmp_path, capsys, scenario, where, key, value):
+    # a nonpositive side makes no loop, and h = 0 divides the differences
+    # by zero (NaN residuals are not valid JSON)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, scenario_config(out, scenario, where, key, value))]) == 2
+    assert f"{where}.{key} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_scenario_rejected(tmp_path):
     assert cli.main(["run", write_config(tmp_path, {"scenario": "nope"})]) == 2
 

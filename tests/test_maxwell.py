@@ -281,6 +281,14 @@ def test_continuity_residual_detects_charge_leak():
     assert abs(report.continuity_residual - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("points", [[], mx.probe_grid([], [1.0]), mx.probe_grid([0.0], [])])
+def test_check_without_probe_points_is_rejected(points):
+    # over no point every worst residual is 0, which would read as satisfied
+    zero = (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="at least one probe point"):
+        mx.maxwell_check(zero, zero, zero, zero, 0.0, zero, points=points)
+
+
 # ---------------------------------------------------------------------------
 # Grid-sampled fields
 # ---------------------------------------------------------------------------
