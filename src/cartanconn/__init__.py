@@ -76,21 +76,13 @@ from .cartan import CartanReport, CartanStructure, HomogeneousSpec
 from .models import (
     MODEL_BUILDERS,
     GravityField,
-    MobiusPoint,
-    ProjectivePoint,
     affine_structure,
     build_model,
     galilean_gravity,
     galilean_gravity_3d,
-    gl_embed,
     homogeneous_flat,
     kepler_acceleration,
     kepler_orbit,
-    mobius_embed_plane,
-    mobius_embed_sphere,
-    mobius_to_plane,
-    projective_action,
-    tangent_embed,
 )
 
 __all__ = [
@@ -148,21 +140,13 @@ __all__ = [
     "HomogeneousSpec",
     "MODEL_BUILDERS",
     "GravityField",
-    "MobiusPoint",
-    "ProjectivePoint",
     "affine_structure",
     "build_model",
     "galilean_gravity",
     "galilean_gravity_3d",
-    "gl_embed",
     "homogeneous_flat",
     "kepler_acceleration",
     "kepler_orbit",
-    "mobius_embed_plane",
-    "mobius_embed_sphere",
-    "mobius_to_plane",
-    "projective_action",
-    "tangent_embed",
 ]
 
 __version__ = "0.1.0"

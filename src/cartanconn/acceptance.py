@@ -225,25 +225,26 @@ def criterion_6_affine_criterion(seed: int = 0) -> CriterionResult:
 
 
 def criterion_7_conformal_model(seed: int = 0) -> CriterionResult:
-    """Null-cone embeddings, rotation equivariance, stereographic chart."""
+    """Null cone of the plane rays, rotation equivariance and roundtrip of
+    the Mobius action on its plane chart, and the excluded ray."""
 
     def body():
         rng = np.random.default_rng(seed)
-        worst_q = 0.0
-        worst_eq = 0.0
-        worst_rt = 0.0
+        spec = models.mobius_homogeneous_spec(2)
+        zs, rots = [], []
         for _ in range(100):
-            z = 2.0 * rng.standard_normal(2)
-            point = models.mobius_embed_plane(z)
-            worst_q = max(worst_q, abs(models.mobius_quadratic_form(point.ray)))
-            raw = rng.standard_normal((2, 2))
-            q_rot, _ = np.linalg.qr(raw)
-            lhs = models.mobius_embed_plane(q_rot @ z).ray
-            rhs = models.MobiusPoint(models.mobius_rotation(q_rot).mat @ point.ray).ray
-            worst_eq = max(worst_eq, float(np.max(np.abs(lhs - rhs))))
-            worst_rt = max(worst_rt, float(np.max(np.abs(models.mobius_to_plane(point) - z))))
+            zs.append(2.0 * rng.standard_normal(2))
+            rots.append(np.linalg.qr(rng.standard_normal((2, 2)))[0])
+        zs, rots = np.array(zs), np.array(rots)
+        rays = models._plane_rays(zs)
+        rays = rays / np.max(np.abs(rays), axis=-1, keepdims=True)
+        worst_q = float(np.max(np.abs(np.sum(rays[:, 1:] ** 2, axis=-1) - rays[:, 0] ** 2)))
+        moved = spec.act(np.array([models.mobius_rotation(q).mat for q in rots]), zs)
+        worst_eq = float(np.max(np.abs(moved - (rots @ zs[..., None])[..., 0])))
+        worst_rt = float(np.max(np.abs(spec.act(np.eye(4), zs) - zs)))
         try:
-            models.mobius_to_plane(models.MobiusPoint([1.0, 0.0, 0.0, -1.0]))
+            # the reflection x3 -> -x3 carries o to the ray x0 + x3 = 0
+            spec.act(np.diag([1.0, 1.0, 1.0, -1.0]), spec.origin)
             return False, "excluded ray failed to raise"
         except PointAtInfinityError:
             pass

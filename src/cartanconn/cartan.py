@@ -42,6 +42,7 @@ is ``y(t) = h'(t0) g(t) (o)`` and its initial velocity equals
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,7 +62,11 @@ class HomogeneousSpec:
                     matrices ``(..., n, n)`` and chart points
                     ``(..., fiber_dim)`` that broadcast against each other,
                     giving ``(..., fiber_dim)``; the quotient projection
-                    ``G -> F`` is ``act(mats, origin)``
+                    ``G -> F`` is ``act(mats, origin)``. It is the only
+                    implementation of the chart: it must accept complex
+                    matrices and keep their imaginary parts, because
+                    :meth:`push` and :attr:`fiber_map` differentiate it by
+                    a complex step
     coset_section   right inverse of the projection on a stack of chart
                     points ``(N, fiber_dim)``: raw group matrices
                     ``(N, n, n)`` mapping ``o`` to each point, the identity
@@ -70,10 +75,6 @@ class HomogeneousSpec:
                     along a stack of directions, both ``(N, fiber_dim)``,
                     as ``(N, n, n)``
     stabilizer_basis  basis of the Lie algebra of ``G'``
-    fiber_map       matrix of the projection ``T_e(G) -> T_o F`` on algebra
-                    coordinates
-    act_jacobian    derivative of ``act(mat, .)`` at a chart point, for one
-                    raw group matrix ``(n, n)``
     """
 
     name: str
@@ -84,16 +85,28 @@ class HomogeneousSpec:
     coset_section: Callable[[np.ndarray], np.ndarray]
     coset_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stabilizer_basis: tuple[lg.AlgebraElement, ...]
-    fiber_map: np.ndarray
-    act_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
-        self.fiber_map = np.asarray(self.fiber_map, dtype=float)
 
-    def algebra_to_fiber(self, xi: lg.AlgebraElement) -> np.ndarray:
-        """Tangent of the quotient projection at the identity applied to xi."""
-        return self.fiber_map @ lg.algebra_coords(xi)
+    def push(self, mats) -> np.ndarray:
+        """``T_o g . T_e pi`` at raw group matrices ``(..., n, n)`` on algebra
+        coordinates, ``(..., fiber_dim, dim G)``: column ``i`` is the
+        derivative of ``act(g exp(s b_i), o)`` at ``s = 0``, exact to round-off
+        as ``Im act(g + 1e-30j g b_i, o) / 1e-30`` (complex step)."""
+        mats = np.asarray(mats)[..., None, :, :]
+        moved = self.act(mats + 1e-30j * (mats @ lg.algebra_basis_matrices(self.tag)), self.origin)
+        return np.swapaxes(np.imag(moved), -1, -2) / 1e-30
+
+    @cached_property
+    def fiber_map(self) -> np.ndarray:
+        """Matrix ``(fiber_dim, dim G)`` of the projection ``T_e(G) -> T_o F``
+        on algebra coordinates, ``push(I)``; raises when its rank is not
+        ``fiber_dim`` (an ``act`` that drops imaginary parts gives zero)."""
+        fiber_map = self.push(np.eye(self.tag.size))
+        if np.linalg.matrix_rank(fiber_map) != self.fiber_dim:
+            raise GeometryError(f"{self.name}: the derivative of act at o does not have rank {self.fiber_dim}")
+        return fiber_map
 
     def random_stabilizer_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> lg.AlgebraElement:
         coords = rng.standard_normal(len(self.stabilizer_basis))
@@ -312,10 +325,6 @@ class CartanStructure:
 
     # -- soldering ---------------------------------------------------------------------
 
-    def _push(self, point: np.ndarray) -> np.ndarray:
-        """``T_o h' . T_e pi`` at a reduction point given as a raw matrix."""
-        return self.spec.act_jacobian(point, self.spec.origin) @ self.spec.fiber_map
-
     def soldering_with_choices(self, x, w, gprime: lg.GroupElement,
                                vertical: lg.AlgebraElement) -> np.ndarray:
         """Soldering value computed from an explicit admissible choice of
@@ -325,7 +334,7 @@ class CartanStructure:
         points, gps = self._reduction_point(xs, gprime.mat[None])
         dgs = self._frame_derivatives(xs, ws) @ gps + points @ vertical.mat
         omega = _form_matrices(self.conn.tag, coeff_matrices(self.conn, xs, ws), points, dgs)[0]
-        return self._push(points[0]) @ lg.algebra_coords(lg.AlgebraElement(self.spec.tag, omega))
+        return self.spec.push(points[0]) @ lg.algebra_coords(lg.AlgebraElement(self.spec.tag, omega))
 
     def soldering(self, x, w) -> np.ndarray:
         """Soldering map at x applied to the base tangent w: a tangent to
@@ -338,7 +347,7 @@ class CartanStructure:
         of the induced form on the base directions of H'."""
         xs = np.asarray(x, dtype=float)[None]
         points, _ = self._reduction_point(xs)
-        return self._push(points[0]) @ self.reduced_form_matrix(xs)[0, :, :self.base_dim]
+        return self.spec.push(points[0]) @ self.reduced_form_matrix(xs)[0, :, :self.base_dim]
 
     # -- development ---------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,11 +60,20 @@ EXIT_IO = 4
 # Configuration validation
 # ---------------------------------------------------------------------------
 
+def _require_finite(value, where: str) -> None:
+    """Reject the non-finite numbers a JSON document can carry: ``NaN``,
+    ``Infinity``, ``-Infinity`` and literals past the float range such as
+    ``1e999``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number")
+
+
 def _require_keys(obj: dict, allowed: dict, where: str) -> None:
     """Reject unknown keys and type-check the known ones.
 
     ``allowed`` maps key -> (types, required). JSON booleans are no
-    numbers here, although Python counts ``bool`` as ``int``.
+    numbers here, although Python counts ``bool`` as ``int``, and numbers
+    must be finite.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
@@ -74,6 +84,7 @@ def _require_keys(obj: dict, allowed: dict, where: str) -> None:
         if key in obj:
             if isinstance(obj[key], bool) or not isinstance(obj[key], types):
                 raise ConfigError(f"{where}.{key} has the wrong type")
+            _require_finite(obj[key], f"{where}.{key}")
         elif required:
             raise ConfigError(f"missing required key '{key}' in {where}")
 
@@ -83,10 +94,12 @@ NUMBER = (int, float)
 
 def _number_list(obj: dict, key: str, default: list, where: str) -> list[float]:
     """``obj[key]`` (``default`` when absent) as floats: a non-empty list of
-    JSON numbers, booleans excluded."""
+    finite JSON numbers, booleans excluded."""
     values = obj.get(key, default)
     if not values or any(isinstance(v, bool) or not isinstance(v, NUMBER) for v in values):
         raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
+    for v in values:
+        _require_finite(v, f"{where}.{key}")
     return [float(v) for v in values]
 
 

@@ -10,11 +10,14 @@
   straight developments are exactly the trajectories with x'' = V + W x',
   plus the componentwise extension to a (t, x, y) spacetime suitable for
   central-force fields (Kepler orbits develop straight)
-* the projective model space P(n, R) with its PGL action and the embedding
-  of GL(n) as a point stabilizer
+* the projective model space P(n, R) with its PGL action on the affine
+  chart z -> [1, z]
 * the Mobius space: the projectivized null cone of the quadratic form
-  x1^2 + ... + x_{n+1}^2 - x0^2, with the sphere and plane embeddings, the
-  stereographic chart, and the O(n) equivariance
+  x1^2 + ... + x_{n+1}^2 - x0^2 with the O(n + 1, 1) action on the plane
+  (stereographic) chart, and the rotations of R^n inside the group
+
+Each homogeneous space is given by its one stacked action ``act``; the
+derivatives that soldering needs are taken from it (:meth:`HomogeneousSpec.push`).
 
 A string registry (:data:`MODEL_BUILDERS`, :func:`build_model`) exposes the
 models to the scenario runner.
@@ -31,7 +34,6 @@ from . import liegroup as lg
 from .cartan import CartanStructure, HomogeneousSpec
 from .errors import (
     GeometryError,
-    InvalidElementError,
     PointAtInfinityError,
     SingularFieldError,
 )
@@ -77,20 +79,13 @@ def _affine_act(mats, points) -> np.ndarray:
     return _apply(mats[..., :-1, :-1], points) + mats[..., :-1, -1]
 
 
-def _linear_part(mat, point) -> np.ndarray:
-    """Derivative of :func:`_affine_act` at any point: the block ``L``."""
-    return mat[:-1, :-1].copy()
-
-
 def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
     """Galileo group modulo boosts: the fibre carries coordinates (a, b)."""
     tag = lg.galileo_tag(spacetime_dim)
     s = spacetime_dim - 1
     dim = spacetime_dim
 
-    # algebra coordinates are ordered (boosts, time shift, space shifts);
-    # the quotient projection strips the boosts
-    fiber_map = np.hstack([np.zeros((dim, s)), np.eye(dim)])
+    # algebra coordinates are ordered (boosts, time shift, space shifts)
     stabilizer = tuple(lg.algebra_basis(tag)[:s])
     return HomogeneousSpec(
         name=f"galileo{spacetime_dim}/boosts",
@@ -101,8 +96,6 @@ def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
         coset_section=_translation_section,
         coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
-        fiber_map=fiber_map,
-        act_jacobian=_linear_part,
     )
 
 
@@ -111,7 +104,6 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
     tag = lg.aff_tag(n)
 
     # algebra coordinates are (linear block entries, translations)
-    fiber_map = np.hstack([np.zeros((n, n * n)), np.eye(n)])
     stabilizer = tuple(lg.algebra_basis(tag)[: n * n])
     return HomogeneousSpec(
         name=f"affine{n}/linear",
@@ -122,8 +114,6 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
         coset_section=_translation_section,
         coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
-        fiber_map=fiber_map,
-        act_jacobian=_linear_part,
     )
 
 
@@ -150,13 +140,7 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         # where some |z_i| passes 1
         return (coset_section(points + h * directions) - coset_section(points - h * directions)) / (2 * h)
 
-    def act_jacobian(mat, point):
-        w = mat @ np.concatenate([[1.0], point])
-        return (mat[1:, 1:] * w[0] - np.outer(w[1:], mat[0, 1:])) / w[0] ** 2
-
-    basis = lg.algebra_basis(tag)
-    fiber_map = np.column_stack([b.mat[1:, 0] for b in basis])
-    stabilizer = tuple(b for b in basis if np.all(b.mat[1:, 0] == 0.0))
+    stabilizer = tuple(b for b in lg.algebra_basis(tag) if np.all(b.mat[1:, 0] == 0.0))
     return HomogeneousSpec(
         name=f"projective{n}",
         tag=tag,
@@ -166,57 +150,10 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         coset_section=coset_section,
         coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
-        fiber_map=fiber_map,
-        act_jacobian=act_jacobian,
     )
 
 
 # -- Mobius space -----------------------------------------------------------
-
-def mobius_quadratic_form(vec) -> float:
-    """Q(x0, ..., x_{n+1}) = x1^2 + ... + x_{n+1}^2 - x0^2."""
-    vec = np.asarray(vec, dtype=float)
-    return float(np.sum(vec[1:] ** 2) - vec[0] ** 2)
-
-
-def _normalize_ray(vec: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if pivot == 0.0:
-        raise InvalidElementError("zero vector does not span a ray")
-    return vec / pivot
-
-
-@dataclass(frozen=True, eq=False)
-class MobiusPoint:
-    """Point of the Mobius space: a null ray of the quadratic form,
-    stored as a representative normalized so its largest-|entry| is +1."""
-
-    ray: np.ndarray
-
-    def __post_init__(self):
-        vec = _normalize_ray(np.asarray(self.ray, dtype=float))
-        q = mobius_quadratic_form(vec)
-        if abs(q) > 1e-10 * float(np.sum(vec**2)):
-            raise InvalidElementError(f"vector is not on the null cone: Q = {q:.3e}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "ray", vec)
-
-    @property
-    def dim(self) -> int:
-        return self.ray.size - 2
-
-    def close_to(self, other: "MobiusPoint", tol: float = 1e-10) -> bool:
-        return np.max(np.abs(self.ray - other.ray)) <= tol
-
-
-def mobius_embed_sphere(y) -> MobiusPoint:
-    """Embed a unit sphere point y as the ray through (1, y)."""
-    y = np.asarray(y, dtype=float)
-    if abs(np.dot(y, y) - 1.0) > 1e-10:
-        raise InvalidElementError("sphere embedding needs a unit vector")
-    return MobiusPoint(np.concatenate([[1.0], y]))
-
 
 def _plane_rays(points) -> np.ndarray:
     """Null vectors ((1 + |z|^2)/2, z, (1 - |z|^2)/2) of plane points z
@@ -224,12 +161,6 @@ def _plane_rays(points) -> np.ndarray:
     z = np.asarray(points, dtype=float)
     s = np.sum(z * z, axis=-1, keepdims=True)
     return np.concatenate([(1.0 + s) / 2.0, z, (1.0 - s) / 2.0], axis=-1)
-
-
-def mobius_embed_plane(z) -> MobiusPoint:
-    """Embed a plane point z as the ray through
-    ((1 + |z|^2)/2, z, (1 - |z|^2)/2); the origin maps to the base point o."""
-    return MobiusPoint(_plane_rays(z))
 
 
 def _plane_chart(rays: np.ndarray, message: str) -> np.ndarray:
@@ -240,19 +171,6 @@ def _plane_chart(rays: np.ndarray, message: str) -> np.ndarray:
     if np.any(np.abs(den) <= 1e-12 * np.abs(rays)):
         raise PointAtInfinityError(message)
     return rays[..., 1:-1] / den
-
-
-def mobius_to_plane(p: MobiusPoint) -> np.ndarray:
-    """Inverse of the plane embedding: z_i = x_i / (x0 + x_{n+1}).
-
-    Composed with the sphere chart this is stereographic projection from
-    the south pole. The ray with x0 + x_{n+1} = 0 has no chart image.
-    """
-    return _plane_chart(p.ray, "point at infinity: the ray x0 + x_{n+1} = 0 has no plane image")
-
-
-def mobius_origin(n: int) -> MobiusPoint:
-    return mobius_embed_plane(np.zeros(n))
 
 
 def mobius_rotation(rot) -> lg.GroupElement:
@@ -270,21 +188,6 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
     null ray o, on the plane (stereographic) chart."""
     tag = lg.orthogonal_tag(n + 1, 1)
 
-    def stereo_jacobian(vec):
-        den = vec[0] + vec[-1]
-        jac = np.zeros((n, n + 2))
-        jac[:, 1:-1] = np.eye(n) / den
-        jac[:, 0] = -vec[1:-1] / den**2
-        jac[:, -1] = -vec[1:-1] / den**2
-        return jac
-
-    def embed_jacobian(z):
-        jac = np.zeros((n + 2, n))
-        jac[0, :] = z
-        jac[1:-1, :] = np.eye(n)
-        jac[-1, :] = -z
-        return jac
-
     def act(mats, points):
         return _plane_chart(_apply(mats, _plane_rays(points)), "Mobius action left the plane chart")
 
@@ -294,7 +197,7 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
     p0[-1] = 1.0
 
     # the coset section is the null translation by each point, mapping the
-    # ray of embed_plane(z) to that of embed_plane(z + c); it is built in
+    # plane ray of z to that of z + c; it is built in
     # light-cone coordinates (u, x, w) = (x0 + x_{n+1}, x, x0 - x_{n+1})
     to_cone = np.zeros((n + 2, n + 2))
     to_cone[0, 0] = 1.0
@@ -318,15 +221,7 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         mid[:, -1, 1:-1] = 2.0 * directions
         return from_cone @ mid @ to_cone
 
-    def act_jacobian(mat, point):
-        # chain rule through the ray as embedded, not rescaled: the chart map
-        # is scale-invariant, but its Jacobian at a rescaled ray is not
-        point = np.asarray(point, dtype=float)
-        return stereo_jacobian(mat @ _plane_rays(point)) @ mat @ embed_jacobian(point)
-
     basis = lg.algebra_basis(tag)
-    # infinitesimal action on the chart at the origin
-    fiber_map = np.column_stack([stereo_jacobian(p0) @ (b.mat @ p0) for b in basis])
     # stabilizer of the ray: xi p0 proportional to p0, i.e. the null space of
     # the infinitesimal motion transverse to the ray
     ray_complement = np.eye(n + 2) - np.outer(p0, p0) / float(np.dot(p0, p0))
@@ -343,91 +238,7 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         coset_section=coset_section,
         coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
-        fiber_map=fiber_map,
-        act_jacobian=act_jacobian,
     )
-
-
-# ---------------------------------------------------------------------------
-# Projective space points and actions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ProjectivePoint:
-    """Point of P(n, R): a homogeneous vector normalized so its
-    largest-|entry| is +1."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = _normalize_ray(np.asarray(self.vec, dtype=float))
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.size - 1
-
-    def close_to(self, other: "ProjectivePoint", tol: float = 1e-10) -> bool:
-        return np.max(np.abs(self.vec - other.vec)) <= tol
-
-
-def projective_origin(n: int) -> ProjectivePoint:
-    vec = np.zeros(n + 1)
-    vec[0] = 1.0
-    return ProjectivePoint(vec)
-
-
-def projective_action(g: lg.GroupElement, p: ProjectivePoint) -> ProjectivePoint:
-    """Action [x] -> [g x] with renormalization of the representative."""
-    if g.tag.kind is not lg.GroupKind.PGL:
-        raise GeometryError("projective action needs a PGL element")
-    return ProjectivePoint(g.mat @ p.vec)
-
-
-def gl_embed(mat) -> lg.GroupElement:
-    """Injective homomorphism of GL(n) into PGL(n) fixing o = [1, 0, ..., 0]
-    and preserving the hyperplane at infinity:
-    [x0, x1, ..., xn] -> [x0, g(x1, ..., xn)]."""
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if abs(np.linalg.det(mat)) <= np.finfo(float).tiny:
-        raise InvalidElementError("embedding needs an invertible matrix")
-    big = np.zeros((n + 1, n + 1))
-    big[0, 0] = 1.0
-    big[1:, 1:] = mat
-    return lg.group_element(lg.pgl_tag(n), big, project=True)
-
-
-def tangent_embed(v) -> ProjectivePoint:
-    """Embed a tangent vector v of R^n as the projective class of (1, v);
-    the image is the affine chart, dense in P(n, R)."""
-    v = np.asarray(v, dtype=float)
-    return ProjectivePoint(np.concatenate([[1.0], v]))
-
-
-def riemannian_quadratic_form(vec, metric=None) -> float:
-    """Fibre-model quadratic form Q(v0, v, v_{n+1}) = g(v, v) + v_{n+1}^2 - v0^2
-    for a (constant) metric g; flat metric by default."""
-    vec = np.asarray(vec, dtype=float)
-    v = vec[1:-1]
-    s = float(np.dot(v, v)) if metric is None else float(v @ np.asarray(metric, float) @ v)
-    return s + vec[-1] ** 2 - vec[0] ** 2
-
-
-def conformal_tangent_embed(v, metric=None) -> np.ndarray:
-    """Embed a tangent vector into the conformal fibre model as the
-    normalized ray through ((1 + g(v, v))/2, v, (1 - g(v, v))/2).
-
-    The image lies on the null cone of the metric-weighted quadratic form;
-    for the flat default it can be wrapped as a :class:`MobiusPoint`.
-    """
-    v = np.asarray(v, dtype=float)
-    if metric is None:
-        s = float(np.dot(v, v))
-    else:
-        s = float(v @ np.asarray(metric, dtype=float) @ v)
-    return _normalize_ray(np.concatenate([[(1.0 + s) / 2.0], v, [(1.0 - s) / 2.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for Cartan structures: reductions, induced forms, soldering,
 classification, development, parallelization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from numpy.exceptions import ComplexWarning
 
 from cartanconn import liegroup as lg
 from cartanconn import models
@@ -77,7 +80,7 @@ def test_induced_form_is_maurer_cartan_on_flat_structure(flat_galileo):
         g = lg.random_element(cs.spec.tag, rng)
         x = cs.spec.act(g.mat, cs.spec.origin)
         xi = lg.random_algebra(cs.spec.tag, rng)
-        dx = cs.spec.act_jacobian(g.mat, cs.spec.origin) @ cs.spec.algebra_to_fiber(xi)
+        dx = cs.spec.push(g.mat) @ lg.algebra_coords(xi)
         v = pr.PrincipalTangent(dx, g.mat @ xi.mat)
         p = pr.PrincipalPoint(x, g)
         assert cs.in_reduction(p)
@@ -375,15 +378,48 @@ def test_projection_of_a_stack_is_the_action_on_the_origin(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_act_jacobian_matches_central_difference(spec):
-    # the soldering map pushes through act_jacobian at o; away from o too
+    # the soldering map pushes through spec.push, the Jacobian of act along
+    # the group at o: column i is d/ds act(g expm(s b_i), o) at s = 0
     rng = np.random.default_rng(15)
     h = 1e-6
-    for _ in range(5):
-        mat = lg.random_element(spec.tag, rng, scale=0.6).mat
-        for point in (spec.origin, 0.5 * rng.standard_normal(spec.fiber_dim)):
-            steps = point + h * np.eye(spec.fiber_dim)
-            reference = (spec.act(mat, steps) - spec.act(mat, steps - 2 * h * np.eye(spec.fiber_dim))).T / (2 * h)
-            assert np.max(np.abs(spec.act_jacobian(mat, point) - reference)) < 1e-7
+    basis = lg.algebra_basis_matrices(spec.tag)
+    mats = np.stack([lg.random_element(spec.tag, rng, scale=0.6).mat for _ in range(5)])
+    pushed = spec.push(mats)
+    assert pushed.shape == (5, spec.fiber_dim, len(basis))
+    for mat, push in zip(mats, pushed):
+        ahead = spec.act(mat @ lg.expm_matrix(spec.tag, h * basis), spec.origin)
+        behind = spec.act(mat @ lg.expm_matrix(spec.tag, -h * basis), spec.origin)
+        assert np.max(np.abs(push - (ahead - behind).T / (2 * h))) < 1e-7
+
+
+def test_fiber_map_is_the_projection_on_algebra_coordinates():
+    # the derived fibre maps equal the matrices the spaces used to spell out
+    def galileo(dim):
+        return np.hstack([np.zeros((dim, dim - 1)), np.eye(dim)])
+
+    def affine(n):
+        return np.hstack([np.zeros((n, n * n)), np.eye(n)])
+
+    def projective(n):
+        return np.column_stack([b.mat[1:, 0] for b in lg.algebra_basis(lg.pgl_tag(n))])
+
+    def mobius(n):
+        # the stereographic Jacobian at o = [1, 0, ..., 0, 1] on xi o
+        return np.column_stack([b.mat[1:-1, 0] + b.mat[1:-1, -1] for b in lg.algebra_basis(lg.orthogonal_tag(n + 1, 1))]) / 2
+
+    expected = [galileo(2), galileo(3), affine(2), affine(3), projective(2), projective(3), mobius(2), mobius(3)]
+    for spec, fiber_map in zip(SPECS, expected):
+        assert np.array_equal(spec.fiber_map, fiber_map), spec.name
+        assert np.array_equal(spec.push(np.eye(spec.tag.size)), fiber_map), spec.name
+
+
+def test_fiber_map_rejects_an_act_that_drops_imaginary_parts():
+    # an act that casts to float passes validate, but its derivative is zero
+    spec = models.affine_homogeneous_spec(2)
+    real = dataclasses.replace(spec, act=lambda mats, points: spec.act(np.asarray(mats, dtype=float), points))
+    real.validate()
+    with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match="^affine2/linear: .* rank 2$"):
+        real.fiber_map
 
 
 @pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])

@@ -267,6 +267,40 @@ def test_number_lists_reject_booleans_non_numbers_and_empty_lists(tmp_path, caps
     assert not out.exists()
 
 
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+def write_raw_config(tmp_path, doc, literal):
+    """Config text with the string ``"VALUE"`` replaced by a raw JSON
+    literal, such as ``1e999``, that ``json.dumps`` does not write."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', literal))
+    return str(path)
+
+
+@pytest.mark.parametrize("where, key", [("integrator", "step"), (None, "tolerance"), ("model", "V")])
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_number_rejected(tmp_path, capsys, where, key, literal):
+    # Python's json reads NaN, Infinity and 1e999 as floats: a NaN
+    # tolerance ran to CURVED and wrote NaN, which is not valid JSON, into
+    # summary.json, and an infinite step ran to STRAIGHT from two samples
+    doc = gravity_config(tmp_path / "out")
+    (doc.setdefault(where, {}) if where else doc)[key] = "VALUE"
+    assert cli.main(["run", write_raw_config(tmp_path, doc, literal)]) == 2
+    assert f"{where or 'config'}.{key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, where, key", [("holonomy", "loop", "corner"), ("maxwell", "grid", "x")])
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_number_lists_reject_non_finite_numbers(tmp_path, capsys, scenario, where, key, literal):
+    out = tmp_path / "out"
+    doc = scenario_config(out, scenario, where, key, [0.5, "VALUE"])
+    assert cli.main(["run", write_raw_config(tmp_path, doc, literal)]) == 2
+    assert f"{where}.{key} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario, where, key", [("holonomy", "loop", "side"), ("maxwell", "model", "h")])
 @pytest.mark.parametrize("value", [0, -0.5])
 def test_nonpositive_loop_side_and_maxwell_step_rejected(tmp_path, capsys, scenario, where, key, value):

@@ -13,7 +13,6 @@ from cartanconn import transport as tp
 from cartanconn.errors import (
     DomainError,
     GeometryError,
-    InvalidElementError,
     PointAtInfinityError,
     SingularFieldError,
 )
@@ -372,92 +371,76 @@ def test_affine_with_linear_connection_coefficients():
 # Mobius space
 # ---------------------------------------------------------------------------
 
+def null_form(rays):
+    """Q(x0, ..., x_{n+1}) = x1^2 + ... + x_{n+1}^2 - x0^2 of a stack of rays."""
+    return np.sum(rays[..., 1:] ** 2, axis=-1) - rays[..., 0] ** 2
+
+
 def test_plane_embedding_lands_on_null_cone():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        z = rng.standard_normal(3)
-        p = models.mobius_embed_plane(z)
-        assert abs(models.mobius_quadratic_form(p.ray)) < 1e-10 * np.sum(p.ray**2)
+    rays = models._plane_rays(np.random.default_rng(4).standard_normal((100, 3)))
+    assert np.all(np.abs(null_form(rays)) < 1e-10 * np.sum(rays**2, axis=-1))
 
 
 def test_plane_embedding_of_origin_is_base_point():
-    p = models.mobius_embed_plane(np.zeros(2))
-    # normalized representative of the ray through (1/2, 0, 0, 1/2)
-    assert np.allclose(p.ray, [1.0, 0.0, 0.0, 1.0], atol=1e-15)
-    assert p.close_to(models.mobius_origin(2))
-
-
-def test_sphere_embedding_requires_unit_vector():
-    models.mobius_embed_sphere([1.0, 0.0, 0.0])
-    with pytest.raises(InvalidElementError):
-        models.mobius_embed_sphere([1.1, 0.0, 0.0])
+    # the ray through (1/2, 0, 0, 1/2) charts to o, which the identity fixes
+    spec = models.mobius_homogeneous_spec(2)
+    assert np.array_equal(models._plane_rays(spec.origin), [0.5, 0.0, 0.0, 0.5])
+    assert np.array_equal(spec.act(np.eye(4), spec.origin), spec.origin)
 
 
 def test_stereographic_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        z = 3.0 * rng.standard_normal(2)
-        back = models.mobius_to_plane(models.mobius_embed_plane(z))
-        assert np.max(np.abs(back - z)) < 1e-10
-    assert np.max(np.abs(models.mobius_to_plane(models.mobius_origin(2)))) == 0.0
+    spec = models.mobius_homogeneous_spec(2)
+    zs = 3.0 * np.random.default_rng(5).standard_normal((100, 2))
+    assert np.max(np.abs(spec.act(np.eye(4), zs) - zs)) < 1e-10
 
 
 def test_excluded_ray_raises_point_at_infinity():
-    p = models.MobiusPoint([1.0, 0.0, 0.0, -1.0])
-    with pytest.raises(PointAtInfinityError):
-        models.mobius_to_plane(p)
+    # the reflection x3 -> -x3 carries o to the ray x0 + x3 = 0
+    spec = models.mobius_homogeneous_spec(2)
+    with pytest.raises(PointAtInfinityError, match="^Mobius action left the plane chart$"):
+        spec.act(np.diag([1.0, 1.0, 1.0, -1.0]), spec.origin)
 
 
 def test_mobius_action_and_point_chart_agree_and_keep_their_messages():
+    # the stacked action is the plane chart of the moved plane ray, point
+    # by point, and a stack with one excluded ray raises as a whole
     spec = models.mobius_homogeneous_spec(2)
     rng = np.random.default_rng(11)
     g = lg.random_element(spec.tag, rng, scale=0.5).mat
     zs = rng.standard_normal((6, 2))
-    per_point = [models.mobius_to_plane(models.MobiusPoint(g @ models.mobius_embed_plane(z).ray)) for z in zs]
+    per_point = [models._plane_chart(g @ models._plane_rays(z), "point chart") for z in zs]
     assert np.max(np.abs(spec.act(g, zs) - per_point)) < 1e-12 * np.max(np.abs(per_point))
-    # the reflection x3 -> -x3 carries the origin to the excluded ray
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     with pytest.raises(PointAtInfinityError, match="^Mobius action left the plane chart$"):
         spec.act(np.stack([np.eye(4), flip]), np.zeros(2))
-    with pytest.raises(PointAtInfinityError, match=r"^point at infinity: the ray x0 \+ x_\{n\+1\} = 0 has no plane image$"):
-        models.mobius_to_plane(models.MobiusPoint(flip @ models.mobius_origin(2).ray))
+    with pytest.raises(PointAtInfinityError, match="^point chart$"):
+        models._plane_chart(flip @ models._plane_rays(np.zeros(2)), "point chart")
 
 
 def test_plane_chart_is_south_pole_stereographic_projection():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        y = rng.standard_normal(3)
-        y /= np.linalg.norm(y)
-        if abs(1.0 + y[-1]) < 1e-6:
-            continue
-        z = models.mobius_to_plane(models.mobius_embed_sphere(y))
-        assert np.allclose(z, y[:-1] / (1.0 + y[-1]), atol=1e-12)
+    # the unit sphere sits on the slice x0 = 1 as the rays through (1, y)
+    ys = np.random.default_rng(6).standard_normal((20, 3))
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    ys = ys[np.abs(1.0 + ys[:, -1]) >= 1e-6]
+    zs = models._plane_chart(np.hstack([np.ones((len(ys), 1)), ys]), "south pole")
+    assert np.allclose(zs, ys[:, :-1] / (1.0 + ys[:, -1:]), atol=1e-12)
 
 
 def test_rotation_equivariance_of_plane_embedding():
+    spec = models.mobius_homogeneous_spec(2)
     rng = np.random.default_rng(7)
-    for _ in range(30):
-        raw = rng.standard_normal((2, 2))
-        q, _ = np.linalg.qr(raw)
-        z = rng.standard_normal(2)
-        lhs = models.mobius_embed_plane(q @ z)
-        rhs_vec = models.mobius_rotation(q).mat @ models.mobius_embed_plane(z).ray
-        assert lhs.close_to(models.MobiusPoint(rhs_vec), tol=1e-10)
+    qs = np.array([np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(30)])
+    zs = rng.standard_normal((30, 2))
+    moved = spec.act(np.array([models.mobius_rotation(q).mat for q in qs]), zs)
+    assert np.max(np.abs(moved - (qs @ zs[..., None])[..., 0])) < 1e-10
 
 
 def test_orthogonal_action_preserves_null_cone():
     rng = np.random.default_rng(8)
     tag = lg.orthogonal_tag(3, 1)
-    for _ in range(100):
-        g = lg.random_element(tag, rng)
-        p = models.mobius_embed_plane(rng.standard_normal(2))
-        moved = g.mat @ p.ray
-        assert abs(models.mobius_quadratic_form(moved)) < 1e-9 * np.sum(moved**2)
-
-
-def test_mobius_point_validates_null_condition():
-    with pytest.raises(InvalidElementError):
-        models.MobiusPoint([1.0, 0.5, 0.0, 0.0])
+    mats = np.array([lg.random_element(tag, rng).mat for _ in range(100)])
+    moved = (mats @ models._plane_rays(rng.standard_normal((100, 2)))[..., None])[..., 0]
+    assert np.all(np.abs(null_form(moved)) < 1e-9 * np.sum(moved**2, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -465,64 +448,19 @@ def test_mobius_point_validates_null_condition():
 # ---------------------------------------------------------------------------
 
 def test_projective_identity_action():
-    p = models.ProjectivePoint([0.2, 1.0, -0.4])
-    q = models.projective_action(lg.identity(lg.pgl_tag(2)), p)
-    assert q.close_to(p, tol=1e-15)
-
-
-def test_gl_embedding_fixes_origin_and_infinity_hyperplane():
-    g = models.gl_embed(2.0 * np.eye(2))
-    o = models.projective_origin(2)
-    assert models.projective_action(g, o).close_to(o, tol=1e-15)
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        v = rng.standard_normal(2)
-        at_infinity = models.ProjectivePoint(np.concatenate([[0.0], v]))
-        image = models.projective_action(g, at_infinity)
-        assert image.vec[0] == 0.0
-
-
-def test_gl_embedding_is_homomorphism():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        a = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
-        b = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
-        lhs = models.gl_embed(a @ b)
-        rhs = lg.compose(models.gl_embed(a), models.gl_embed(b))
-        assert np.max(np.abs(lhs.mat - rhs.mat)) < 1e-10
+    spec = models.projective_homogeneous_spec(2)
+    zs = np.array([[0.2, 1.0], [-0.4, 5.0], [0.0, 0.0]])
+    assert np.array_equal(spec.act(np.eye(3), zs), zs)
 
 
 def test_projective_action_is_homomorphism():
+    spec = models.projective_homogeneous_spec(2)
     rng = np.random.default_rng(11)
-    tag = lg.pgl_tag(2)
-    for _ in range(100):
-        g1 = lg.random_element(tag, rng)
-        g2 = lg.random_element(tag, rng)
-        p = models.ProjectivePoint(rng.standard_normal(3))
-        lhs = models.projective_action(lg.compose(g1, g2), p)
-        rhs = models.projective_action(g1, models.projective_action(g2, p))
-        assert lhs.close_to(rhs, tol=1e-10)
-
-
-def test_tangent_embedding_hits_affine_chart():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        v = 2.0 * rng.standard_normal(2)
-        p = models.tangent_embed(v)
-        # chart coordinates recover the tangent vector
-        assert np.allclose(p.vec[1:] / p.vec[0], v, atol=1e-12)
-
-
-def test_conformal_tangent_embedding_on_null_cone():
-    rng = np.random.default_rng(12)
-    metric = np.diag([2.0, 0.5])
-    for _ in range(20):
-        v = rng.standard_normal(2)
-        flat = models.conformal_tangent_embed(v)
-        assert abs(models.mobius_quadratic_form(flat)) < 1e-12 * np.sum(flat**2)
-        assert models.MobiusPoint(flat).close_to(models.mobius_embed_plane(v))
-        weighted = models.conformal_tangent_embed(v, metric=metric)
-        assert abs(models.riemannian_quadratic_form(weighted, metric)) < 1e-12 * np.sum(weighted**2)
+    g1, g2 = (np.array([lg.random_element(spec.tag, rng).mat for _ in range(100)]) for _ in range(2))
+    zs = rng.standard_normal((100, 2))
+    lhs = spec.act(g1 @ g2, zs)
+    rhs = spec.act(g1, spec.act(g2, zs))
+    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
