@@ -60,11 +60,18 @@ EXIT_IO = 4
 # Configuration validation
 # ---------------------------------------------------------------------------
 
+NUMBER = (int, float)
+
+
 def _require_finite(value, where: str) -> None:
-    """Reject the non-finite numbers a JSON document can carry: ``NaN``,
-    ``Infinity``, ``-Infinity`` and literals past the float range such as
-    ``1e999``."""
-    if isinstance(value, float) and not math.isfinite(value):
+    """Reject the JSON numbers that read as no finite float: ``NaN``,
+    ``Infinity``, ``-Infinity``, and literals past the float range such as
+    ``1e999`` or integers on which ``float()`` raises ``OverflowError``."""
+    try:
+        finite = not isinstance(value, NUMBER) or math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigError(f"{where} must be a finite number")
 
 
@@ -73,7 +80,7 @@ def _require_keys(obj: dict, allowed: dict, where: str) -> None:
 
     ``allowed`` maps key -> (types, required). JSON booleans are no
     numbers here, although Python counts ``bool`` as ``int``, and numbers
-    must be finite.
+    must be finite where floats are allowed (not so an integer-only seed).
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
@@ -84,12 +91,10 @@ def _require_keys(obj: dict, allowed: dict, where: str) -> None:
         if key in obj:
             if isinstance(obj[key], bool) or not isinstance(obj[key], types):
                 raise ConfigError(f"{where}.{key} has the wrong type")
-            _require_finite(obj[key], f"{where}.{key}")
+            if isinstance(0.0, types):   # a key that takes floats
+                _require_finite(obj[key], f"{where}.{key}")
         elif required:
             raise ConfigError(f"missing required key '{key}' in {where}")
-
-
-NUMBER = (int, float)
 
 
 def _number_list(obj: dict, key: str, default: list, where: str) -> list[float]:
@@ -181,10 +186,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a table: ``rows`` is a float array, one join per row over its
-    ``tolist()`` floats, or a sequence of rows mixing numbers and strings."""
+    """Write a table: ``rows`` is a 2-d float array, whose cells (the reprs
+    of one flat ``tolist()``) are joined a row at a time with no Python-level
+    loop, or a sequence of rows mixing numbers and strings."""
     if isinstance(rows, np.ndarray):
-        lines = [",".join(map(repr, row)) for row in rows.astype(float, copy=False).tolist()]
+        cells = map(repr, rows.astype(float, copy=False).ravel().tolist())
+        lines = map(",".join, zip(*[cells] * rows.shape[1]))
     else:
         lines = [",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row)
                  for row in rows]
@@ -204,8 +211,9 @@ def _emit(out_dir: Path, name: str, header, rows, summary: dict, fmt: str) -> di
     if fmt == "csv":
         _write_csv(table, header, rows)
     else:
-        _write_json(table, {"header": header,
-                            "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in rows]})
+        rows = (rows.astype(float, copy=False).tolist() if isinstance(rows, np.ndarray)
+                else [[v if isinstance(v, str) else float(v) for v in row] for row in rows])
+        _write_json(table, {"header": header, "rows": rows})
     summary = {**summary, "outputs": sorted([table.name, "summary.json"])}
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -288,7 +296,7 @@ def _run_develop_gravity(cfg: dict, out_dir: Path) -> dict:
         norms[1:-1] = np.linalg.norm(second, axis=1)
     rows = np.column_stack([dev.ts, path.points(dev.ts)[:, 1], dev.values[:, 1], norms])
     tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6)
-    max_sd = dev.max_second_difference()
+    max_sd = float(norms.max())   # = dev.max_second_difference(): the end rows are 0
     status = "STRAIGHT" if max_sd < tol else "CURVED"
     summary = {
         "scenario": "develop-gravity",
@@ -322,7 +330,7 @@ def _run_develop_kepler(cfg: dict, out_dir: Path) -> dict:
         norms[1:-1] = np.linalg.norm(second, axis=1)
     rows = np.column_stack([dev.ts, orbit.points(dev.ts)[:, 1:], dev.values, norms])
     tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-4)
-    max_sd = dev.max_second_difference()
+    max_sd = float(norms.max())
     summary = {
         "scenario": "develop-kepler",
         "status": "STRAIGHT" if max_sd < tol else "CURVED",

@@ -11,7 +11,8 @@ equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
 without re-projection. One pass runs the whole path in blocks of steps
 that may span segments, in stages on arrays over each block's nodes; a
-block's product is a doubling scan of its step propagators. Through
+block's product is three running sums when its step propagators are
+exactly Galilean, and a doubling scan of them otherwise. Through
 :func:`~cartanconn.principal.stacked`, the coefficient map is called once
 per block and a path once per segment in the block when declared
 :func:`~cartanconn.principal.batched`, else once per node.
@@ -238,6 +239,30 @@ class LiftedPath:
 _BLOCK = 512   # steps per pass through the lift's stages; bounds their arrays
 
 
+def _block_product(tag: lg.GroupTag, props: np.ndarray, out: np.ndarray) -> None:
+    """Write ``props[k] @ ... @ props[0] @ out[0]`` into ``out[k + 1]`` for
+    the step propagators ``props`` (B, n, n), overwriting ``props``.
+
+    If every propagator is exactly Galilean (zero group defect), ``P g`` for
+    ``g = [[1, 0, a], [v, I, b], [0, 0, 1]]`` has ``a + a(P)``, ``v + v(P)``
+    and ``b + b(P) + v(P) a``: the block's products are three running sums.
+    Any other block takes a doubling scan, ``ceil(log2 B)`` batched matmuls.
+    The sums start at the identity, not ``out[0]``, to round at the block's scale.
+    """
+    if tag.kind is lg.GroupKind.GALILEO and not lg.group_defect(tag, props).any():
+        a, v, b = props[:, 0, -1], props[:, 1:-1, 0], props[:, 1:-1, -1]
+        np.cumsum(a, out=a)
+        b[1:] += v[1:] * a[:-1, None]
+        np.cumsum(v, axis=0, out=v)
+        np.cumsum(b, axis=0, out=b)
+    else:
+        span = 1   # props[k] becomes props[k] @ ... @ props[0]
+        while span < len(props):
+            props[span:] = props[span:] @ props[:-span]
+            span *= 2
+    np.matmul(props, out[0], out=out[1:])
+
+
 def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarray):
     """Node times ``(N,)`` and matrices ``(N, n, n)`` of the lift from ``g0``
     along ``segments``, each cut into the fewest equal steps no longer than
@@ -250,11 +275,11 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     ``_BLOCK`` that may span segments, each in stages on arrays over its
     nodes: path points and velocities (one call per segment in the block),
     the domain check (before any coefficient), one coefficient call, every
-    ``Omega`` and one batched exponential, a doubling scan of the step
-    propagators (``ceil(log2 steps)`` batched matmuls) and a finiteness
-    check naming the first non-finite node. A block that continues a
-    segment reuses the previous block's last coefficient, so a step costs
-    two coefficient evaluations.
+    ``Omega`` and one batched exponential, the product of the step
+    propagators (:func:`_block_product`) and a finiteness check naming the
+    first non-finite node. A block that continues a segment reuses the
+    previous block's last coefficient, so a step costs two coefficient
+    evaluations.
     """
     # the slack keeps round-off (0.07 / 0.0025 = 28.000000000000004) from adding a step
     counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in segments]
@@ -292,13 +317,8 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
             i0 = 2 * np.arange(k1 - k0) + np.repeat(np.arange(j1 - j0), pieces)
             h, a0, ah, a1 = np.repeat(hs[j0:j1], pieces)[:, None, None], coeffs[i0], coeffs[i0 + 1], coeffs[i0 + 2]
         omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
-        props = lg.expm_matrix(tag, omega)
-        span = 1   # doubling scan: props[k] becomes props[k] @ ... @ props[0]
-        while span < k1 - k0:
-            props[span:] = props[span:] @ props[:-span]
-            span *= 2
         out = mats[k0:k1 + 1]
-        np.matmul(props, out[0], out=out[1:])
+        _block_product(tag, lg.expm_matrix(tag, omega), out)
         finite = np.isfinite(out[1:]).all(axis=(1, 2))
         if not finite.all():
             raise LiftDivergedError(f"lift diverged near t = {ts[k0 + 1 + np.argmin(finite)]}")
@@ -317,8 +337,9 @@ def horizontal_lift(
     Each smooth segment is cut into the fewest equal steps no longer than
     ``step``, and the whole path is integrated in one pass with a
     fourth-order Magnus method, which keeps the nodes on the group without
-    re-projection (one coefficient call, exponential and doubling scan per
-    block of steps, across segments). A path point outside the
+    re-projection (one coefficient call, exponential and product per block
+    of steps, across segments: running sums on an exactly Galilean block,
+    else a doubling scan). A path point outside the
     chart raises ``DomainError`` before the coefficient there is evaluated;
     a non-finite step, or a node whose group defect exceeds
     ``settings.ROUNDTRIP``, raises ``LiftDivergedError``.

@@ -301,6 +301,40 @@ def test_number_lists_reject_non_finite_numbers(tmp_path, capsys, scenario, wher
     assert not out.exists()
 
 
+HUGE_INTEGERS = ["1" + "0" * 400, "-1" + "0" * 400]
+
+
+@pytest.mark.parametrize("scenario, where, key", [
+    ("develop-gravity", "integrator", "step"), ("develop-gravity", None, "tolerance"), ("holonomy", "loop", "side"),
+])
+@pytest.mark.parametrize("literal", HUGE_INTEGERS, ids=["1e400", "-1e400"])
+def test_integers_past_the_float_range_rejected(tmp_path, capsys, scenario, where, key, literal):
+    # float() of such an integer raised an uncaught OverflowError (exit 1)
+    out = tmp_path / "out"
+    doc = gravity_config(out) if scenario == "develop-gravity" else scenario_config(out, scenario, where, key, 0.5)
+    (doc.setdefault(where, {}) if where else doc)[key] = "VALUE"
+    assert cli.main(["run", write_raw_config(tmp_path, doc, literal)]) == 2
+    assert f"{where or 'config'}.{key} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", HUGE_INTEGERS, ids=["1e400", "-1e400"])
+def test_number_lists_reject_integers_past_the_float_range(tmp_path, capsys, literal):
+    out = tmp_path / "out"
+    doc = scenario_config(out, "holonomy", "loop", "corner", [0.5, "VALUE"])
+    assert cli.main(["run", write_raw_config(tmp_path, doc, literal)]) == 2
+    assert "loop.corner must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_huge_integer_seed_is_still_a_seed(tmp_path):
+    # integer-only keys are not read as floats, and numpy takes any size of seed
+    doc = gravity_config(tmp_path / "out", integrator={"step": 0.01})
+    doc["seed"] = "VALUE"
+    assert cli.main(["run", write_raw_config(tmp_path, doc, HUGE_INTEGERS[0])]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["seed"] == 10 ** 400
+
+
 @pytest.mark.parametrize("scenario, where, key", [("holonomy", "loop", "side"), ("maxwell", "model", "h")])
 @pytest.mark.parametrize("value", [0, -0.5])
 def test_nonpositive_loop_side_and_maxwell_step_rejected(tmp_path, capsys, scenario, where, key, value):
@@ -360,6 +394,19 @@ def test_check_axioms_accepts_model_parameters(tmp_path):
 
 def test_missing_config_file_is_io_error():
     assert cli.main(["run", "/nonexistent/config.json"]) == 4
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e16, 1e-05], [5e-324, 0.1, -2.5]]),
+    np.array([[1.0, -0.0, 1e-05, 5e-324]]),
+    np.array([[np.nan], [1e16], [-np.inf]]),
+], ids=["table", "row", "column"])
+def test_csv_cells_are_the_shortest_reprs_of_each_row(tmp_path, table):
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, [f"c{j}" for j in range(table.shape[1])], table)
+    reference = [",".join(f"c{j}" for j in range(table.shape[1]))]
+    reference += [",".join(map(repr, row)) for row in table.tolist()]
+    assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
 
 
 def test_invalid_json_is_config_error(tmp_path):

@@ -267,7 +267,11 @@ def varying_connection(tag, seed):
     return pr.LocalConnection(pr.ChartDomain.unbounded(2), tag, coeff)
 
 
-@pytest.mark.parametrize("tag", [lg.gl_tag(3), lg.so_tag(3)], ids=lambda t: t.name)
+# Galileo blocks take the running sums of _block_product, the others its doubling scan
+SCAN_TAGS = [lg.gl_tag(3), lg.so_tag(3), lg.GALILEO2, lg.galileo_tag(3)]
+
+
+@pytest.mark.parametrize("tag", SCAN_TAGS, ids=lambda t: t.name)
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 511, 512, 513, 1100])
 def test_doubling_scan_matches_the_sequential_product(tag, steps):
     conn = varying_connection(tag, seed=steps)
@@ -343,7 +347,7 @@ def three_legs(durations, per_node=()):
     return tp.PiecewisePath(legs)
 
 
-@pytest.mark.parametrize("tag", [lg.gl_tag(3), lg.so_tag(3)], ids=lambda t: t.name)
+@pytest.mark.parametrize("tag", SCAN_TAGS, ids=lambda t: t.name)
 @pytest.mark.parametrize("durations, steps", [((1.0, 1.0, 1.0), 900), ((1.0, 0.8015, 0.9007), 812)])
 def test_blocks_spanning_segments_match_the_per_segment_product(tag, durations, steps):
     # 300 steps on the first leg: the blocks of 512 steps straddle both
@@ -355,6 +359,57 @@ def test_blocks_spanning_segments_match_the_per_segment_product(tag, durations, 
     reference = chained_reference(conn, path, 1.0 / 300, g0)
     assert len(lifted.ts) == len(reference) == 1 + steps
     assert np.max(np.abs(lifted.mats - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def doubling_product(tag, props, g0):
+    """``_block_product`` through its doubling scan: a GL tag of the same size."""
+    out = np.empty((len(props) + 1,) + g0.shape)
+    out[0] = g0
+    tp._block_product(lg.gl_tag(tag.size), props.copy(), out)
+    return out
+
+
+@pytest.mark.parametrize("tag", [lg.GALILEO2, lg.galileo_tag(3), lg.galileo_tag(4)], ids=lambda t: t.name)
+@pytest.mark.parametrize("steps", [1, 2, 511, 512])
+def test_galilean_running_sums_match_the_doubling_scan(tag, steps):
+    rng = np.random.default_rng(steps)
+    props = lg.expm_matrix(tag, np.stack([lg.random_algebra(tag, rng, scale=0.8).mat for _ in range(steps)]))
+    assert not lg.group_defect(tag, props).any()   # exactly Galilean: the running sums apply
+    g0 = lg.random_element(tag, rng, scale=0.6).mat
+    reference = doubling_product(tag, props, g0)
+    out = np.empty_like(reference)
+    out[0] = g0
+    tp._block_product(tag, props.copy(), out)
+    assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_a_block_off_the_galilean_group_takes_the_doubling_scan():
+    tag = lg.galileo_tag(3)
+    rng = np.random.default_rng(7)
+    props = lg.expm_matrix(tag, np.stack([lg.random_algebra(tag, rng).mat for _ in range(300)]))
+    props[123, 1, 2] = 1e-17   # one off-structure entry
+    g0 = lg.random_element(tag, rng).mat
+    out = np.empty((301, 4, 4))
+    out[0] = g0
+    tp._block_product(tag, props.copy(), out)
+    assert np.array_equal(out, doubling_product(tag, props, g0))
+
+
+def test_an_off_algebra_galilean_map_fails_with_the_defect_of_the_doubling_scan():
+    # a diagonal entry 1e-3 dt makes every propagator slightly off the group;
+    # the running sums would drop it and report a defect of 1.0e-06
+    @pr.batched
+    def coeff(x, d):
+        mat = np.zeros(np.shape(d)[:-1] + (3, 3))
+        mat[..., 1, 0] = -9.81 * d[..., 0]
+        mat[..., 0, 2] = d[..., 0]
+        mat[..., 1, 2] = d[..., 1]
+        mat[..., 1, 1] = 1e-3 * d[..., 0]
+        return mat
+
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, coeff)
+    with pytest.raises(LiftDivergedError, match=r"defect 9\.995e-04"):
+        tp.horizontal_lift(conn, tp.line_segment([0.0, 0.0], [1.0, 0.5], 0.0, 1.0), step=1e-3)
 
 
 def test_batched_and_per_node_legs_lift_in_one_pass():
