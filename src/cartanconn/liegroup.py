@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 import numpy as np
@@ -274,15 +274,15 @@ def group_defect(tag: GroupTag, mat: np.ndarray):
     if kind is GroupKind.GL:
         return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
     if kind is GroupKind.SO:
-        ortho = np.abs(mat.swapaxes(-1, -2) @ mat - _eye(n)).max(axis=(-2, -1))
+        ortho = _entry_max(np.abs(mat.swapaxes(-1, -2) @ mat - _eye(n)))
         return np.maximum(ortho, np.abs(np.linalg.det(mat) - 1.0))
     if kind is GroupKind.ORTHOGONAL:
         eta = eta_matrix(tag)
-        return np.abs(mat.swapaxes(-1, -2) @ eta @ mat - eta).max(axis=(-2, -1))
+        return _entry_max(np.abs(mat.swapaxes(-1, -2) @ eta @ mat - eta))
     if kind is GroupKind.AFF:
-        return np.abs(mat[..., -1, :] - _eye(n)[-1]).max(axis=-1)
+        return _entry_max(np.abs(mat[..., -1:, :] - _eye(n)[-1]))
     if kind is GroupKind.GALILEO:
-        return np.abs(mat - _eye(n) - project_to_algebra(tag, mat)).max(axis=(-2, -1))
+        return _entry_max(np.abs(mat - _eye(n) - project_to_algebra(tag, mat)))
     if kind is GroupKind.PGL:
         return np.abs(_pivots(mat) - 1.0)   # = max |mat - normalize_projective(mat)|
     # product: block defects plus off-block mass
@@ -290,7 +290,13 @@ def group_defect(tag: GroupTag, mat: np.ndarray):
     for sl, f in _product_slices(tag):
         total = np.maximum(total, group_defect(f, mat[..., sl, sl]))
         off_block[sl, sl] = 0.0
-    return np.maximum(total, np.abs(mat * off_block).max(axis=(-2, -1)))
+    return np.maximum(total, _entry_max(np.abs(mat * off_block)))
+
+
+def _entry_max(a: np.ndarray):
+    """``a.max(axis=(-2, -1))``; on a stack ``np.maximum`` over the entries, several times faster."""
+    flat = a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
+    return flat.max() if a.ndim == 2 else reduce(np.maximum, np.moveaxis(flat, -1, 0))
 
 
 def _pivots(mat: np.ndarray) -> np.ndarray:
@@ -613,7 +619,8 @@ def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     on the closed negative real axis; for PGL, whose ``M`` and ``-M``
     represent the same element, such a matrix is replaced by ``-M`` unless
     that has one too. Non-finite matrices give NaN and leave the others
-    alone.
+    alone. The check is skipped, exactly, if every finite ``||M - I||_1 < 1/2``: then
+    ``|lam - 1| < 1/2`` even after rounding, so no ``lam`` is on the cut and no PGL flip.
     """
     mat = np.asarray(mat, dtype=float)
     n = tag.size
@@ -628,19 +635,20 @@ def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     flat = mat.reshape(-1, n, n)
     finite = np.isfinite(flat).all(axis=(1, 2))
     good = flat[finite]
-    lam = np.linalg.eigvals(good)
-    real = np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))
-    cut = (real & (lam.real <= 0)).any(axis=-1)
-    if tag.kind is GroupKind.PGL:   # -M has eigenvalues -lam
-        flip = cut & ~(real & (lam.real >= 0)).any(axis=-1)
-        good[flip] *= -1.0
-        cut &= ~flip
-    if cut.any():
-        i = int(np.argmax(cut))
-        bad = lam[i][real[i] & (lam[i].real <= 0)][0]
-        raise NoPrincipalLogarithmError(
-            f"no principal logarithm: eigenvalue {bad:.6g} lies on the closed negative real axis"
-        )
+    if len(good) and _norm1(good - _eye(n)).max() >= 0.5:   # else no eigenvalue is near the cut
+        lam = np.linalg.eigvals(good)
+        real = np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))
+        cut = (real & (lam.real <= 0)).any(axis=-1)
+        if tag.kind is GroupKind.PGL:   # -M has eigenvalues -lam
+            flip = cut & ~(real & (lam.real >= 0)).any(axis=-1)
+            good[flip] *= -1.0
+            cut &= ~flip
+        if cut.any():
+            i = int(np.argmax(cut))
+            bad = lam[i][real[i] & (lam[i].real <= 0)][0]
+            raise NoPrincipalLogarithmError(
+                f"no principal logarithm: eigenvalue {bad:.6g} lies on the closed negative real axis"
+            )
     out = np.full(flat.shape, np.nan)
     out[finite] = _logm_iss(good)
     return out.reshape(mat.shape)

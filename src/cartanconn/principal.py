@@ -28,7 +28,7 @@ import numpy as np
 
 from . import liegroup as lg
 from .errors import DomainError, InvalidElementError, TagMismatchError
-from .settings import AXIOM, RANK
+from .settings import AXIOM, CURVATURE_STEP, RANK
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,22 @@ def stacked(fn: Callable, *args, out: np.ndarray | None = None, what: str = "cal
     algebra elements are read as their matrices.
 
     A :func:`batched` ``fn`` gets one call on the whole stacks, any other
-    one call per row. Rows of unequal shapes, or values that do not have
-    the shape of ``out``, raise ``ValueError``; without ``out`` the values
-    are returned as they are, so a batched constant field may broadcast.
+    one call per row (in order, on the rows' numpy scalars or views, through
+    one ``map``), which costs its own calls plus about 0.04 us a float and
+    0.2 us a short array returned (2-vCPU Xeon). Rows of unequal shapes, or
+    values that do not have the shape of ``out``, raise ``ValueError``;
+    without ``out`` the values are returned as they are, so a batched
+    constant field may broadcast.
     """
     declared = is_batched(fn)
-    if declared:
-        values = _value(fn(*args))
-    else:
-        values = [_value(fn(*row)) for row in zip(*args)]
+    values = _value(fn(*args)) if declared else list(map(fn, *args))
     try:
-        values = np.asarray(values, dtype=float)
+        try:
+            values = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            if declared:
+                raise
+            values = np.asarray([_value(v) for v in values], dtype=float)   # algebra elements among the rows
     except ValueError as exc:
         raise ValueError(f"{what} returned values of unequal shapes or types: {exc}") from exc
     if out is None:
@@ -347,28 +352,21 @@ def _worst(residuals: np.ndarray) -> tuple[float, int | None]:
     return (0.0, None) if i is None else (float(residuals[i]), i)
 
 
-def curvature(
-    conn: LocalConnection,
-    x,
-    dx1,
-    dx2,
-    fd_step: float = 1e-5,
-) -> lg.AlgebraElement:
+def curvature(conn: LocalConnection, x, dx1, dx2) -> lg.AlgebraElement:
     """Curvature two-form ``dA(dx1, dx2) + [A(dx1), A(dx2)]`` at ``x``.
 
     ``dA`` is evaluated by central finite differences of the coefficient
-    map along the two directions; ``x`` must sit at least one step inside
-    the chart domain along both.
+    map along the two directions, with the step ``settings.CURVATURE_STEP``;
+    ``x`` must sit at least one step inside the chart domain along both.
     """
     x, dx1, dx2 = (np.asarray(v, dtype=float) for v in (x, dx1, dx2))
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    probes = np.array([x + fd_step * dx1, x - fd_step * dx1, x + fd_step * dx2, x - fd_step * dx2])
+    h = CURVATURE_STEP
+    probes = np.array([x + h * dx1, x - h * dx1, x + h * dx2, x - h * dx2])
     if not conn.domain.contains(probes).all():
-        raise DomainError("point too close to the chart boundary for the requested step")
+        raise DomainError("point too close to the chart boundary for the difference step")
     a = coeff_matrices(conn, np.concatenate([probes, [x, x]]), np.array([dx2, dx2, dx1, dx1, dx1, dx2]))
-    d1 = (a[0] - a[1]) / (2 * fd_step)
-    d2 = (a[2] - a[3]) / (2 * fd_step)
+    d1 = (a[0] - a[1]) / (2 * h)
+    d2 = (a[2] - a[3]) / (2 * h)
     return lg.algebra_element(conn.tag, d1 - d2 + (a[4] @ a[5] - a[5] @ a[4]), project=True)
 
 

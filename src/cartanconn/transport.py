@@ -33,6 +33,7 @@ holonomy of a small coordinate square of side ``d`` spanned by directions
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,6 +73,7 @@ class SmoothPath:
     t1: float
     x: Callable[[float], np.ndarray]
     xdot: Callable[[float], np.ndarray]
+    _PROBES = np.tile(np.arange(10.0), 3), np.repeat([0.0, 1.0, -1.0], 10)   # ten probes, then each + h, - h
 
     def __post_init__(self):
         if not self.t0 < self.t1:
@@ -80,8 +82,11 @@ class SmoothPath:
 
     def _validate(self):
         h, n = 1e-6 * (1.0 + abs(self.t0) + abs(self.t1)), 10
-        probes = np.linspace(self.t0 + 2 * h, self.t1 - 2 * h, n)
-        points, derivs = self.points(np.concatenate([probes, probes + h, probes - h])), self.velocities(probes)
+        (index, shift), start, stop = self._PROBES, self.t0 + 2 * h, self.t1 - 2 * h
+        times = index * ((stop - start) / (n - 1)) + start   # np.linspace(start, stop, n), thrice
+        times[n - 1::n] = stop
+        times += h * shift
+        probes, points, derivs = times[:n], self.points(times), self.velocities(times[:n])
         if points.ndim != 2 or len(points) != 3 * n or derivs.shape != (n, points.shape[1]):
             raise ValueError(f"path callables returned shapes {points.shape} and {derivs.shape} "
                              f"for {3 * n} and {n} times; expected (N, dim) for N times")
@@ -122,17 +127,19 @@ class PiecewisePath:
     """Concatenation of time-contiguous smooth pieces.
 
     Lifts and transports step each piece on its own grid, so corners cost
-    no integration accuracy.
+    no integration accuracy. ``ends[j]`` holds segment ``j``'s points at ``t0`` and ``t1``.
     """
 
     def __init__(self, segments: Sequence[SmoothPath]):
         segments = tuple(segments)
         if not segments:
             raise ValueError("need at least one segment")
+        self.ends = [segments[0].points([segments[0].t0, segments[0].t1])]
         for a, b in zip(segments, segments[1:]):
             if abs(a.t1 - b.t0) > 1e-12:
                 raise ValueError("segments must be contiguous in time")
-            if np.max(np.abs(a.point(a.t1) - b.point(b.t0))) > 1e-9:
+            self.ends.append(b.points([b.t0, b.t1]))
+            if np.max(np.abs(self.ends[-2][1] - self.ends[-1][0])) > 1e-9:
                 raise ValueError("segments must be continuous in space")
         self.pieces = segments
         self.t0 = segments[0].t0
@@ -239,6 +246,20 @@ class LiftedPath:
 _BLOCK = 512   # steps per pass through the lift's stages; bounds their arrays
 
 
+@functools.cache
+def _off_pattern(tag: lg.GroupTag) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the entries off the algebra pattern of ``tag``, and the identity's values there."""
+    off = lg.project_to_algebra(tag, np.ones((tag.size, tag.size))) == 0
+    return off, np.eye(tag.size)[off]
+
+
+def _exactly_galilean(tag: lg.GroupTag, props: np.ndarray) -> bool:
+    """``not group_defect(tag, props).any()`` for Galileo matrices: all entries
+    finite, and those off the algebra pattern equal to the identity's."""
+    off, eye = _off_pattern(tag)
+    return bool(np.isfinite(props).all() and (props[:, off] == eye).all())
+
+
 def _block_product(tag: lg.GroupTag, props: np.ndarray, out: np.ndarray) -> None:
     """Write ``props[k] @ ... @ props[0] @ out[0]`` into ``out[k + 1]`` for
     the step propagators ``props`` (B, n, n), overwriting ``props``.
@@ -249,7 +270,7 @@ def _block_product(tag: lg.GroupTag, props: np.ndarray, out: np.ndarray) -> None
     Any other block takes a doubling scan, ``ceil(log2 B)`` batched matmuls.
     The sums start at the identity, not ``out[0]``, to round at the block's scale.
     """
-    if tag.kind is lg.GroupKind.GALILEO and not lg.group_defect(tag, props).any():
+    if tag.kind is lg.GroupKind.GALILEO and _exactly_galilean(tag, props):
         a, v, b = props[:, 0, -1], props[:, 1:-1, 0], props[:, 1:-1, -1]
         np.cumsum(a, out=a)
         b[1:] += v[1:] * a[:-1, None]
@@ -407,9 +428,10 @@ def parallel_transport(
 
 
 def holonomy(conn: LocalConnection, loop: Path, step: float = 1e-3) -> lg.GroupElement:
-    """Holonomy ``g(t0)^{-1} g(t1)`` of a closed loop: the end of its lift from the identity."""
-    segs = loop.segments
-    gap = np.max(np.abs(segs[0].point(segs[0].t0) - segs[-1].point(segs[-1].t1)))
+    """Holonomy ``g(t0)^{-1} g(t1)`` of a closed loop: the end of its lift from the
+    identity. A :class:`PiecewisePath`'s closure gap comes from its stored ``ends``."""
+    ends = loop.ends if isinstance(loop, PiecewisePath) else [loop.points([loop.t0, loop.t1])]
+    gap = np.max(np.abs(ends[0][0] - ends[-1][1]))
     if gap > LOOP_CLOSURE:
         raise LoopNotClosedError(f"loop endpoints differ by {gap:.3e}")
     return horizontal_lift(conn, loop, None, step).end

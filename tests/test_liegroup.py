@@ -469,6 +469,60 @@ def test_pgl_log_takes_the_negated_representative():
     assert np.array_equal(stack[1], np.zeros((3, 3)))
 
 
+def eigvals_route_log(tag, mats):
+    """``log_matrix`` as it reads with the branch-cut check always made:
+    eigenvalues, the PGL flip, then inverse scaling and squaring."""
+    lam = np.linalg.eigvals(mats)
+    real = np.abs(lam.imag) <= 1e-12 * np.maximum(1.0, np.abs(lam))
+    cut = (real & (lam.real <= 0)).any(axis=-1)
+    mats = mats.copy()
+    if tag.kind is lg.GroupKind.PGL:
+        flip = cut & ~(real & (lam.real >= 0)).any(axis=-1)
+        mats[flip] *= -1.0
+        cut &= ~flip
+    assert not cut.any()
+    return lg._logm_iss(mats)
+
+
+@pytest.mark.parametrize("tag", [lg.aff_tag(2), lg.gl_tag(3), lg.so_tag(3), lg.pgl_tag(2)], ids=lambda t: t.name)
+def test_near_identity_log_skips_the_eigenvalues_bit_identically(tag, monkeypatch):
+    # ||M - I||_1 < 1/2 on every matrix: no eigenvalue can be near the cut
+    mats = lg.expm_matrix(tag, algebra_stack(tag, np.random.default_rng(38), (1e-8, 0.02, 0.1, 0.2), per_norm=4))
+    if tag.kind is lg.GroupKind.PGL:
+        mats = lg.normalize_projective(mats)
+    assert lg._norm1(mats - np.eye(tag.size)).max() < 0.5
+    reference = eigvals_route_log(tag, mats)
+    assert np.array_equal(lg.log_matrix(tag, mats), reference)
+    assert np.array_equal(lg.log_matrix(tag, mats[5]), eigvals_route_log(tag, mats[5:6])[0])
+    monkeypatch.setattr(lg.np.linalg, "eigvals", None)   # the shortcut does not call it
+    assert np.array_equal(lg.log_matrix(tag, mats), reference)
+    # one matrix far from I sends the whole stack through the check again
+    far = lg.expm_matrix(tag, algebra_stack(tag, np.random.default_rng(39), (2.0,), per_norm=1))
+    with pytest.raises(TypeError):
+        lg.log_matrix(tag, np.concatenate([mats, far]))
+
+
+def test_log_matrix_keeps_the_cut_and_the_pgl_flip_off_the_identity():
+    tag = lg.pgl_tag(2)
+    near = lg.normalize_projective(lg.expm_matrix(tag, algebra_stack(tag, np.random.default_rng(40), (0.1,))))
+    # -M represents the same element; its eigenvalues are on the cut, so it is flipped back
+    assert np.array_equal(lg.log_matrix(tag, -near), lg.log_matrix(tag, near))
+    assert np.array_equal(lg.log_matrix(tag, np.concatenate([near, -near])), eigvals_route_log(tag, np.concatenate([near, -near])))
+    so = lg.so_tag(3)
+    turn = np.diag([-1.0, -1.0, 1.0])   # rotation by pi: eigenvalue -1
+    with pytest.raises(NoPrincipalLogarithmError, match="-1"):
+        lg.log_matrix(so, np.stack([np.eye(3), turn]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (7, 3, 3), (2, 5, 4, 4), (0, 4, 4)])
+def test_entry_max_is_the_max_over_each_matrix(shape):
+    a = np.random.default_rng(41).standard_normal(shape)
+    if a.size:
+        a.flat[5] = np.nan
+    got, expected = lg._entry_max(a), a.max(axis=(-2, -1))
+    assert np.array_equal(got, expected, equal_nan=True) and np.shape(got) == np.shape(expected)
+
+
 @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
 def test_algebra_from_coords_matches_the_basis_sum(tag):
     coords = np.random.default_rng(37).standard_normal(lg.algebra_dim(tag))

@@ -1,6 +1,7 @@
 """Tests for connection forms on trivialized principal bundles."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,39 @@ def test_stacked_calls_a_batched_callable_once_and_any_other_per_row():
     assert np.array_equal(pr.stacked(pr.batched(values), ts, xs), want) and calls[5:] == [(5,)]
 
 
+def test_undeclared_stacked_calls_in_row_order_on_the_rows_themselves():
+    seen = []
+
+    def record(t, x):
+        seen.append((t, x))
+        return x * t
+
+    ts, xs = np.linspace(0.0, 1.0, 6), np.arange(12.0).reshape(6, 2)
+    assert np.array_equal(pr.stacked(record, ts, xs), xs * ts[:, None])
+    assert [float(t) for t, _ in seen] == list(ts)
+    assert all(type(t) is np.float64 for t, _ in seen)   # numpy scalars of a 1-d stack
+    assert all(np.shares_memory(x, xs) and np.array_equal(x, row) for (_, x), row in zip(seen, xs))   # row views
+
+
+@pytest.mark.parametrize("algebra_rows", [[0, 1, 2, 3], [2], [0, 3]])
+def test_undeclared_stacked_reads_algebra_elements_as_matrices(algebra_rows):
+    mats = np.random.default_rng(9).standard_normal((4, 3, 3))
+    values = iter([lg.AlgebraElement(lg.GALILEO2, m) if i in algebra_rows else m for i, m in enumerate(mats)])
+    out = np.empty((4, 3, 3))
+    assert pr.stacked(lambda t: next(values), np.arange(4.0), out=out) is out and np.array_equal(out, mats)
+
+
+def test_undeclared_stacked_keeps_its_errors_on_algebra_elements():
+    rows = [lg.AlgebraElement(lg.GALILEO2, np.zeros((3, 3))), np.zeros((2, 2))]
+    with pytest.raises(ValueError) as numpy_error:
+        np.asarray([np.zeros((3, 3)), np.zeros((2, 2))], dtype=float)
+    message = f"coefficient map returned values of unequal shapes or types: {numpy_error.value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pr.stacked(lambda t: rows[int(t)], np.arange(2.0), what="coefficient map")
+    with pytest.raises(TypeError):   # neither a number nor an algebra element
+        pr.stacked(lambda t: object(), np.arange(2.0))
+
+
 def test_stacked_rejects_rows_of_inconsistent_shapes():
     ts = np.linspace(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="shape"):
@@ -427,17 +461,18 @@ def test_curvature_linear_gravity_gradient():
     # V = g0 + k x, W = 0: the only curvature term is (dV/dx) eps_v
     k = 0.3
     conn = gravity_connection(lambda t, x: 9.81 + k * x, lambda t, x: 0.0)
-    f = pr.curvature(conn, [0.1, 0.7], [1, 0], [0, 1], fd_step=1e-5)
+    f = pr.curvature(conn, [0.1, 0.7], [1, 0], [0, 1])
     expected = lg.galileo_algebra(k, 0.0, 0.0)
     assert (f - expected).norm() < 1e-9
 
 
-def test_curvature_matches_finite_difference_order():
+def test_curvature_matches_finite_difference_order(monkeypatch):
     conn = gravity_connection(lambda t, x: np.sin(x) + t, lambda t, x: 0.0)
     exact = np.cos(0.5)  # d/dx V at the probe point
     errs = []
     for h in (1e-2, 5e-3):
-        f = pr.curvature(conn, [0.2, 0.5], [1, 0], [0, 1], fd_step=h)
+        monkeypatch.setattr(pr, "CURVATURE_STEP", h)
+        f = pr.curvature(conn, [0.2, 0.5], [1, 0], [0, 1])
         errs.append(abs(lg.algebra_coords(f)[0] - exact))
     # central differences: quartering the error when halving the step
     assert errs[1] < errs[0] / 3.0
@@ -447,7 +482,7 @@ def test_curvature_near_boundary_raises():
     domain = pr.ChartDomain.box([0, 0], [1, 1])
     conn = pr.LocalConnection(domain, lg.GALILEO2, lambda x, d: lg.galileo_algebra(0, d[0], d[1]))
     with pytest.raises(DomainError):
-        pr.curvature(conn, [1.0 - 1e-9, 0.5], [1, 0], [0, 1], fd_step=1e-5)
+        pr.curvature(conn, [1.0 - 1e-9, 0.5], [1, 0], [0, 1])
 
 
 def test_curvature_zero_for_maurer_cartan_connection():

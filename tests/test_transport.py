@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -410,6 +411,60 @@ def test_an_off_algebra_galilean_map_fails_with_the_defect_of_the_doubling_scan(
     conn = pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, coeff)
     with pytest.raises(LiftDivergedError, match=r"defect 9\.995e-04"):
         tp.horizontal_lift(conn, tp.line_segment([0.0, 0.0], [1.0, 0.5], 0.0, 1.0), step=1e-3)
+
+
+@pytest.mark.parametrize("tag", [lg.GALILEO2, lg.galileo_tag(3), lg.galileo_tag(4)], ids=lambda t: t.name)
+def test_galilean_guard_takes_the_branch_of_the_group_defect(tag):
+    rng = np.random.default_rng(tag.size)
+    base = lg.expm_matrix(tag, np.stack([lg.random_algebra(tag, rng).mat for _ in range(5)]))
+    branches = set()
+    entries = itertools.product(range(tag.size), repeat=2)
+    for (i, j), value, add in itertools.product(entries, (np.nan, np.inf, -np.inf, 1e-300, 1e-17, -0.0), (False, True)):
+        props = base.copy()
+        props[2, i, j] = props[2, i, j] + value if add else value
+        with np.errstate(invalid="ignore"):
+            expected = not lg.group_defect(tag, props).any()
+        assert tp._exactly_galilean(tag, props) == expected, (i, j, value, add)
+        branches.add(expected)
+    assert branches == {True, False}
+
+
+def counting_leg(calls, start, rate, t0, t1):
+    def x(t):
+        calls["x"] += 1
+        return start + (t - t0) * rate
+
+    def xdot(t):
+        calls["xdot"] += 1
+        return rate
+
+    return tp.SmoothPath(t0, t1, x, xdot)
+
+
+def test_holonomy_of_a_per_node_loop_calls_the_legs_for_probes_ends_and_nodes():
+    # each leg: 30 + 10 probe calls; the path reads each leg's two ends once,
+    # and the lift calls both callables at the 2 n + 1 nodes of each leg
+    calls = {"x": 0, "xdot": 0}
+    side, step, rates = 0.25, 0.0625, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    corners = np.array([0.1, 0.2]) + side * np.cumsum(np.concatenate([[[0.0, 0.0]], rates[:-1]]), axis=0)
+    loop = tp.PiecewisePath([counting_leg(calls, c, r, k * side, (k + 1) * side)
+                             for k, (c, r) in enumerate(zip(corners, rates))])
+    assert calls == {"x": 4 * 30 + 8, "xdot": 4 * 10}
+    assert all(np.array_equal(ends, [c, c + side * r]) for ends, c, r in zip(loop.ends, corners, rates))
+    conn = gravity_connection(lambda t, x: 9.81 + 0.3 * np.sin(x), lambda t, x: 0.2 * t)
+    hol = tp.holonomy(conn, loop, step=step)
+    nodes = 4 * (2 * 4 + 1)   # four steps per leg
+    assert calls == {"x": 4 * 30 + 8 + nodes, "xdot": 4 * 10 + nodes}
+    assert np.array_equal(hol.mat, tp.horizontal_lift(conn, loop, step=step).end.mat)
+
+
+def test_piecewise_path_errors_come_pair_by_pair():
+    a, b = tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), tp.line_segment([1.0, 0.5], [1.0, 1.0], 1.0, 2.0)
+    late = tp.line_segment([1.0, 0.5], [0.0, 0.0], 2.5, 3.0)
+    with pytest.raises(ValueError, match="continuous in space"):   # the first pair jumps in space
+        tp.PiecewisePath([a, b, late])
+    with pytest.raises(ValueError, match="contiguous in time"):   # the first pair jumps in time
+        tp.PiecewisePath([a, late, b])
 
 
 def test_batched_and_per_node_legs_lift_in_one_pass():
