@@ -11,16 +11,21 @@ import numpy as np
 
 from cartanconn import affine_structure
 
+# soldering_matrix takes a stack of base points and returns one matrix per point
+points = np.array([[0.3, -0.4], [1.0, 2.0]])
+
 identity_case = affine_structure(2)
 print("sigma0 = identity:", identity_case.is_cartan(samples=10).kind)
-print("  soldering matrix at a point:")
-print(" ", str(identity_case.soldering_matrix([0.3, -0.4])).replace("\n", "\n  "))
+for x, matrix in zip(points, identity_case.soldering_matrix(points)):
+    print(f"  soldering matrix at {x.tolist()}:")
+    print(" ", str(matrix).replace("\n", "\n  "))
 
 sigma = np.array([[2.0, 0.5], [-0.3, 1.5]])
 twisted = affine_structure(2, sigma0=sigma)
 print("sigma0 =", sigma.tolist(), "->", twisted.is_cartan(samples=10).kind)
-print("  recovered by the soldering map:")
-print(" ", str(twisted.soldering_matrix([1.0, 2.0])).replace("\n", "\n  "))
+for x, matrix in zip(points, twisted.soldering_matrix(points)):
+    print(f"  recovered by the soldering map at {x.tolist()}:")
+    print(" ", str(matrix).replace("\n", "\n  "))
 
 degenerate = affine_structure(2, sigma0=np.zeros((2, 2)))
 report = degenerate.is_cartan(samples=10)

@@ -48,10 +48,11 @@ from typing import Callable
 import numpy as np
 
 from . import liegroup as lg
-from .errors import GeometryError, NotCartanError
-from .principal import LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, coeff_matrices, full_form
+from .errors import GeometryError, InvalidElementError, NotCartanError
+from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, _frobenius, coeff_matrices,
+                        full_form)
 from .settings import AXIOM, RANK, STRUCTURAL
-from .transport import DevelopedPath, Path, horizontal_lift
+from .transport import DevelopedPath, Path, _start_point, horizontal_lift
 
 
 @dataclass(eq=False)
@@ -74,7 +75,9 @@ class HomogeneousSpec:
     coset_derivative  derivative of ``coset_section`` at a stack of points
                     along a stack of directions, both ``(N, fiber_dim)``,
                     as ``(N, n, n)``
-    stabilizer_basis  basis of the Lie algebra of ``G'``
+    stabilizer_basis  basis of the Lie algebra of ``G'``; random elements of
+                    ``G'`` are drawn as stacks by one exponential, and the
+                    ``random_stabilizer_*`` methods are the one-row case
     """
 
     name: str
@@ -108,15 +111,33 @@ class HomogeneousSpec:
             raise GeometryError(f"{self.name}: the derivative of act at o does not have rank {self.fiber_dim}")
         return fiber_map
 
+    def _stabilizer_algebra(self, coords, scale: float = 0.5) -> np.ndarray:
+        """Matrices ``(N, n, n)`` of g' with coordinate rows ``(N, k)``, each
+        scaled to Frobenius norm ``scale`` (a zero row stays zero)."""
+        basis = np.array([eta.mat.ravel() for eta in self.stabilizer_basis])
+        mats = (np.asarray(coords, dtype=float) @ basis).reshape(-1, self.tag.size, self.tag.size)
+        norms = _frobenius(mats)
+        return mats * np.divide(scale, norms, out=np.ones_like(norms), where=norms > 0)[:, None, None]
+
+    def _stabilizer_elements(self, coords, scale: float = 0.5) -> np.ndarray:
+        """``exp`` of :meth:`_stabilizer_algebra` as raw matrices ``(N, n, n)``
+        by one stacked exponential (for PGL, normalized); raises as
+        :func:`lg.group_element` when one violates the group relations."""
+        mats = lg.expm_matrix(self.tag, self._stabilizer_algebra(coords, scale))
+        mats = lg.normalize_projective(mats) if self.tag.kind is lg.GroupKind.PGL else mats
+        defect = np.max(lg.group_defect(self.tag, mats))
+        if not defect <= STRUCTURAL:
+            raise InvalidElementError(
+                f"matrix violates the defining relations of {self.tag.name}: residual {defect:.3e}")
+        return mats
+
     def random_stabilizer_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> lg.AlgebraElement:
-        coords = rng.standard_normal(len(self.stabilizer_basis))
-        mat = sum(c * b.mat for c, b in zip(coords, self.stabilizer_basis))
-        xi = lg.AlgebraElement(self.tag, mat)
-        n = xi.norm()
-        return (scale / n) * xi if n > 0 else xi
+        coords = rng.standard_normal((1, len(self.stabilizer_basis)))
+        return lg.AlgebraElement(self.tag, self._stabilizer_algebra(coords, scale)[0])
 
     def random_stabilizer_element(self, rng: np.random.Generator, scale: float = 0.5) -> lg.GroupElement:
-        return lg.exp(self.random_stabilizer_algebra(rng, scale))
+        coords = rng.standard_normal((1, len(self.stabilizer_basis)))
+        return lg.GroupElement(self.tag, self._stabilizer_elements(coords, scale)[0])
 
     def validate(self, rng: np.random.Generator | None = None, samples: int = 10) -> None:
         """Structural checks on stacks of samples: the identity fixes the
@@ -135,7 +156,7 @@ class HomogeneousSpec:
         g1, g2 = pairs[:, 0], pairs[:, 1]
         if np.max(np.abs(self.act(g1 @ g2, zs) - self.act(g1, self.act(g2, zs)))) > STRUCTURAL:
             raise GeometryError(f"{self.name}: the action violates the composition law")
-        stabilizer = np.array([self.random_stabilizer_element(rng).mat for _ in range(samples)])
+        stabilizer = self._stabilizer_elements(rng.standard_normal((samples, len(self.stabilizer_basis))))
         if np.max(np.abs(self.act(stabilizer, self.origin) - self.origin)) > 1e-9:
             raise GeometryError(f"{self.name}: stabilizer element moved the base point")
         secs = self.coset_section(zs)
@@ -196,9 +217,7 @@ class CartanStructure:
     def section_value(self, x) -> np.ndarray:
         """Section at a base point (or at each row of a stack ``(N, m)``)."""
         x = np.asarray(x, dtype=float)
-        if self.diagonal:
-            return x.copy()
-        return np.broadcast_to(self.spec.origin, x.shape[:-1] + self.spec.origin.shape).copy()
+        return x.copy() if self.diagonal else np.zeros(x.shape[:-1] + self.spec.origin.shape) + self.spec.origin
 
     def _frames(self, xs) -> np.ndarray:
         """Reduction frames ``(N, n, n)`` at a stack of base points ``(N, m)``."""
@@ -247,81 +266,66 @@ class CartanStructure:
         :func:`lg.compose` returns it), so ``points = frames @ gps`` holds
         for the returned pair."""
         frames = self._frames(xs)
-        if gps is None:
-            gps = np.broadcast_to(np.eye(self.spec.tag.size), frames.shape)
+        gps = np.zeros(frames.shape) + np.eye(self.spec.tag.size) if gps is None else gps
         points = frames @ gps
         if self.spec.tag.kind is lg.GroupKind.PGL:
             pivots = lg._pivots(points)[:, None, None]   # as lg.normalize_projective
             points, gps = points / pivots, gps / pivots
         return points, gps
 
-    def _reduction_tangent_basis(self, xs, gps=None):
-        """Points of H' over a stack of base points ``(N, m)`` framed by
-        ``frame * gps`` (as :meth:`_reduction_point`) and a basis of T H'
-        at each, as ``(points, dxs, dgs)`` with ``dxs`` ``(N, m + k, m)``
-        and ``dgs`` ``(N, m + k, n, n)``: base directions follow the frame,
-        verticals span g'. For PGL the tangents are scaled with the
-        normalized point."""
+    def _induced_coords(self, xs, gps=None, ws=None, verticals=None):
+        """Points ``frame * gps`` of H' over base points ``(N, m)`` (as
+        :meth:`_reduction_point`), tangents of H' there, ``dxs`` ``(N, j, m)``
+        and ``dgs`` ``(N, j, n, n)``, and the induced form's coordinates on
+        them ``(N, dim G, j)``, from one frame-derivative, coefficient and
+        form evaluation. Tangent ``i`` lifts ``ws[i]`` along the frame and
+        adds ``point @ verticals[i]``; by default the tangents are the basis
+        of T H', the ``m`` base directions, then verticals spanning g'."""
         xs = np.asarray(xs, dtype=float)
         (count, m), n = xs.shape, self.spec.tag.size
+        if ws is None:
+            stabilizer = np.reshape([eta.mat for eta in self.spec.stabilizer_basis], (-1, n, n))
+            ws, verticals = np.eye(m + len(stabilizer), m), np.concatenate([np.zeros((m, n, n)), stabilizer])
+        dxs = np.zeros((count,) + np.shape(ws)[-2:]) + ws
+        rows, flat = np.repeat(xs, dxs.shape[1], axis=0), dxs.reshape(-1, m)
         points, gps = self._reduction_point(xs, gps)
-        derivs = self._frame_derivatives(np.repeat(xs, m, axis=0), np.tile(np.eye(m), (count, 1)))
-        stabilizer = np.array([eta.mat for eta in self.spec.stabilizer_basis]).reshape(-1, n, n)
-        dgs = np.concatenate([derivs.reshape(count, m, n, n) @ gps[:, None], points[:, None] @ stabilizer], axis=1)
-        return points, np.broadcast_to(np.eye(dgs.shape[1], m), (count, dgs.shape[1], m)), dgs
+        dgs = self._frame_derivatives(rows, flat).reshape(dxs.shape[:2] + (n, n)) @ gps[:, None]
+        dgs = dgs if verticals is None else dgs + points[:, None] @ verticals
+        coeffs = coeff_matrices(self.conn, rows, flat).reshape(dgs.shape)
+        mats = _form_matrices(self.conn.tag, coeffs, points[:, None], dgs)
+        return points, dxs, dgs, lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats)).swapaxes(1, 2)
 
     def reduced_form_matrix(self, xs, gps=None) -> np.ndarray:
         """Matrices ``(N, dim G, m + k)`` of the induced form on the tangent
         bases of H' over a stack of base points ``(N, m)``, framed by
         ``frame * gps`` (raw matrices ``(N, n, n)``, identities by default),
-        in algebra coordinates of G (columns = basis tangents); one form
-        evaluation on all basis tangents of all points."""
-        xs = np.asarray(xs, dtype=float)
-        points, dxs, dgs = self._reduction_tangent_basis(xs, gps)
-        count, width, m = dxs.shape
-        coeffs = coeff_matrices(self.conn, np.repeat(xs, width, axis=0), dxs.reshape(-1, m))
-        mats = _form_matrices(self.conn.tag, coeffs, np.repeat(points, width, axis=0), dgs.reshape(-1, *points.shape[1:]))
-        coords = lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats))
-        return coords.reshape(count, width, -1).swapaxes(1, 2)
+        in algebra coordinates of G (columns = basis tangents)."""
+        return self._induced_coords(xs, gps)[3]
 
     # -- classification ---------------------------------------------------------------
 
     def is_cartan(self, samples: int = 20, seed: int = 0) -> CartanReport:
         """Classify the structure by sampling the induced form's kernel.
 
-        The form matrices are assembled at random reduction points (drawn
-        one sample at a time, then evaluated as one stack); the structure
-        is kernel-free when the smallest singular value stays above the
-        rank threshold at every sample.
+        One ``sample_rows`` draw (per sample a base point, then the
+        coordinates of ``g'``), one stacked exponential and one
+        :meth:`reduced_form_matrix` call; kernel-free when the smallest
+        singular value stays above the rank threshold at every sample.
         """
         if samples < 1:
             raise ValueError("classification needs at least one sample")
-        rng = np.random.default_rng(seed)
-        xs, gps = [], []
-        for _ in range(samples):
-            xs.append(self.conn.domain.sample(rng))
-            gps.append(self.spec.random_stabilizer_element(rng).mat)
-        xs = np.array(xs)
-        matrices = self.reduced_form_matrix(xs, np.array(gps))
+        draws = self.conn.domain.sample_rows(np.random.default_rng(seed), samples, len(self.spec.stabilizer_basis))
+        xs = draws[:, :self.base_dim]
+        matrices = self.reduced_form_matrix(xs, self.spec._stabilizer_elements(draws[:, self.base_dim:]))
         rows, cols = matrices.shape[1:]
         smallest = np.linalg.svd(matrices, compute_uv=False)[:, -1] if rows >= cols else np.zeros(samples)
         i = int(np.argmin(smallest))
         worst = float(smallest[i])
-        kernel_free = worst > RANK
-        if kernel_free and self.base_dim == self.spec.fiber_dim:
-            kind = "cartan"
-        elif kernel_free and self.base_dim < self.spec.fiber_dim:
-            kind = "generalized"
-        else:
-            kind = "neither"
-        return CartanReport(
-            kind=kind,
-            min_singular_value=worst,
-            base_dim=self.base_dim,
-            fiber_dim=self.spec.fiber_dim,
-            samples=samples,
-            worst_point=(xs[i],),
-        )
+        kind = "neither"
+        if worst > RANK and self.base_dim <= self.spec.fiber_dim:
+            kind = "cartan" if self.base_dim == self.spec.fiber_dim else "generalized"
+        return CartanReport(kind=kind, min_singular_value=worst, base_dim=self.base_dim,
+                            fiber_dim=self.spec.fiber_dim, samples=samples, worst_point=(xs[i].copy(),))
 
     # -- soldering ---------------------------------------------------------------------
 
@@ -330,24 +334,23 @@ class CartanStructure:
         """Soldering value computed from an explicit admissible choice of
         reduction point (framed by ``gprime``) and lift (shifted by the
         stabilizer direction ``vertical``); used to exercise independence."""
-        xs, ws = np.asarray(x, dtype=float)[None], np.asarray(w, dtype=float)[None]
-        points, gps = self._reduction_point(xs, gprime.mat[None])
-        dgs = self._frame_derivatives(xs, ws) @ gps + points @ vertical.mat
-        omega = _form_matrices(self.conn.tag, coeff_matrices(self.conn, xs, ws), points, dgs)[0]
-        return self.spec.push(points[0]) @ lg.algebra_coords(lg.AlgebraElement(self.spec.tag, omega))
+        points, _, _, coords = self._induced_coords([x], gprime.mat[None], [w], vertical.mat)
+        return self.spec.push(points[0]) @ coords[0, :, 0]
 
     def soldering(self, x, w) -> np.ndarray:
         """Soldering map at x applied to the base tangent w: a tangent to
         the fibre at the section point, independent of construction choices."""
-        e_prime = lg.identity(self.spec.tag)
-        return self.soldering_with_choices(x, w, e_prime, lg.zero_algebra(self.spec.tag))
+        return self.soldering_with_choices(x, w, lg.identity(self.spec.tag), lg.zero_algebra(self.spec.tag))
 
     def soldering_matrix(self, x) -> np.ndarray:
-        """Soldering map at x on the coordinate basis, from one evaluation
-        of the induced form on the base directions of H'."""
-        xs = np.asarray(x, dtype=float)[None]
-        points, _ = self._reduction_point(xs)
-        return self.spec.push(points[0]) @ self.reduced_form_matrix(xs)[0, :, :self.base_dim]
+        """Soldering map on the coordinate basis at a base point ``(m,)``, as
+        ``(fiber_dim, m)``, or at each point of a stack ``(N, m)``, as
+        ``(N, fiber_dim, m)``: the induced form evaluated only on the ``m``
+        base directions of H' at the canonical reduction points, with one
+        coefficient, form and ``spec.push`` call for the whole stack."""
+        x = np.asarray(x, dtype=float)
+        points, _, _, coords = self._induced_coords(x.reshape(-1, self.base_dim), ws=np.eye(self.base_dim))
+        return (self.spec.push(points) @ coords).reshape(x.shape[:-1] + (self.spec.fiber_dim, self.base_dim))
 
     # -- development ---------------------------------------------------------------------
 
@@ -372,7 +375,7 @@ class CartanStructure:
             for seg, i0, i1 in zip(segments, cuts, cuts[1:]):
                 seg.points(np.clip(ts[i0:i1], seg.t0, seg.t1), out=xs[i0:i1])
             movers = movers @ self._frames(xs)
-        return DevelopedPath(ts.copy(), self.spec.act(movers, self.spec.origin), segments[0].point(segments[0].t0))
+        return DevelopedPath(ts.copy(), self.spec.act(movers, self.spec.origin), _start_point(path))
 
     # -- parallelization -------------------------------------------------------------------
 
@@ -388,14 +391,10 @@ class CartanStructure:
         if not self.in_reduction(p):
             raise GeometryError("point does not belong to the reduction H'")
         # frame the point as frame(x) * g' to reuse the tangent basis
-        xs = p.x[None]
-        gps = lg.inverse_matrix(self.spec.tag, self._frames(xs)) @ p.g.mat
-        _, dxs, dgs = self._reduction_tangent_basis(xs, gps)
-        matrix = self.reduced_form_matrix(xs, gps)[0]
+        gps = lg.inverse_matrix(self.spec.tag, self._frames(p.x[None])) @ p.g.mat
+        _, dxs, dgs, matrix = (stack[0] for stack in self._induced_coords(p.x[None], gps))
         svals = np.linalg.svd(matrix, compute_uv=False)
         if svals[-1] <= RANK:
-            raise NotCartanError(
-                f"induced form is singular at the requested point (sigma_min = {svals[-1]:.3e})"
-            )
+            raise NotCartanError(f"induced form is singular at the requested point (sigma_min = {svals[-1]:.3e})")
         coeffs = np.linalg.inv(matrix)  # column j: coordinates of frame vector j
-        return [PrincipalTangent(c @ dxs[0], np.tensordot(c, dgs[0], 1)) for c in coeffs.T]
+        return [PrincipalTangent(c @ dxs, np.tensordot(c, dgs, 1)) for c in coeffs.T]

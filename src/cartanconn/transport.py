@@ -164,6 +164,11 @@ class PiecewisePath:
 Path = SmoothPath | PiecewisePath
 
 
+def _start_point(path: Path) -> np.ndarray:
+    """``x(t0)``: a piecewise path's stored first end, else one call of the path."""
+    return path.ends[0][0].copy() if isinstance(path, PiecewisePath) else path.point(path.t0)
+
+
 def _reparameterized(path: SmoothPath, a: float, b: float, s0: float, scale: float) -> SmoothPath:
     """``path`` read at the times ``s0 + (t - a) scale`` for ``t`` in [a, b] (batched)."""
     return SmoothPath(
@@ -496,5 +501,4 @@ def develop_total_path(
     lifted = horizontal_lift(conn, base_path, None, step)
     zetas = stacked(fiber_path, lifted.ts, out=np.empty((len(lifted.ts), spec.fiber_dim)), what="fibre path")
     values = spec.act(lg.inverse_matrix(conn.tag, lifted.mats), zetas)
-    start = base_path.segments[0]
-    return DevelopedPath(lifted.ts.copy(), values, start.point(start.t0))
+    return DevelopedPath(lifted.ts.copy(), values, _start_point(base_path))

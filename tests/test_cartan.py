@@ -220,6 +220,50 @@ def test_is_cartan_keeps_its_classification(name, kind, smallest):
     assert abs(report.min_singular_value - smallest) <= 1e-14
 
 
+def per_sample_classification(cs, samples, seed):
+    """Draws of the classification made one sample at a time (a base point,
+    then the stabilizer coordinates), each element exponentiated alone, and
+    the smallest singular value of the form matrix at each."""
+    rng, xs, smallest = np.random.default_rng(seed), [], []
+    for _ in range(samples):
+        x = cs.conn.domain.sample(rng)
+        coords = rng.standard_normal(len(cs.spec.stabilizer_basis))
+        xi = sum(c * b.mat for c, b in zip(coords, cs.spec.stabilizer_basis))
+        gp = lg.exp(lg.AlgebraElement(cs.spec.tag, 0.5 * xi / np.linalg.norm(xi)))
+        xs.append(x)
+        smallest.append(np.linalg.svd(cs.reduced_form_matrix(x[None], gp.mat[None])[0], compute_uv=False)[-1])
+    return np.array(xs), np.array(smallest)
+
+
+@pytest.mark.parametrize("domain", [pr.ChartDomain.unbounded(2), pr.ChartDomain.box([-1.0, 0.5], [2.0, 3.0])],
+                         ids=["unbounded", "box"])
+def test_is_cartan_draws_the_per_sample_stream(domain):
+    # one sample_rows draw is the stream of drawing sample after sample, on
+    # an unbounded domain (one normal draw) and on a box (row by row)
+    model = models.build_model("projective")
+    cs = CartanStructure("projective", model.spec, pr.LocalConnection(domain, model.conn.tag, model.conn.coeff))
+    report = cs.is_cartan(samples=20, seed=23)
+    xs, smallest = per_sample_classification(cs, 20, 23)
+    i = int(np.argmin(smallest))
+    assert np.array_equal(report.worst_point[0], xs[i])
+    assert abs(report.min_singular_value - smallest[i]) <= 1e-14
+    assert np.all(domain.contains(xs))
+
+
+@pytest.mark.parametrize("samples", [1, 20])
+def test_is_cartan_makes_one_coeff_and_one_exponential_call(samples, monkeypatch):
+    model = FORM_STRUCTURES["gravity"]()
+    coeff_calls, expm_calls, expm = [], [], lg.expm_matrix
+    coeff = pr.batched(lambda x, dx: coeff_calls.append(len(x)) or model.conn.coeff(x, dx))
+    cs = CartanStructure("counted", model.spec, pr.LocalConnection(model.conn.domain, model.conn.tag, coeff))
+    monkeypatch.setattr(lg, "expm_matrix", lambda tag, mat: expm_calls.append(mat.shape) or expm(tag, mat))
+    report = cs.is_cartan(samples=samples, seed=24)
+    width = cs.base_dim + len(cs.spec.stabilizer_basis)
+    assert coeff_calls == [samples * width]
+    assert expm_calls == [(samples, 3, 3)]
+    assert report.samples == samples and report.kind == "cartan"
+
+
 def test_affine_sigma_structure_solders_by_its_endomorphism():
     cs = FORM_STRUCTURES["affine-sigma"]()
     rng = np.random.default_rng(17)
@@ -289,6 +333,42 @@ def test_soldering_matrix_matches_per_direction_soldering():
             x = cs.conn.domain.sample(rng, scale=0.5)
             reference = np.column_stack([cs.soldering(x, w) for w in np.eye(cs.base_dim)])
             assert np.max(np.abs(cs.soldering_matrix(x) - reference)) < 1e-14, cs.spec.name
+
+
+SOLDERED = {
+    "affine-sigma": FORM_STRUCTURES["affine-sigma"],
+    "flat-projective": lambda: models._build_homogeneous(space="projective"),
+    **{name: lambda name=name: models.build_model(name) for name in models.MODEL_BUILDERS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLDERED))
+def test_soldering_matrix_of_a_stack_matches_each_point(name):
+    # a stack of points is soldered as one and equals the per-point calls
+    # bit for bit; a single point (m,) still gives one (fiber_dim, m) matrix
+    cs = SOLDERED[name]()
+    xs = 2.0 * np.random.default_rng(20).standard_normal((7, cs.base_dim))
+    stack = cs.soldering_matrix(xs)
+    assert stack.shape == (7, cs.spec.fiber_dim, cs.base_dim)
+    for x, matrix in zip(xs, stack):
+        single = cs.soldering_matrix(x)
+        assert single.shape == (cs.spec.fiber_dim, cs.base_dim)
+        assert np.array_equal(single, matrix)
+    if name == "flat-projective":   # frames whose pivot is off the leading entry (|z| > 1)
+        assert np.any(np.abs(cs._frames(xs)[:, 0, 0]) < 1.0)
+
+
+def test_soldering_matrix_of_a_stack_makes_one_coeff_and_one_push_call(monkeypatch):
+    model = FORM_STRUCTURES["affine-sigma"]()
+    coeff_calls, pushed = [], []
+    coeff = pr.batched(lambda x, dx: coeff_calls.append(np.array(dx)) or model.conn.coeff(x, dx))
+    cs = CartanStructure("counted", model.spec, pr.LocalConnection(model.conn.domain, model.conn.tag, coeff))
+    push = cs.spec.push
+    monkeypatch.setattr(cs.spec, "push", lambda mats: pushed.append(mats.shape) or push(mats))
+    matrices = cs.soldering_matrix(np.random.default_rng(21).standard_normal((16, 2)))
+    assert len(coeff_calls) == 1 and np.array_equal(coeff_calls[0], np.tile(np.eye(2), (16, 1)))
+    assert pushed == [(16, 3, 3)]
+    assert np.max(np.abs(matrices - SIGMA)) < 1e-12
 
 
 @pytest.mark.parametrize("model", ["galilean", "affine", "homogeneous", "mobius", "projective"])
@@ -536,7 +616,7 @@ def test_projective_tangents_are_tangent_to_the_reduction():
         gprime = cs.spec.random_stabilizer_element(rng)
         frame = lg.GroupElement(cs.spec.tag, cs._frames(x[None])[0])
         p = pr.PrincipalPoint(x, lg.compose(frame, gprime))
-        _, dxs, dgs = cs._reduction_tangent_basis(x[None], gprime.mat[None])
+        _, dxs, dgs, _ = cs._induced_coords(x[None], gprime.mat[None])
         tangents = [pr.PrincipalTangent(dx, dg) for dx, dg in zip(dxs[0], dgs[0])]
         for v in tangents + cs.parallelization_frame(p):
             assert cs.reduction_tangency_residual(p, v) < 1e-8

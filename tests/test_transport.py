@@ -458,6 +458,31 @@ def test_holonomy_of_a_per_node_loop_calls_the_legs_for_probes_ends_and_nodes():
     assert np.array_equal(hol.mat, tp.horizontal_lift(conn, loop, step=step).end.mat)
 
 
+def test_developments_read_a_piecewise_base_point_from_its_ends():
+    # a piecewise path holds x(t0) in ends[0][0], so a development calls the
+    # legs only at the lift's nodes; a smooth path reads x(t0) by one call
+    calls = {"x": 0, "xdot": 0}
+    side, step, rates = 0.25, 0.0625, np.array([[1.0, 0.0], [0.0, 1.0]])
+    corners = np.array([[0.1, 0.2], [0.35, 0.2]])
+    path = tp.PiecewisePath([counting_leg(calls, c, r, k * side, (k + 1) * side)
+                             for k, (c, r) in enumerate(zip(corners, rates))])
+    smooth = counting_leg(calls, corners[0], rates[0], 0.0, side)
+    conn = gravity_connection(lambda t, x: 9.81 + 0.3 * np.sin(x))
+    cs = models.CartanStructure("gravity", GALILEO, conn)
+    zeta = lambda t: np.array([t, 0.5 * t])
+    nodes = 2 * 4 + 1   # four steps per leg
+    for develop in (lambda p: tp.develop_total_path(conn, GALILEO, p, zeta, step=step),
+                    lambda p: cs.develop_base_path(p, step=step)):
+        before = dict(calls)
+        dev = develop(path)
+        assert calls == {"x": before["x"] + 2 * nodes, "xdot": before["xdot"] + 2 * nodes}
+        assert np.array_equal(dev.base_point, corners[0])
+        before = dict(calls)
+        dev = develop(smooth)
+        assert calls == {"x": before["x"] + nodes + 1, "xdot": before["xdot"] + nodes}
+        assert np.array_equal(dev.base_point, corners[0])
+
+
 def test_piecewise_path_errors_come_pair_by_pair():
     a, b = tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), tp.line_segment([1.0, 0.5], [1.0, 1.0], 1.0, 2.0)
     late = tp.line_segment([1.0, 0.5], [0.0, 0.0], 2.5, 3.0)
