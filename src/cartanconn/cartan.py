@@ -15,6 +15,8 @@ the diagonal ``x -> x`` when base and fibre share a chart; the canonical
 reduction point over ``x`` is the frame ``h'(x) = coset_section(s0(x))``,
 which lies in ``H'`` by construction. Frames, tangent bases of ``H'`` and
 the induced form are evaluated on stacks of base points as raw matrices.
+The derivatives of ``act`` and ``coset_section`` are taken by one complex
+step, so they must accept complex matrices and complex points.
 
 The connection form restricted to ``H'`` (the
 induced form) takes values in the full algebra of ``G``; the structure is
@@ -55,6 +57,12 @@ from .settings import AXIOM, RANK, STRUCTURAL
 from .transport import DevelopedPath, Path, _start_point, horizontal_lift
 
 
+def _complex_step(f: Callable[[np.ndarray], np.ndarray], x, dx) -> np.ndarray:
+    """Derivative of ``f`` at ``x`` along ``dx`` as ``Im f(x + 1e-30j dx) / 1e-30``,
+    exact to round-off for an analytic ``f`` (complex step, Squire & Trapp 1998)."""
+    return np.imag(f(x + 1e-30j * np.asarray(dx))) / 1e-30
+
+
 @dataclass(eq=False)
 class HomogeneousSpec:
     """Homogeneous-space data for a fibre ``F = G / G'`` realized on a chart.
@@ -71,10 +79,8 @@ class HomogeneousSpec:
     coset_section   right inverse of the projection on a stack of chart
                     points ``(N, fiber_dim)``: raw group matrices
                     ``(N, n, n)`` mapping ``o`` to each point, the identity
-                    at ``o``
-    coset_derivative  derivative of ``coset_section`` at a stack of points
-                    along a stack of directions, both ``(N, fiber_dim)``,
-                    as ``(N, n, n)``
+                    at ``o``. It must accept complex points and keep their
+                    imaginary parts, for :meth:`coset_derivative`
     stabilizer_basis  basis of the Lie algebra of ``G'``; random elements of
                     ``G'`` are drawn as stacks by one exponential, and the
                     ``random_stabilizer_*`` methods are the one-row case
@@ -86,7 +92,6 @@ class HomogeneousSpec:
     origin: np.ndarray
     act: Callable[[np.ndarray, np.ndarray], np.ndarray]
     coset_section: Callable[[np.ndarray], np.ndarray]
-    coset_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     stabilizer_basis: tuple[lg.AlgebraElement, ...]
 
     def __post_init__(self):
@@ -98,8 +103,13 @@ class HomogeneousSpec:
         derivative of ``act(g exp(s b_i), o)`` at ``s = 0``, exact to round-off
         as ``Im act(g + 1e-30j g b_i, o) / 1e-30`` (complex step)."""
         mats = np.asarray(mats)[..., None, :, :]
-        moved = self.act(mats + 1e-30j * (mats @ lg.algebra_basis_matrices(self.tag)), self.origin)
-        return np.swapaxes(np.imag(moved), -1, -2) / 1e-30
+        moved = _complex_step(lambda g: self.act(g, self.origin), mats, mats @ lg.algebra_basis_matrices(self.tag))
+        return np.swapaxes(moved, -1, -2)
+
+    def coset_derivative(self, points, directions) -> np.ndarray:
+        """Derivative ``(N, n, n)`` of :attr:`coset_section` at points along
+        directions, both ``(N, fiber_dim)``: ``Im coset_section(z + 1e-30j w) / 1e-30``."""
+        return _complex_step(self.coset_section, np.asarray(points, dtype=float), directions)
 
     @cached_property
     def fiber_map(self) -> np.ndarray:
@@ -144,8 +154,9 @@ class HomogeneousSpec:
         base point and every sampled point, the action obeys the composition
         law ``act(g1 g2, z) = act(g1, act(g2, z))``, the stabilizer fixes o,
         the coset section lies in the group, is a right inverse of the
-        projection ``act(., o)`` and is the identity at o, and dimensions
-        add up."""
+        projection ``act(., o)``, is the identity at o and carries complex
+        points (its complex-step derivative projects onto the direction),
+        and dimensions add up."""
         rng = rng or np.random.default_rng(0)
         if len(self.stabilizer_basis) + self.fiber_dim != lg.algebra_dim(self.tag):
             raise GeometryError(f"{self.name}: dim G != dim G' + dim F")
@@ -166,6 +177,11 @@ class HomogeneousSpec:
             raise GeometryError(f"{self.name}: coset section is not a right inverse")
         if np.max(np.abs(secs[0] - np.eye(self.tag.size))) > STRUCTURAL:
             raise GeometryError(f"{self.name}: coset section of the base point is not the identity")
+        ws = rng.standard_normal(zs.shape)
+        moved = _complex_step(lambda z: self.act(self.coset_section(z), self.origin), zs, ws)
+        if not np.max(np.abs(moved - ws)) <= 1e-9:
+            raise GeometryError(f"{self.name}: the complex-step derivative of the coset section does not project "
+                                "onto its direction (coset_section must keep imaginary parts)")
 
 
 @dataclass(frozen=True)
@@ -225,10 +241,11 @@ class CartanStructure:
 
     def _frame_derivatives(self, xs, ws) -> np.ndarray:
         """Derivatives ``(N, n, n)`` of the reduction frames at base points
-        ``xs`` along base directions ``ws``, both ``(N, m)``."""
-        ws = np.asarray(ws, dtype=float)
-        section_tangents = ws if self.diagonal else np.zeros(ws.shape[:-1] + self.spec.origin.shape)
-        return self.spec.coset_derivative(self.section_value(xs), section_tangents)
+        ``xs`` along base directions ``ws``, both ``(N, m)``; zero under the
+        constant section, whose frame is the identity everywhere."""
+        if self.diagonal:
+            return self.spec.coset_derivative(xs, ws)
+        return np.zeros(np.shape(ws)[:-1] + (self.spec.tag.size,) * 2)
 
     def in_reduction(self, p: PrincipalPoint) -> bool:
         """Membership test for H': the point maps o onto the section."""
@@ -236,11 +253,10 @@ class CartanStructure:
         return bool(np.max(np.abs(image - self.section_value(p.x))) <= STRUCTURAL)
 
     def reduction_tangency_residual(self, p: PrincipalPoint, v: PrincipalTangent) -> float:
-        """Residual of the differentiated membership constraint along v (central difference, step 1e-6)."""
-        def constraint(s: float) -> np.ndarray:
-            return self.spec.act(p.g.mat + s * v.dg, self.spec.origin) - self.section_value(p.x + s * v.dx)
-
-        return float(np.max(np.abs((constraint(1e-6) - constraint(-1e-6)) / 2e-6)))
+        """Residual of the differentiated membership constraint along v: the complex-step
+        derivative of ``act(g, o)`` along ``dg``, minus ``dx`` under the diagonal section."""
+        moved = _complex_step(lambda g: self.spec.act(g, self.spec.origin), p.g.mat, v.dg)
+        return float(np.max(np.abs((moved - v.dx) if self.diagonal else moved)))
 
     # -- induced form ---------------------------------------------------------------
 
@@ -329,18 +345,22 @@ class CartanStructure:
 
     # -- soldering ---------------------------------------------------------------------
 
-    def soldering_with_choices(self, x, w, gprime: lg.GroupElement,
-                               vertical: lg.AlgebraElement) -> np.ndarray:
-        """Soldering value computed from an explicit admissible choice of
-        reduction point (framed by ``gprime``) and lift (shifted by the
-        stabilizer direction ``vertical``); used to exercise independence."""
-        points, _, _, coords = self._induced_coords([x], gprime.mat[None], [w], vertical.mat)
-        return self.spec.push(points[0]) @ coords[0, :, 0]
+    def soldering_with_choices(self, x, w, gps, verticals) -> np.ndarray:
+        """Soldering value from explicit choices of reduction point (framed by
+        ``gps``) and lift (shifted by the stabilizer direction ``verticals``):
+        at one point and tangent ``(m,)`` with raw matrices ``(n, n)``, or at
+        stacks ``(N, m)`` and ``(N, n, n)`` in one form evaluation."""
+        x, n = np.asarray(x, dtype=float), self.spec.tag.size
+        points, _, _, coords = self._induced_coords(
+            x.reshape(-1, self.base_dim), np.reshape(gps, (-1, n, n)), np.reshape(w, (-1, 1, self.base_dim)),
+            np.reshape(verticals, (-1, 1, n, n)))
+        return (self.spec.push(points) @ coords).reshape(x.shape[:-1] + (self.spec.fiber_dim,))
 
     def soldering(self, x, w) -> np.ndarray:
-        """Soldering map at x applied to the base tangent w: a tangent to
-        the fibre at the section point, independent of construction choices."""
-        return self.soldering_with_choices(x, w, lg.identity(self.spec.tag), lg.zero_algebra(self.spec.tag))
+        """Soldering map at x applied to the base tangent w (one, or stacks as
+        :meth:`soldering_with_choices`), independent of construction choices."""
+        n = self.spec.tag.size
+        return self.soldering_with_choices(x, w, np.eye(n), np.zeros((n, n)))
 
     def soldering_matrix(self, x) -> np.ndarray:
         """Soldering map on the coordinate basis at a base point ``(m,)``, as

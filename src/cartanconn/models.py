@@ -16,8 +16,9 @@
   x1^2 + ... + x_{n+1}^2 - x0^2 with the O(n + 1, 1) action on the plane
   (stereographic) chart, and the rotations of R^n inside the group
 
-Each homogeneous space is given by its one stacked action ``act``; the
-derivatives that soldering needs are taken from it (:meth:`HomogeneousSpec.push`).
+Each homogeneous space is given by its one stacked action ``act`` and its
+coset section, both carrying complex input: the derivatives that soldering
+needs are taken from them by a complex step (:class:`HomogeneousSpec`).
 
 A string registry (:data:`MODEL_BUILDERS`, :func:`build_model`) exposes the
 models to the scenario runner.
@@ -48,17 +49,10 @@ from .transport import SmoothPath
 def _translation_section(points) -> np.ndarray:
     """Coset section of the Galileo and affine spaces on a stack of points
     ``(N, dim)``: the identity with each point in its last column."""
-    points = np.asarray(points, dtype=float)
-    return np.eye(points.shape[-1] + 1) + _translation_derivative(points, points)
-
-
-def _translation_derivative(points, directions) -> np.ndarray:
-    """Derivative of :func:`_translation_section` along a stack of directions."""
-    directions = np.asarray(directions, dtype=float)
-    size = directions.shape[-1] + 1
-    out = np.zeros((len(directions), size, size))
-    out[:, :-1, -1] = directions
-    return out
+    points = np.asarray(points)
+    mats = np.tile(np.eye(points.shape[-1] + 1, dtype=np.result_type(points, float)), (len(points), 1, 1))
+    mats[:, :-1, -1] = points
+    return mats
 
 
 def _apply(mats, vecs) -> np.ndarray:
@@ -94,7 +88,6 @@ def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
         origin=np.zeros(dim),
         act=_affine_act,
         coset_section=_translation_section,
-        coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
     )
 
@@ -112,7 +105,6 @@ def affine_homogeneous_spec(n: int) -> HomogeneousSpec:
         origin=np.zeros(n),
         act=_affine_act,
         coset_section=_translation_section,
-        coset_derivative=_translation_derivative,
         stabilizer_basis=stabilizer,
     )
 
@@ -131,14 +123,9 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         return w[..., 1:] / w[..., :1]
 
     def coset_section(points):
-        mats = np.tile(np.eye(n + 1), (len(points), 1, 1))
+        mats = np.tile(np.eye(n + 1, dtype=np.result_type(np.asarray(points), float)), (len(points), 1, 1))
         mats[:, 1:, 0] = points
         return lg.normalize_projective(mats)
-
-    def coset_derivative(points, directions, h=1e-6):
-        # central difference of the normalized section, whose pivot changes
-        # where some |z_i| passes 1
-        return (coset_section(points + h * directions) - coset_section(points - h * directions)) / (2 * h)
 
     stabilizer = tuple(b for b in lg.algebra_basis(tag) if np.all(b.mat[1:, 0] == 0.0))
     return HomogeneousSpec(
@@ -148,7 +135,6 @@ def projective_homogeneous_spec(n: int) -> HomogeneousSpec:
         origin=np.zeros(n),
         act=act,
         coset_section=coset_section,
-        coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
     )
 
@@ -208,17 +194,10 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
     from_cone = np.linalg.inv(to_cone)
 
     def coset_section(points):
-        mid = np.tile(np.eye(n + 2), (len(points), 1, 1))
+        mid = np.tile(np.eye(n + 2, dtype=np.result_type(points, float)), (len(points), 1, 1))
         mid[:, 1:-1, 0] = points
         mid[:, -1, 0] = np.sum(points * points, axis=-1)
         mid[:, -1, 1:-1] = 2.0 * points
-        return from_cone @ mid @ to_cone
-
-    def coset_derivative(points, directions):
-        mid = np.zeros((len(points), n + 2, n + 2))
-        mid[:, 1:-1, 0] = directions
-        mid[:, -1, 0] = 2.0 * np.sum(points * directions, axis=-1)
-        mid[:, -1, 1:-1] = 2.0 * directions
         return from_cone @ mid @ to_cone
 
     basis = lg.algebra_basis(tag)
@@ -236,7 +215,6 @@ def mobius_homogeneous_spec(n: int) -> HomogeneousSpec:
         origin=np.zeros(n),
         act=act,
         coset_section=coset_section,
-        coset_derivative=coset_derivative,
         stabilizer_basis=stabilizer,
     )
 

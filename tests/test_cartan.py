@@ -209,7 +209,10 @@ CLASSIFICATIONS = [
     ("galilean3d", "cartan", 0.10077084978841),
     ("homogeneous", "cartan", 0.7807764064044153),
     ("mobius", "cartan", 0.8904522603671603),
-    ("projective", "cartan", 0.5331750552140108),
+    # exact: the earlier pin 0.5331750552140108 carried the rounding error of
+    # the projective coset derivative's central difference (step 1e-6); a
+    # fourth-order difference at h = 1e-2 to 1e-3 reads 0.5331750552252195
+    ("projective", "cartan", 0.5331750552252191),
 ]
 
 
@@ -374,9 +377,11 @@ def test_soldering_matrix_of_a_stack_makes_one_coeff_and_one_push_call(monkeypat
 @pytest.mark.parametrize("model", ["galilean", "affine", "homogeneous", "mobius", "projective"])
 def test_soldering_independent_of_choices(model):
     # the defining formula uses an arbitrary reduction point and an
-    # arbitrary lift of the base tangent; all choices must agree
+    # arbitrary lift of the base tangent; all choices must agree, and the
+    # choices soldered as one stack give the per-point values
     cs = models.build_model(model)
     rng = np.random.default_rng(7)
+    choices, values = [], []
     for _ in range(25):
         x = cs.conn.domain.sample(rng, scale=0.5)
         w = rng.standard_normal(cs.base_dim)
@@ -384,8 +389,13 @@ def test_soldering_independent_of_choices(model):
         for _ in range(5):
             gp = cs.spec.random_stabilizer_element(rng, scale=0.4)
             eta = cs.spec.random_stabilizer_algebra(rng, scale=0.4)
-            value = cs.soldering_with_choices(x, w, gp, eta)
+            value = cs.soldering_with_choices(x, w, gp.mat, eta.mat)
             assert np.max(np.abs(value - reference)) < 1e-9
+            choices.append((x, w, gp.mat, eta.mat))
+            values.append(value)
+    stack = cs.soldering_with_choices(*map(np.array, zip(*choices)))
+    assert stack.shape == (125, cs.spec.fiber_dim)
+    assert np.array_equal(stack, values)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +504,22 @@ def test_fiber_map_is_the_projection_on_algebra_coordinates():
 
 
 def test_fiber_map_rejects_an_act_that_drops_imaginary_parts():
-    # an act that casts to float passes validate, but its derivative is zero
+    # an act that casts to float has a zero derivative
     spec = models.affine_homogeneous_spec(2)
     real = dataclasses.replace(spec, act=lambda mats, points: spec.act(np.asarray(mats, dtype=float), points))
-    real.validate()
     with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match="^affine2/linear: .* rank 2$"):
         real.fiber_map
+    with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match="^affine2/linear: the complex-step"):
+        real.validate()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_validate_rejects_a_coset_section_that_drops_imaginary_parts(spec):
+    # the frame derivative of such a section is zero, which would solder
+    # the flat structures by a wrong map instead of failing
+    real = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(np.asarray(zs, dtype=float)))
+    with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match=f"^{spec.name}: the complex-step"):
+        real.validate()
 
 
 @pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])
@@ -509,8 +529,55 @@ def test_flat_soldering_is_the_identity(space):
     cs = models._build_homogeneous(space=space)
     rng = np.random.default_rng(16)
     for x in 0.5 * rng.standard_normal((5, cs.base_dim)):
-        # the projective coset derivative is a central difference
         assert np.max(np.abs(cs.soldering_matrix(x) - np.eye(cs.base_dim))) < 1e-9
+
+
+@pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])
+def test_flat_soldering_is_exact_off_the_leading_pivot(space):
+    # the frame derivative is exact to round-off, also where points of
+    # scale 2 put the projective pivot off the leading 1
+    cs = models._build_homogeneous(space=space)
+    xs = 2.0 * np.random.default_rng(16).standard_normal((20, cs.base_dim))
+    assert np.max(np.abs(cs.soldering_matrix(xs) - np.eye(cs.base_dim))) <= 1e-14
+    if space == "projective":
+        assert np.any(np.max(np.abs(xs), axis=1) > 1.0)
+
+
+def closed_form_coset_derivative(spec, zs, ws):
+    """Derivatives of the shipped coset sections, written out by hand."""
+    n, count = spec.tag.size, len(zs)
+    out = np.zeros((count, n, n))
+    if spec.tag.kind is lg.GroupKind.PGL:
+        # the section is M / p, with M the identity with z in its first
+        # column and p its largest-|entry|: W / p - M w_p / p^2
+        mats = np.tile(np.eye(n), (count, 1, 1))
+        mats[:, 1:, 0], out[:, 1:, 0] = zs, ws
+        pivot = np.abs(mats.reshape(count, -1)).argmax(axis=1)
+        p = mats.reshape(count, -1)[np.arange(count), pivot][:, None, None]
+        w_p = out.reshape(count, -1)[np.arange(count), pivot][:, None, None]
+        return out / p - mats * w_p / p ** 2
+    if spec.tag.kind is lg.GroupKind.ORTHOGONAL:
+        # the null translation in light-cone coordinates (u, x, w)
+        to_cone = np.eye(n)
+        to_cone[0, -1] = to_cone[-1, 0] = 1.0
+        to_cone[-1, -1] = -1.0
+        out[:, 1:-1, 0] = ws
+        out[:, -1, 0] = 2.0 * np.sum(zs * ws, axis=-1)
+        out[:, -1, 1:-1] = 2.0 * ws
+        return np.linalg.inv(to_cone) @ out @ to_cone
+    out[:, :-1, -1] = ws
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_coset_derivative_matches_closed_forms(spec):
+    rng = np.random.default_rng(20)
+    zs = 2.0 * rng.standard_normal((20, spec.fiber_dim))
+    ws = rng.standard_normal((20, spec.fiber_dim))
+    reference = closed_form_coset_derivative(spec, zs, ws)
+    assert np.max(np.abs(spec.coset_derivative(zs, ws) - reference)) <= 1e-15 * np.max(np.abs(reference))
+    if spec.tag.kind is lg.GroupKind.PGL:
+        assert np.any(np.abs(lg.normalize_projective(spec.coset_section(zs))[:, 0, 0]) < 1.0)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
@@ -566,8 +633,8 @@ def test_diagonal_section_needs_matching_dimensions():
 
 def test_shipped_fiber_actions_satisfy_action_laws():
     rng = np.random.default_rng(11)
-    for name in models.MODEL_BUILDERS:
-        models.build_model(name).spec.validate(rng, samples=10)
+    for spec in SPECS:
+        spec.validate(rng, samples=10)
 
 
 # ---------------------------------------------------------------------------
