@@ -32,7 +32,9 @@ For Cartan structures the induced form produces the soldering isomorphism
 
 for any point ``h'`` of ``H'`` over ``x`` and any tangent ``W'`` of ``H'``
 projecting to ``w``; the value is independent of both choices, and this
-independence is exercised as a property test rather than assumed.
+independence is exercised as a property test rather than assumed. Under
+the constant section ``h' = I`` and ``W' = (w, 0)`` give
+``sigma(w) = fiber_map . P(A(x, w))``, ``P`` the algebra projection.
 
 Development of a base path ``x(t)`` into the fibre over ``x(t0)`` follows
 the factorization through the horizontal lift ``h(t)`` started at the
@@ -51,8 +53,8 @@ import numpy as np
 
 from . import liegroup as lg
 from .errors import GeometryError, InvalidElementError, NotCartanError
-from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _form_matrices, _frobenius, coeff_matrices,
-                        full_form)
+from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _algebra_part, _form_matrices, _frobenius,
+                        coeff_matrices, full_form)
 from .settings import AXIOM, RANK, STRUCTURAL
 from .transport import DevelopedPath, Path, _start_point, horizontal_lift
 
@@ -356,21 +358,32 @@ class CartanStructure:
             np.reshape(verticals, (-1, 1, n, n)))
         return (self.spec.push(points) @ coords).reshape(x.shape[:-1] + (self.spec.fiber_dim,))
 
+    def _solder(self, x, ws) -> np.ndarray:
+        """Soldering images ``(..., fiber_dim, j)`` of base directions ``ws``, ``(N, j, m)``
+        or ``(j, m)``, at base points ``(..., m)``: ``fiber_map P(A(x, w))`` under the
+        constant section, else ``push(h') omega(W')`` at the canonical reduction points."""
+        xs = np.asarray(x, dtype=float).reshape(-1, self.base_dim)
+        if self.diagonal:
+            points, _, _, coords = self._induced_coords(xs, ws=ws)
+            solder = self.spec.push(points) @ coords
+        else:
+            dxs = np.zeros((len(xs),) + np.shape(ws)[-2:]) + ws
+            coeffs = coeff_matrices(self.conn, np.repeat(xs, dxs.shape[1], axis=0), dxs.reshape(-1, self.base_dim))
+            mats = _algebra_part(self.conn.tag, coeffs.reshape(dxs.shape[:2] + coeffs.shape[1:]))
+            solder = self.spec.fiber_map @ lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats)).swapaxes(1, 2)
+        return solder.reshape(np.shape(x)[:-1] + solder.shape[1:])
+
     def soldering(self, x, w) -> np.ndarray:
         """Soldering map at x applied to the base tangent w (one, or stacks as
-        :meth:`soldering_with_choices`), independent of construction choices."""
-        n = self.spec.tag.size
-        return self.soldering_with_choices(x, w, np.eye(n), np.zeros((n, n)))
+        :meth:`soldering_with_choices`): ``fiber_map P(A(x, w))`` under the constant section."""
+        return self._solder(x, np.reshape(w, (-1, 1, self.base_dim)))[..., 0]
 
     def soldering_matrix(self, x) -> np.ndarray:
         """Soldering map on the coordinate basis at a base point ``(m,)``, as
         ``(fiber_dim, m)``, or at each point of a stack ``(N, m)``, as
-        ``(N, fiber_dim, m)``: the induced form evaluated only on the ``m``
-        base directions of H' at the canonical reduction points, with one
-        coefficient, form and ``spec.push`` call for the whole stack."""
-        x = np.asarray(x, dtype=float)
-        points, _, _, coords = self._induced_coords(x.reshape(-1, self.base_dim), ws=np.eye(self.base_dim))
-        return (self.spec.push(points) @ coords).reshape(x.shape[:-1] + (self.spec.fiber_dim, self.base_dim))
+        ``(N, fiber_dim, m)``, from one coefficient call: column ``j`` is
+        ``fiber_map P(A(x, e_j))`` under the constant section."""
+        return self._solder(x, np.eye(self.base_dim))
 
     # -- development ---------------------------------------------------------------------
 

@@ -215,16 +215,19 @@ def coeff_matrices(conn: LocalConnection, xs, dxs, out: np.ndarray | None = None
     return stacked(conn.coeff, xs, dxs, out=out, what="coefficient map")
 
 
-def _form_matrices(tag: lg.GroupTag, coeffs, gs, dgs) -> np.ndarray:
-    """Connection form ``g^{-1} (A g + dg)``, projected onto the algebra, as
-    ``(..., n, n)`` from stacks of coefficient matrices ``A`` (from
-    :func:`coeff_matrices`) and group tangents ``dgs`` at elements ``gs``
-    (one, or a stack broadcast against them); no domain check. Raises
-    :class:`InvalidElementError` on a non-finite value."""
-    mats = lg.project_to_algebra(tag, lg.inverse_matrix(tag, gs) @ (coeffs @ gs + dgs))
+def _algebra_part(tag: lg.GroupTag, mats) -> np.ndarray:
+    """Projection of ``(..., n, n)`` onto the algebra; :class:`InvalidElementError` if not finite."""
+    mats = lg.project_to_algebra(tag, mats)
     if not np.isfinite(mats).all():
         raise InvalidElementError(f"connection form of {tag.name} is not finite")
     return mats
+
+
+def _form_matrices(tag: lg.GroupTag, coeffs, gs, dgs) -> np.ndarray:
+    """Connection form ``_algebra_part(g^{-1} (A g + dg))``, ``(..., n, n)``, from
+    stacks of coefficient matrices ``A`` and group tangents ``dgs`` at elements
+    ``gs`` (one, or a stack broadcast against them); no domain check."""
+    return _algebra_part(tag, lg.inverse_matrix(tag, gs) @ (coeffs @ gs + dgs))
 
 
 def full_form(

@@ -11,7 +11,7 @@ from cartanconn import liegroup as lg
 from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn.cartan import CartanStructure
-from cartanconn.errors import GeometryError, NotCartanError
+from cartanconn.errors import GeometryError, InvalidElementError, NotCartanError
 
 from conftest import freefall_path, perturbed_freefall_path, trig_path
 
@@ -361,17 +361,70 @@ def test_soldering_matrix_of_a_stack_matches_each_point(name):
         assert np.any(np.abs(cs._frames(xs)[:, 0, 0]) < 1.0)
 
 
-def test_soldering_matrix_of_a_stack_makes_one_coeff_and_one_push_call(monkeypatch):
-    model = FORM_STRUCTURES["affine-sigma"]()
+def counted_soldering(monkeypatch, model, xs):
+    """Soldering matrices of ``xs`` under ``model`` with the rows of every
+    coefficient call and the shape of every ``spec.push`` call recorded
+    (``fiber_map``, cached on the spec, is read before counting)."""
     coeff_calls, pushed = [], []
     coeff = pr.batched(lambda x, dx: coeff_calls.append(np.array(dx)) or model.conn.coeff(x, dx))
-    cs = CartanStructure("counted", model.spec, pr.LocalConnection(model.conn.domain, model.conn.tag, coeff))
-    push = cs.spec.push
+    cs = CartanStructure("counted", model.spec, pr.LocalConnection(model.conn.domain, model.conn.tag, coeff),
+                         model.diagonal)
+    push, _ = cs.spec.push, cs.spec.fiber_map
     monkeypatch.setattr(cs.spec, "push", lambda mats: pushed.append(mats.shape) or push(mats))
-    matrices = cs.soldering_matrix(np.random.default_rng(21).standard_normal((16, 2)))
+    return cs.soldering_matrix(xs), coeff_calls, pushed
+
+
+def test_soldering_matrix_of_a_stack_makes_one_coeff_call_and_pushes_only_on_the_diagonal(monkeypatch):
+    # the constant section solders by fiber_map alone; the diagonal section
+    # pushes the whole stack of reduction points once
+    xs = np.random.default_rng(21).standard_normal((16, 2))
+    matrices, coeff_calls, pushed = counted_soldering(monkeypatch, FORM_STRUCTURES["affine-sigma"](), xs)
+    assert len(coeff_calls) == 1 and np.array_equal(coeff_calls[0], np.tile(np.eye(2), (16, 1)))
+    assert pushed == []
+    assert np.max(np.abs(matrices - SIGMA)) < 1e-12
+    matrices, coeff_calls, pushed = counted_soldering(monkeypatch, SOLDERED["flat-projective"](), xs)
     assert len(coeff_calls) == 1 and np.array_equal(coeff_calls[0], np.tile(np.eye(2), (16, 1)))
     assert pushed == [(16, 3, 3)]
-    assert np.max(np.abs(matrices - SIGMA)) < 1e-12
+    assert np.max(np.abs(matrices - np.eye(2))) <= 1e-14
+
+
+CONSTANT_SECTION = {
+    **{name: lambda name=name: models.build_model(name) for name in ("affine", "galilean", "galilean3d")},
+    "affine-sigma": FORM_STRUCTURES["affine-sigma"],
+    "affine-sigma0-zero": lambda: models.affine_structure(2, sigma0=0),
+    "gravity-undeclared-V": FORM_STRUCTURES["gravity"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_SECTION))
+def test_constant_section_soldering_is_the_definition_bit_for_bit(name):
+    # under the constant section soldering_matrix and soldering read
+    # fiber_map P(A(x, w)); the definition, at the identity reduction point
+    # and the horizontal lift, gives the same bits
+    cs = CONSTANT_SECTION[name]()
+    assert not cs.diagonal
+    n, m = cs.spec.tag.size, cs.base_dim
+    rng = np.random.default_rng(22)
+    xs, ws = 0.7 * rng.standard_normal((6, m)), rng.standard_normal((6, m))
+    gps, verticals = np.tile(np.eye(n), (6 * m, 1, 1)), np.zeros((6 * m, n, n))
+    columns = cs.soldering_with_choices(np.repeat(xs, m, axis=0), np.tile(np.eye(m), (6, 1)), gps, verticals)
+    reference = columns.reshape(6, m, -1).swapaxes(1, 2)
+    assert np.array_equal(cs.soldering_matrix(xs), reference)
+    for x, matrix in zip(xs, reference):
+        assert np.array_equal(cs.soldering_matrix(x), matrix)
+    assert np.array_equal(cs.soldering(xs, ws), cs.soldering_with_choices(xs, ws, gps[:6], verticals[:6]))
+
+
+def test_soldering_rejects_a_non_finite_coefficient():
+    model = FORM_STRUCTURES["affine-sigma"]()
+    coeff = pr.batched(lambda x, dx: np.where(x[:, :1, None] > 0, np.nan, pr.coeff_matrices(model.conn, x, dx)))
+    cs = CartanStructure("nan", model.spec, pr.LocalConnection(model.conn.domain, model.conn.tag, coeff))
+    x = np.array([0.5, 0.0])
+    with pytest.raises(InvalidElementError, match="not finite"):
+        cs.soldering_matrix(x)
+    with pytest.raises(InvalidElementError, match="not finite"):
+        cs.soldering(x, np.array([1.0, 0.0]))
+    assert np.isfinite(cs.soldering_matrix(-x)).all()
 
 
 @pytest.mark.parametrize("model", ["galilean", "affine", "homogeneous", "mobius", "projective"])

@@ -31,23 +31,6 @@ def test_every_model_passes_axiom_audit(name):
     assert report.passed, (name, report)
 
 
-def test_homogeneous_specs_validate():
-    # projection of the identity, stabilizer fixing the base point, coset
-    # sections as right inverses, and the dimension count
-    rng = np.random.default_rng(0)
-    specs = [
-        models.galileo_homogeneous_spec(2),
-        models.galileo_homogeneous_spec(3),
-        models.affine_homogeneous_spec(2),
-        models.affine_homogeneous_spec(3),
-        models.projective_homogeneous_spec(2),
-        models.mobius_homogeneous_spec(2),
-        models.mobius_homogeneous_spec(3),
-    ]
-    for spec in specs:
-        spec.validate(rng)
-
-
 def test_validate_rejects_a_bad_coset_section():
     spec = models.affine_homogeneous_spec(2)
     shifted = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs + 0.1))
