@@ -311,7 +311,7 @@ class CartanStructure:
         dgs = dgs if verticals is None else dgs + points[:, None] @ verticals
         coeffs = coeff_matrices(self.conn, rows, flat).reshape(dgs.shape)
         mats = _form_matrices(self.conn.tag, coeffs, points[:, None], dgs)
-        return points, dxs, dgs, lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats)).swapaxes(1, 2)
+        return points, dxs, dgs, lg._matrix_coords(self.conn.tag, mats).swapaxes(1, 2)
 
     def reduced_form_matrix(self, xs, gps=None) -> np.ndarray:
         """Matrices ``(N, dim G, m + k)`` of the induced form on the tangent
@@ -370,7 +370,7 @@ class CartanStructure:
             dxs = np.zeros((len(xs),) + np.shape(ws)[-2:]) + ws
             coeffs = coeff_matrices(self.conn, np.repeat(xs, dxs.shape[1], axis=0), dxs.reshape(-1, self.base_dim))
             mats = _algebra_part(self.conn.tag, coeffs.reshape(dxs.shape[:2] + coeffs.shape[1:]))
-            solder = self.spec.fiber_map @ lg.algebra_coords(lg.AlgebraElement(self.conn.tag, mats)).swapaxes(1, 2)
+            solder = self.spec.fiber_map @ lg._matrix_coords(self.conn.tag, mats).swapaxes(1, 2)
         return solder.reshape(np.shape(x)[:-1] + solder.shape[1:])
 
     def soldering(self, x, w) -> np.ndarray:

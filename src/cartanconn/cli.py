@@ -286,23 +286,29 @@ def _graph_path(t0: float, t1: float, x_fn, xdot_fn) -> tp.SmoothPath:
     return tp.SmoothPath(t0, t1, pr.batched(x), pr.batched(xdot))
 
 
-def _run_develop_gravity(cfg: dict, out_dir: Path) -> dict:
-    cs, v_fn = _gravity_structure(cfg["model"])
-    path = _gravity_trajectory(cfg["trajectory"], v_fn)
-    dev = cs.develop_base_path(path, step=cfg["step"])
+def _straightness(dev: tp.DevelopedPath, tolerance, default: float):
+    """Second-difference norms of a development, 0 on the end rows, and the
+    summary entries that call it STRAIGHT or CURVED against the tolerance
+    (``default`` when unset)."""
     second = dev.second_differences()
     norms = np.zeros(len(dev.ts))
     if len(second):
         norms[1:-1] = np.linalg.norm(second, axis=1)
-    rows = np.column_stack([dev.ts, path.points(dev.ts)[:, 1], dev.values[:, 1], norms])
-    tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6)
+    tol = float(tolerance if tolerance is not None else default)
     max_sd = float(norms.max())   # = dev.max_second_difference(): the end rows are 0
-    status = "STRAIGHT" if max_sd < tol else "CURVED"
+    return norms, {"status": "STRAIGHT" if max_sd < tol else "CURVED",
+                   "max_second_difference": max_sd, "straightness_tolerance": tol}
+
+
+def _run_develop_gravity(cfg: dict, out_dir: Path) -> dict:
+    cs, v_fn = _gravity_structure(cfg["model"])
+    path = _gravity_trajectory(cfg["trajectory"], v_fn)
+    dev = cs.develop_base_path(path, step=cfg["step"])
+    norms, verdict = _straightness(dev, cfg["tolerance"], 1e-6)
+    rows = np.column_stack([dev.ts, path.points(dev.ts)[:, 1], dev.values[:, 1], norms])
     summary = {
         "scenario": "develop-gravity",
-        "status": status,
-        "max_second_difference": max_sd,
-        "straightness_tolerance": tol,
+        **verdict,
         "initial_tangent": [float(v) for v in dev.initial_tangent],
         "samples": len(dev.ts),
         "step": cfg["step"],
@@ -324,18 +330,11 @@ def _run_develop_kepler(cfg: dict, out_dir: Path) -> dict:
     cs = models.galilean_gravity_3d(models.kepler_acceleration(mu))
     orbit = models.kepler_orbit(mu=mu, a=a, e=e)
     dev = cs.develop_base_path(orbit, step=cfg["step"])
-    second = dev.second_differences()
-    norms = np.zeros(len(dev.ts))
-    if len(second):
-        norms[1:-1] = np.linalg.norm(second, axis=1)
+    norms, verdict = _straightness(dev, cfg["tolerance"], 1e-4)
     rows = np.column_stack([dev.ts, orbit.points(dev.ts)[:, 1:], dev.values, norms])
-    tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-4)
-    max_sd = float(norms.max())
     summary = {
         "scenario": "develop-kepler",
-        "status": "STRAIGHT" if max_sd < tol else "CURVED",
-        "max_second_difference": max_sd,
-        "straightness_tolerance": tol,
+        **verdict,
         "eccentricity": e,
         "mu": mu,
         "semi_major_axis": a,

@@ -768,13 +768,18 @@ def _coords_operator(tag: GroupTag) -> np.ndarray:
     return np.linalg.pinv(basis.reshape(len(basis), -1).T)  # (k, n*n)
 
 
+def _matrix_coords(tag: GroupTag, m: np.ndarray) -> np.ndarray:
+    """Coefficients on :func:`algebra_basis` of ``tag`` (exact for Galileo)
+    of raw algebra matrices ``(..., n, n)``, as ``(..., k)``."""
+    if tag.kind is GroupKind.GALILEO:
+        return np.concatenate([m[..., 1:-1, 0], m[..., 0, -1:], m[..., 1:-1, -1]], axis=-1)
+    return (_coords_operator(tag) @ m.reshape(*m.shape[:-2], -1, 1))[..., 0]
+
+
 def algebra_coords(xi: AlgebraElement) -> np.ndarray:
     """Coefficients of ``xi`` on :func:`algebra_basis` (exact for Galileo),
     ``(..., k)`` when ``xi.mat`` is a stack ``(..., n, n)``."""
-    m = xi.mat
-    if xi.tag.kind is GroupKind.GALILEO:
-        return np.concatenate([m[..., 1:-1, 0], m[..., 0, -1:], m[..., 1:-1, -1]], axis=-1)
-    return (_coords_operator(xi.tag) @ m.reshape(*m.shape[:-2], -1, 1))[..., 0]
+    return _matrix_coords(xi.tag, xi.mat)
 
 
 def algebra_from_coords(tag: GroupTag, coords: Iterable[float]) -> AlgebraElement:

@@ -6,10 +6,11 @@
 * affine structures on R^n built from a linear connection and an
   endomorphism field; the structure is Cartan exactly when the endomorphism
   is invertible, and the endomorphism is recovered as the soldering map
-* Galilean gravity on the (t, x) spacetime chart: the connection whose
-  straight developments are exactly the trajectories with x'' = V + W x',
-  plus the componentwise extension to a (t, x, y) spacetime suitable for
-  central-force fields (Kepler orbits develop straight)
+* Galilean gravity on a (t, x_1, ..., x_s) spacetime chart of any
+  dimension: the connection whose straight developments are exactly the
+  trajectories with x'' = V + W x', for an acceleration V (a scalar when
+  s = 1) and an optional scalar velocity coupling W; central-force fields
+  make Kepler orbits develop straight
 * the projective model space P(n, R) with its PGL action on the affine
   chart z -> [1, z]
 * the Mobius space: the projectivized null cone of the quadratic form
@@ -311,88 +312,69 @@ def affine_structure(
 
 @dataclass(frozen=True, eq=False)
 class GravityField:
-    """Scalar gravity data on the (t, x) chart: acceleration V and the
-    optional velocity coupling W, functions of a time and a position (of
-    arrays of both when declared :func:`~cartanconn.principal.batched`)."""
+    """Gravity data on the (t, x_1, ..., x_s) chart: the acceleration V, a
+    scalar when s = 1 and s components otherwise, and the optional scalar
+    velocity coupling W, functions of a time and a position (of arrays of
+    both when declared :func:`~cartanconn.principal.batched`)."""
 
-    V: Callable[[float, float], float]
-    W: Callable[[float, float], float] | None = None
+    V: Callable[..., float | np.ndarray]
+    W: Callable[..., float] | None = None
 
     @staticmethod
-    def constant(g0: float) -> "GravityField":
-        return GravityField(batched(lambda t, x: g0))
+    def constant(g0: float | tuple[float, ...]) -> "GravityField":
+        return GravityField(batched(lambda t, *x: g0))
 
 
 def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> CartanStructure:
-    """Gravity structure on two-dimensional spacetime.
+    """Gravity structure on the spacetime of dimension ``domain.dim``
+    (2 by default), with ``s = domain.dim - 1`` space dimensions.
 
     The local coefficients are
-    ``A(dt, dx) = (-V dt - W dx) eps_v + dt eps_a + dx eps_b``;
-    the reconstructed form at a frame (v, a, b) works out to
+    ``A(dt, dx) = (-V dt - W dx) . eps_v + dt eps_a + dx . eps_b``;
+    in 1+1 the reconstructed form at a frame (v, a, b) works out to
 
         (-V dt - W dx + dv) eps_v + (dt + da) eps_a
         + (-(v + a V) dt + (1 - a W) dx - v da + db) eps_b,
 
     the soldering map is the identity, and the development of a trajectory
-    (t, x(t)) is a straight line exactly when V + W x' - x'' = 0. The
-    curvature is
+    (t, x(t)) is a straight line exactly when V + W x' - x'' = 0, in every
+    dimension. The curvature in 1+1 is
 
         F(dt, dx) = (dx V - dt W) eps_v + W eps_b.
 
     Its ``eps_b`` part lies in ``g/g'`` (the boosts ``eps_v`` span ``g'``),
     so ``W`` is torsion; ``V`` alone gives Cartan's torsion-free Newtonian
-    connection. The coefficient map is batched; it evaluates ``V`` and
-    ``W`` through :func:`~cartanconn.principal.stacked`.
+    connection. ``V`` may raise ``SingularFieldError`` on an excluded set
+    (e.g. the center of a Kepler field). The coefficient map is batched; it
+    evaluates ``V`` and ``W`` through :func:`~cartanconn.principal.stacked`,
+    and a batched ``V`` maps arrays ``(N,)`` of t, x_1, ..., x_s to
+    ``(N,)`` when ``s = 1`` and to ``(N, s)`` otherwise.
     """
     domain = domain or ChartDomain.unbounded(2)
-    tag = lg.GALILEO2
+    s, tag = domain.dim - 1, lg.galileo_tag(domain.dim)
 
     @batched
     def coeff(p, d):
         ps, ds, shape = _rows(p, d)
-        t, x = ps[:, 0], ps[:, 1]
-        v = stacked(field.V, t, x)
-        w = 0.0 if field.W is None else stacked(field.W, t, x)
-        mat = np.zeros((len(ds), 3, 3))
-        mat[:, 1, 0] = -v * ds[:, 0] - w * ds[:, 1]
-        mat[:, 0, 2] = ds[:, 0]
-        mat[:, 1, 2] = ds[:, 1]
-        return lg.AlgebraElement(tag, mat.reshape(shape + (3, 3)))
+        v = stacked(field.V, *ps.T).reshape(-1, s)
+        w = 0.0 if field.W is None else stacked(field.W, *ps.T).reshape(-1, 1)
+        mat = np.zeros((len(ds), s + 2, s + 2))
+        mat[:, 1:-1, 0] = -v * ds[:, :1] - w * ds[:, 1:]
+        mat[:, :-1, -1] = ds
+        return lg.AlgebraElement(tag, mat.reshape(shape + (s + 2, s + 2)))
 
     return CartanStructure(
-        name="galilean-gravity",
-        spec=galileo_homogeneous_spec(2),
+        name="galilean-gravity" if s == 1 else f"galilean-gravity-{domain.dim}d",
+        spec=galileo_homogeneous_spec(domain.dim),
         conn=LocalConnection(domain, tag, coeff),
     )
 
 
 def galilean_gravity_3d(accel: Callable[[float, float, float], np.ndarray],
                         domain: ChartDomain | None = None) -> CartanStructure:
-    """Componentwise extension of the gravity structure to a (t, x, y)
-    spacetime: trajectories with (x'', y'') = accel(t, x, y) develop
-    straight. ``accel`` may raise ``SingularFieldError`` on an excluded set
-    (e.g. the center of a Kepler field). The coefficient map is batched; it
-    evaluates ``accel`` through :func:`~cartanconn.principal.stacked`, and
-    a batched ``accel`` maps arrays ``(N,)`` of t, x, y to ``(N, 2)``.
-    """
-    domain = domain or ChartDomain.unbounded(3)
-    tag = lg.galileo_tag(3)
-
-    @batched
-    def coeff(p, d):
-        ps, ds, shape = _rows(p, d)
-        a = stacked(accel, ps[:, 0], ps[:, 1], ps[:, 2])
-        mat = np.zeros((len(ds), 4, 4))
-        mat[:, 1:-1, 0] = -a * ds[:, :1]
-        mat[:, 0, -1] = ds[:, 0]
-        mat[:, 1:-1, -1] = ds[:, 1:]
-        return lg.AlgebraElement(tag, mat.reshape(shape + (4, 4)))
-
-    return CartanStructure(
-        name="galilean-gravity-3d",
-        spec=galileo_homogeneous_spec(3),
-        conn=LocalConnection(domain, tag, coeff),
-    )
+    """:func:`galilean_gravity` on a (t, x, y) spacetime with acceleration
+    ``accel``: trajectories with (x'', y'') = accel(t, x, y) develop straight."""
+    return galilean_gravity(GravityField(accel), domain or ChartDomain.unbounded(3))
 
 
 def kepler_acceleration(mu: float = 1.0, min_radius: float = 1e-3):
@@ -484,17 +466,11 @@ def _build_galilean(V=9.81, W=None) -> CartanStructure:
     return galilean_gravity(GravityField(v_fn, w_fn))
 
 
-def _build_galilean3d(accel=None) -> CartanStructure:
-    if accel is None:
-        accel = batched(lambda t, x, y: np.broadcast_to([0.0, -9.81], np.shape(t) + (2,)))
-    return galilean_gravity_3d(accel)
-
-
 MODEL_BUILDERS: dict[str, Callable[..., CartanStructure]] = {
     "homogeneous": _build_homogeneous,
     "affine": lambda n=2, gamma=None, sigma0=None: affine_structure(n, gamma, sigma0),
     "galilean": _build_galilean,
-    "galilean3d": _build_galilean3d,
+    "galilean3d": lambda accel=None: galilean_gravity_3d(accel or GravityField.constant((0.0, -9.81)).V),
     "mobius": lambda n=2: homogeneous_flat(mobius_homogeneous_spec(n)),
     "projective": lambda n=2: homogeneous_flat(projective_homogeneous_spec(n)),
 }

@@ -230,16 +230,10 @@ def _form_matrices(tag: lg.GroupTag, coeffs, gs, dgs) -> np.ndarray:
     return _algebra_part(tag, lg.inverse_matrix(tag, gs) @ (coeffs @ gs + dgs))
 
 
-def full_form(
-    conn: LocalConnection,
-    p: PrincipalPoint,
-    v: PrincipalTangent,
-    *,
-    check_domain: bool = True,
-) -> lg.AlgebraElement:
+def full_form(conn: LocalConnection, p: PrincipalPoint, v: PrincipalTangent) -> lg.AlgebraElement:
     """Connection form at ``p`` applied to ``v``:
     ``Ad_{g^{-1}} A(x, dx) + g^{-1} dg``."""
-    if check_domain and not conn.domain.contains(p.x):
+    if not conn.domain.contains(p.x):
         raise DomainError(f"base point {p.x} lies outside the chart domain")
     coeffs = coeff_matrices(conn, p.x[None], v.dx[None])
     return lg.AlgebraElement(conn.tag, _form_matrices(conn.tag, coeffs, p.g.mat, v.dg[None])[0])
@@ -383,5 +377,5 @@ def horizontal_space_dimension(conn: LocalConnection, p: PrincipalPoint) -> int:
     m, g = conn.domain.dim, p.g.mat
     dgs = np.concatenate([np.zeros((m, *g.shape)), g @ lg.algebra_basis_matrices(conn.tag)])
     mats = _form_matrices(conn.tag, coeff_matrices(conn, np.tile(p.x, (len(dgs), 1)), np.eye(len(dgs), m)), g, dgs)
-    svals = np.linalg.svd(lg.algebra_coords(lg.AlgebraElement(conn.tag, mats)).T, compute_uv=False)
+    svals = np.linalg.svd(lg._matrix_coords(conn.tag, mats).T, compute_uv=False)
     return len(dgs) - int(np.sum(svals > RANK * svals[0]))

@@ -148,7 +148,7 @@ FORM_STRUCTURES = {
 
 def column_by_column(conn, p, tangents):
     """Algebra coordinates of the form on each tangent, one full_form call per column."""
-    return np.column_stack([lg.algebra_coords(pr.full_form(conn, p, v, check_domain=False)) for v in tangents])
+    return np.column_stack([lg.algebra_coords(pr.full_form(conn, p, v)) for v in tangents])
 
 
 @pytest.mark.parametrize("name", sorted(FORM_STRUCTURES))
@@ -704,7 +704,7 @@ def test_parallelization_frame_roundtrip(flat_galileo):
         frame = cs.parallelization_frame(p)
         assert len(frame) == len(basis)
         for vec, eta in zip(frame, basis):
-            out = pr.full_form(cs.conn, p, vec, check_domain=False)
+            out = pr.full_form(cs.conn, p, vec)
             assert (out - eta).norm() < 1e-9
 
 

@@ -135,7 +135,7 @@ def test_axioms_gravity_model(const_gravity):
 def test_axioms_detect_corrupted_form(const_gravity):
     # add a right-translation-dependent term: breaks equivariance only
     def corrupted(p, v):
-        good = pr.full_form(const_gravity, p, v, check_domain=False)
+        good = pr.full_form(const_gravity, p, v)
         a_entry = p.g.mat[0, -1]
         return good + lg.galileo_algebra(a_entry * v.dx[0], 0.0, 0.0)
 
@@ -147,7 +147,7 @@ def test_axioms_detect_corrupted_form(const_gravity):
 def test_axioms_detect_fundamental_corruption_only(const_gravity):
     # eps_b is central in the Galileo algebra: adding it breaks axiom (i) only
     def shifted(p, v):
-        return pr.full_form(const_gravity, p, v, check_domain=False) + lg.galileo_algebra(0.0, 0.0, 0.01)
+        return pr.full_form(const_gravity, p, v) + lg.galileo_algebra(0.0, 0.0, 0.01)
 
     report = pr.check_axioms(const_gravity, samples=200, seed=3, form=shifted)
     assert not report.passed
@@ -157,7 +157,7 @@ def test_axioms_detect_fundamental_corruption_only(const_gravity):
 
 def test_axioms_fail_on_a_non_finite_form(const_gravity):
     def blows_up(p, v):
-        good = pr.full_form(const_gravity, p, v, check_domain=False)
+        good = pr.full_form(const_gravity, p, v)
         return good if p.x[0] < 1.0 else np.nan * good
 
     report = pr.check_axioms(const_gravity, samples=200, seed=3, form=blows_up)
@@ -203,7 +203,7 @@ def test_axiom_audit_matches_per_sample_audit(name):
     conn = models.build_model(name).conn
 
     def exact(p, v):
-        return pr.full_form(conn, p, v, check_domain=False)
+        return pr.full_form(conn, p, v)
 
     def skewed(p, v):
         # residuals of order one that differ from sample to sample, so that
