@@ -322,7 +322,22 @@ class GravityField:
 
     @staticmethod
     def constant(g0: float | tuple[float, ...]) -> "GravityField":
-        return GravityField(batched(lambda t, *x: g0))
+        """The constant field ``g0``, whose value is one ``(1, s)`` row at any points."""
+        row = np.reshape(np.asarray(g0, dtype=float), (1, -1))
+        row.setflags(write=False)
+        return GravityField(batched(lambda t, *x: row))
+
+
+def _field_rows(fn: Callable, ps: np.ndarray, width: int, name: str) -> np.ndarray:
+    """Values of the field ``fn`` at the points ``ps`` (N, 1 + s) as ``(N, width)``
+    or one constant row ``(1, width)``, and for ``width`` 1 also ``(N,)`` or one
+    number; any other shape, such as ``(N,)`` for ``width = N > 1``, is a :class:`GeometryError`."""
+    values, n = stacked(fn, *ps.T), len(ps)
+    if values.shape in ((n, width), (1, width)) or (width == 1 and values.ndim < 2 and values.size in (1, n)):
+        return values.reshape(-1, width)
+    scalar = " or (N,)" if width == 1 else ""
+    raise GeometryError(f"gravity field {name} gave shape {values.shape} at {n} points; expected "
+                        f"(N, {width}) = ({n}, {width}){scalar}, or a constant (1, {width})")
 
 
 def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> CartanStructure:
@@ -348,7 +363,9 @@ def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> 
     (e.g. the center of a Kepler field). The coefficient map is batched; it
     evaluates ``V`` and ``W`` through :func:`~cartanconn.principal.stacked`,
     and a batched ``V`` maps arrays ``(N,)`` of t, x_1, ..., x_s to
-    ``(N,)`` when ``s = 1`` and to ``(N, s)`` otherwise.
+    ``(N,)`` when ``s = 1`` and to ``(N, s)`` otherwise; a constant one may
+    give one ``(1, s)`` row. Any other shape of ``V`` or ``W`` raises
+    :class:`GeometryError` when the coefficients are evaluated.
     """
     domain = domain or ChartDomain.unbounded(2)
     s, tag = domain.dim - 1, lg.galileo_tag(domain.dim)
@@ -356,10 +373,10 @@ def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> 
     @batched
     def coeff(p, d):
         ps, ds, shape = _rows(p, d)
-        v = stacked(field.V, *ps.T).reshape(-1, s)
-        w = 0.0 if field.W is None else stacked(field.W, *ps.T).reshape(-1, 1)
         mat = np.zeros((len(ds), s + 2, s + 2))
-        mat[:, 1:-1, 0] = -v * ds[:, :1] - w * ds[:, 1:]
+        mat[:, 1:-1, 0] = -_field_rows(field.V, ps, s, "V") * ds[:, :1]
+        if field.W is not None:
+            mat[:, 1:-1, 0] -= _field_rows(field.W, ps, 1, "W") * ds[:, 1:]
         mat[:, :-1, -1] = ds
         return lg.AlgebraElement(tag, mat.reshape(shape + (s + 2, s + 2)))
 
@@ -400,7 +417,8 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
 
     Positions come from the eccentric anomaly E(t) solving
     M = E - e sin E (one Newton solve, elementwise over an array of times,
-    serves ``x`` and ``xdot`` at the same times), so the trajectory
+    and one ``sin E`` and ``cos E`` serve ``x`` and ``xdot`` at the same
+    times), so the trajectory
     satisfies (x'', y'') = -mu r / |r|^3 to round-off. The path is batched.
     """
     if not 0 <= e < 1:
@@ -410,9 +428,10 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
     if t1 is None:
         t1 = t0 + np.pi / n_mean  # half a period
 
-    last = [None, None]   # x and xdot at the same times share the solve
+    last = [None, None]   # x and xdot at the same times share the solve, sin E and cos E
 
-    def anomaly(t: np.ndarray) -> np.ndarray:
+    def anomaly(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``sin E`` and ``cos E`` of the eccentric anomaly ``E`` at the times ``t``."""
         if last[0] is not None and np.array_equal(last[0], t):
             return last[1]
         m = n_mean * (t - t0)
@@ -425,21 +444,21 @@ def kepler_orbit(mu: float = 1.0, a: float = 1.0, e: float = 0.6,
             todo &= np.abs(delta) >= 1e-15
             if not todo.any():
                 break
-        last[:] = t.copy(), ecc
-        return ecc
+        last[:] = t.copy(), (np.sin(ecc), np.cos(ecc))
+        return last[1]
 
     @batched
     def x(t):
         t = np.asarray(t, dtype=float)
-        ecc = anomaly(t)
-        return np.stack([t, a * (np.cos(ecc) - e), b * np.sin(ecc)], axis=-1)
+        sin_e, cos_e = anomaly(t)
+        return np.stack([t, a * (cos_e - e), b * sin_e], axis=-1)
 
     @batched
     def xdot(t):
         t = np.asarray(t, dtype=float)
-        ecc = anomaly(t)
-        rate = n_mean / (1.0 - e * np.cos(ecc))
-        return np.stack([np.ones_like(t), -a * np.sin(ecc) * rate, b * np.cos(ecc) * rate], axis=-1)
+        sin_e, cos_e = anomaly(t)
+        rate = n_mean / (1.0 - e * cos_e)
+        return np.stack([np.ones_like(t), -a * sin_e * rate, b * cos_e * rate], axis=-1)
 
     return SmoothPath(t0, t1, x, xdot)
 

@@ -62,10 +62,12 @@ class ChartDomain:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             return False if x.ndim != 2 else np.zeros(len(x), dtype=bool)
-        inside = np.isfinite(x).all(axis=-1)
+        inside = np.isfinite(x)
         if self.lower is not None:
-            inside &= (x >= np.asarray(self.lower)).all(axis=-1)
-            inside &= (x <= np.asarray(self.upper)).all(axis=-1)
+            inside &= (x >= np.asarray(self.lower)) & (x <= np.asarray(self.upper))
+        if inside.all():   # the whole stack at once; row by row only when a point is out
+            return np.ones(len(x), dtype=bool) if x.ndim == 2 else True
+        inside = inside.all(axis=-1)
         return inside if x.ndim == 2 else bool(inside)
 
     def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

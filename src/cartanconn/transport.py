@@ -10,9 +10,12 @@ with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
 without re-projection. One pass runs the whole path in blocks of steps
-that may span segments, in stages on arrays over each block's nodes; a
-block's product is three running sums when its step propagators are
-exactly Galilean, and a doubling scan of them otherwise. Through
+that may span segments, in stages on arrays over each block's nodes. A
+Galileo block whose coefficients are finite and exactly on the algebra
+pattern runs in algebra coordinates, where the algebra is nilpotent: each
+step's ``Omega`` and exponential in closed form, and the block's product as
+three running sums. Any other block takes its step exponentials by matrices
+and their product by a doubling scan. Through
 :func:`~cartanconn.principal.stacked`, the coefficient map is called once
 per block and a path once per segment in the block when declared
 :func:`~cartanconn.principal.batched`, else once per node.
@@ -252,40 +255,56 @@ _BLOCK = 512   # steps per pass through the lift's stages; bounds their arrays
 
 
 @functools.cache
-def _off_pattern(tag: lg.GroupTag) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the entries off the algebra pattern of ``tag``, and the identity's values there."""
-    off = lg.project_to_algebra(tag, np.ones((tag.size, tag.size))) == 0
-    return off, np.eye(tag.size)[off]
+def _pattern(tag: lg.GroupTag) -> np.ndarray:
+    """Flat indices into an ``n x n`` matrix of the Galileo algebra coordinates (v, a, b)."""
+    n = tag.size
+    return lg._matrix_coords(tag, np.arange(n * n, dtype=float).reshape(n, n)).astype(np.intp)
 
 
-def _exactly_galilean(tag: lg.GroupTag, props: np.ndarray) -> bool:
-    """``not group_defect(tag, props).any()`` for Galileo matrices: all entries
-    finite, and those off the algebra pattern equal to the identity's."""
-    off, eye = _off_pattern(tag)
-    return bool(np.isfinite(props).all() and (props[:, off] == eye).all())
+def _galilean_coords(tag: lg.GroupTag, coeffs: np.ndarray) -> np.ndarray | None:
+    """Algebra coordinates ``(N, 2s+1)`` of a Galileo coefficient stack
+    ``(N, n, n)`` that is finite and exactly on the algebra pattern, else None."""
+    flat = coeffs.reshape(len(coeffs), -1)
+    coords = flat[:, _pattern(tag)]
+    if np.count_nonzero(flat) == np.count_nonzero(coords) and np.isfinite(coords).all():
+        return coords
+    return None
 
 
-def _block_product(tag: lg.GroupTag, props: np.ndarray, out: np.ndarray) -> None:
+def _block_product(props: np.ndarray, out: np.ndarray) -> None:
     """Write ``props[k] @ ... @ props[0] @ out[0]`` into ``out[k + 1]`` for
-    the step propagators ``props`` (B, n, n), overwriting ``props``.
+    the step propagators ``props`` (B, n, n), overwriting ``props``, by a
+    doubling scan: ``ceil(log2 B)`` batched matmuls."""
+    span = 1   # props[k] becomes props[k] @ ... @ props[0]
+    while span < len(props):
+        props[span:] = props[span:] @ props[:-span]
+        span *= 2
+    np.matmul(props, out[0], out=out[1:])
 
-    If every propagator is exactly Galilean (zero group defect), ``P g`` for
+
+def _galilean_product(tag: lg.GroupTag, h, c0: np.ndarray, ch: np.ndarray, c1: np.ndarray,
+                      props: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_block_product` of the Magnus propagators of Galileo steps
+    from the algebra coordinates (v, a, b), ``(B, 2s+1)``, of the
+    coefficients at each step's start, midpoint and end, rounded as the
+    matrix route rounds them. The algebra is nilpotent: ``Omega`` is
+    ``-(h/6)(c0 + 4 ch + c1)`` plus ``(h^2/12)(v1 a0 - v0 a1)`` in ``b``,
+    and ``exp(Omega)`` adds ``v a / 2`` to ``b``. ``P g`` for
     ``g = [[1, 0, a], [v, I, b], [0, 0, 1]]`` has ``a + a(P)``, ``v + v(P)``
-    and ``b + b(P) + v(P) a``: the block's products are three running sums.
-    Any other block takes a doubling scan, ``ceil(log2 B)`` batched matmuls.
-    The sums start at the identity, not ``out[0]``, to round at the block's scale.
+    and ``b + b(P) + v(P) a``: three running sums from the identity, to
+    round at the block's scale, written into the identity stack ``props``
+    for one matmul onto ``out[0]``.
     """
-    if tag.kind is lg.GroupKind.GALILEO and _exactly_galilean(tag, props):
-        a, v, b = props[:, 0, -1], props[:, 1:-1, 0], props[:, 1:-1, -1]
-        np.cumsum(a, out=a)
-        b[1:] += v[1:] * a[:-1, None]
-        np.cumsum(v, axis=0, out=v)
-        np.cumsum(b, axis=0, out=b)
-    else:
-        span = 1   # props[k] becomes props[k] @ ... @ props[0]
-        while span < len(props):
-            props[span:] = props[span:] @ props[:-span]
-            span *= 2
+    s = tag.dims[0] - 1
+    coords = -(h / 6) * (c0 + 4 * ch + c1)
+    v, a, b = coords[:, :s], coords[:, s], coords[:, s + 1:]
+    b += (h * h / 12) * (c1[:, :s] * c0[:, s:s + 1] - c0[:, :s] * c1[:, s:s + 1])
+    b += v * a[:, None] / 2
+    np.cumsum(a, out=a)
+    b[1:] += v[1:] * a[:-1, None]
+    np.cumsum(v, axis=0, out=v)
+    np.cumsum(b, axis=0, out=b)
+    props.reshape(len(props), -1)[:, _pattern(tag)] = coords
     np.matmul(props, out[0], out=out[1:])
 
 
@@ -300,12 +319,14 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     ``g_{k+1} = exp(Omega) g_k``. The path's steps run in blocks of
     ``_BLOCK`` that may span segments, each in stages on arrays over its
     nodes: path points and velocities (one call per segment in the block),
-    the domain check (before any coefficient), one coefficient call, every
-    ``Omega`` and one batched exponential, the product of the step
-    propagators (:func:`_block_product`) and a finiteness check naming the
-    first non-finite node. A block that continues a segment reuses the
-    previous block's last coefficient, so a step costs two coefficient
-    evaluations.
+    the domain check (before any coefficient), one coefficient call, the
+    product of the step propagators and a finiteness check naming the first
+    non-finite node. A Galileo block whose coefficients are finite and
+    exactly on the algebra pattern runs in algebra coordinates
+    (:func:`_galilean_product`); any other takes every ``Omega``, one
+    batched exponential and :func:`_block_product`. A block that continues
+    a segment reuses the previous block's last coefficient, so a step costs
+    two coefficient evaluations.
     """
     # the slack keeps round-off (0.07 / 0.0025 = 28.000000000000004) from adding a step
     counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in segments]
@@ -323,6 +344,9 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     width = 2 * min(total, _BLOCK) + min(len(segments), _BLOCK)
     xs, vs = np.empty((2, width, conn.domain.dim))
     coeffs = np.empty((width, tag.size, tag.size))
+    galilean = tag.kind is lg.GroupKind.GALILEO
+    if galilean:
+        props = np.tile(np.eye(tag.size), (min(total, _BLOCK), 1, 1))
     for k0 in range(0, total, _BLOCK):
         k1 = min(k0 + _BLOCK, total)
         j0, j1 = bisect.bisect_right(firsts, k0) - 1, bisect.bisect_left(firsts, k1)
@@ -336,17 +360,23 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
         if not inside.all():
             raise DomainError(f"path left the chart domain at t = {node_ts[r0 + first + np.argmin(inside)]}")
         coeff_matrices(conn, xs[first:rows], vs[first:rows], out=coeffs[first:rows])
+        coords = _galilean_coords(tag, coeffs[:rows]) if galilean else None
+        stack = coeffs if coords is None else coords
         if j1 - j0 == 1:
-            h, a0, ah, a1 = hs[j0], coeffs[0:rows - 1:2], coeffs[1:rows:2], coeffs[2:rows:2]
+            h, a0, ah, a1 = hs[j0], stack[0:rows - 1:2], stack[1:rows:2], stack[2:rows:2]
         else:   # each later segment's rows are shifted by one more
             pieces = [min(firsts[j + 1], k1) - max(firsts[j], k0) for j in range(j0, j1)]
             i0 = 2 * np.arange(k1 - k0) + np.repeat(np.arange(j1 - j0), pieces)
-            h, a0, ah, a1 = np.repeat(hs[j0:j1], pieces)[:, None, None], coeffs[i0], coeffs[i0 + 1], coeffs[i0 + 2]
-        omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
+            h = np.repeat(hs[j0:j1], pieces).reshape((-1,) + (1,) * (stack.ndim - 1))
+            a0, ah, a1 = stack[i0], stack[i0 + 1], stack[i0 + 2]
         out = mats[k0:k1 + 1]
-        _block_product(tag, lg.expm_matrix(tag, omega), out)
-        finite = np.isfinite(out[1:]).all(axis=(1, 2))
-        if not finite.all():
+        if coords is None:
+            omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
+            _block_product(lg.expm_matrix(tag, omega), out)
+        else:
+            _galilean_product(tag, h, a0, ah, a1, props[:k1 - k0], out)
+        if not np.isfinite(out[1:]).all():   # whole block first, node by node only to name one
+            finite = np.isfinite(out[1:]).all(axis=(1, 2))
             raise LiftDivergedError(f"lift diverged near t = {ts[k0 + 1 + np.argmin(finite)]}")
         coeffs[0] = coeffs[rows - 1]
     return ts, mats
@@ -364,8 +394,9 @@ def horizontal_lift(
     ``step``, and the whole path is integrated in one pass with a
     fourth-order Magnus method, which keeps the nodes on the group without
     re-projection (one coefficient call, exponential and product per block
-    of steps, across segments: running sums on an exactly Galilean block,
-    else a doubling scan). A path point outside the
+    of steps, across segments: in algebra coordinates on a Galileo block
+    whose coefficients are finite and on the algebra pattern, else by
+    matrices and a doubling scan). A path point outside the
     chart raises ``DomainError`` before the coefficient there is evaluated;
     a non-finite step, or a node whose group defect exceeds
     ``settings.ROUNDTRIP``, raises ``LiftDivergedError``.
@@ -468,12 +499,17 @@ class DevelopedPath:
         return (y[1] - y[0]) / h
 
     def second_differences(self) -> np.ndarray:
-        """Discrete second derivative ``(y_{i+1} - 2 y_i + y_{i-1}) / h^2``,
-        rowwise over interior samples (empty when spacing is nonuniform)."""
+        """Discrete second derivative, rowwise over interior samples:
+        ``(y_{i+1} - 2 y_i + y_{i-1}) / h^2`` on uniform spacing, else the
+        three-point formula ``2 (d_i - d_{i-1}) / (h_{i-1} + h_i)`` with the
+        slopes ``d_i = (y_{i+1} - y_i) / h_i`` (empty for fewer than three samples)."""
         ts, y = self.ts, self.values
         h = np.diff(ts)
-        if len(ts) < 3 or np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
+        if len(ts) < 3:
             return np.empty((0, y.shape[1]))
+        if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
+            slopes = np.diff(y, axis=0) / h[:, None]
+            return 2 * np.diff(slopes, axis=0) / (h[1:] + h[:-1])[:, None]
         return (y[2:] - 2 * y[1:-1] + y[:-2]) / h[0] ** 2
 
     def max_second_difference(self) -> float:

@@ -199,6 +199,51 @@ def test_velocity_coupling_in_three_dimensional_spacetime():
     assert models.galilean_gravity_3d(accel).develop_base_path(path, step=1e-3).max_second_difference() > 1e-2
 
 
+@pytest.mark.parametrize("points", [2, 3])
+@pytest.mark.parametrize("declared", [False, True], ids=["undeclared", "batched"])
+def test_a_scalar_acceleration_in_three_dimensional_spacetime_is_rejected(points, declared):
+    # in 1+2 a per-point scalar V gives an (N,) stack: with N == s it must not
+    # be read as one constant acceleration, and with N != s not fail in numpy
+    V = (lambda t, x, y: 9.81 + x) if not declared else pr.batched(lambda t, x, y: 9.81 + x)
+    conn = models.galilean_gravity(models.GravityField(V), pr.ChartDomain.unbounded(3)).conn
+    xs = np.column_stack([np.zeros(points), np.arange(points, dtype=float), np.zeros(points)])
+    with pytest.raises(GeometryError, match=rf"V gave shape \({points},\) at {points} points; "
+                                            rf"expected \(N, 2\) = \({points}, 2\), or a constant \(1, 2\)"):
+        pr.coeff_matrices(conn, xs, np.ones((points, 3)))
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_constant_and_per_point_gravity_fields_broadcast(points):
+    # constant rows (1, s) and one number broadcast over the stack; (N, s)
+    # and (N,) scalar fields are read point by point
+    rng = np.random.default_rng(points)
+    xs, ds = rng.standard_normal((2, points, 3))
+    want = np.zeros((points, 4, 4))
+    want[:, 1:-1, 0] = -np.array([0.5, -9.81]) * ds[:, :1] - 0.25 * ds[:, 1:]
+    want[:, :-1, -1] = ds
+    for field in (models.GravityField.constant((0.5, -9.81)),
+                  models.GravityField(pr.batched(lambda t, x, y: np.tile([0.5, -9.81], (len(t), 1)))),
+                  models.GravityField(lambda t, x, y: (0.5, -9.81))):
+        for W in (pr.batched(lambda t, x, y: 0.25), pr.batched(lambda t, x, y: np.full(len(t), 0.25)),
+                  lambda t, x, y: 0.25):
+            conn = models.galilean_gravity(dataclasses.replace(field, W=W), pr.ChartDomain.unbounded(3)).conn
+            assert np.array_equal(pr.coeff_matrices(conn, xs, ds), want)
+    assert models.GravityField.constant(9.81).V(0.0, 1.0).shape == (1, 1)
+    assert models.GravityField.constant((0.5, -9.81)).V(np.zeros(points), xs[:, 1], xs[:, 2]).shape == (1, 2)
+
+
+def test_a_gravity_field_of_the_wrong_width_is_rejected():
+    # a W with s components in 1+2, and a V with two components in 1+1
+    wide_w = models.GravityField(models.GravityField.constant((0.0, -9.81)).V,
+                                 pr.batched(lambda t, x, y: np.ones((len(t), 2))))
+    with pytest.raises(GeometryError, match=r"W gave shape \(5, 2\) at 5 points"):
+        pr.coeff_matrices(models.galilean_gravity(wide_w, pr.ChartDomain.unbounded(3)).conn,
+                          np.zeros((5, 3)), np.ones((5, 3)))
+    with pytest.raises(GeometryError, match=r"V gave shape \(5, 2\) at 5 points; expected \(N, 1\) = \(5, 1\) or \(N,\)"):
+        pr.coeff_matrices(models.galilean_gravity(models.GravityField(lambda t, x: (9.81, 0.0))).conn,
+                          np.zeros((5, 2)), np.ones((5, 2)))
+
+
 def test_registered_gravity_coefficients_are_the_closed_forms():
     # A(dt, dx) = (-V dt - W dx) . eps_v + dt eps_a + dx . eps_b, entry for
     # entry, for stacks and for one point

@@ -68,6 +68,21 @@ def test_full_form_outside_domain_raises():
         pr.full_form(conn, p, pr.PrincipalTangent([1.0, 0.0], np.zeros((3, 3))))
 
 
+@pytest.mark.parametrize("domain", [pr.ChartDomain.unbounded(2), pr.ChartDomain.box([-1.0, 0.0], [1.0, 2.0])],
+                         ids=["unbounded", "box"])
+def test_contains_reads_each_point_of_a_stack(domain):
+    # the whole-stack test and the row-by-row reading agree with a per-point reference
+    inside = np.array([[0.5, 1.0], [-1.0, 0.0], [1.0, 2.0]])
+    assert domain.contains(inside).dtype == bool and domain.contains(inside).all()
+    for bad in ([np.nan, 1.0], [0.0, np.inf], [1.5, 1.0], [0.0, -1e-12]):
+        stack = np.vstack([inside, [bad], inside])
+        expected = [domain.contains(row) for row in stack]
+        assert expected[3] is (domain.lower is None and bool(np.isfinite(bad).all()))
+        assert domain.contains(stack).tolist() == expected
+    assert domain.contains([0.5, 1.0]) is True and domain.contains([0.5, 1.0, 0.0]) is False
+    assert domain.contains(np.zeros((4, 3))).tolist() == [False] * 4
+
+
 def test_box_sample_shrinks_about_the_centre():
     box = pr.ChartDomain.box([0.0, -2.0], [10.0, 2.0])
     rng = np.random.default_rng(4)

@@ -240,6 +240,18 @@ def test_lift_names_the_first_non_finite_step_in_a_later_block():
     assert float(re.search(r"t = (\S+)$", str(info.value)).group(1)) == t_bad
 
 
+def test_lift_names_a_non_finite_path_point_in_a_later_block():
+    # on an unbounded domain the chart check is the finiteness of the path
+    # points; the NaN node, step 700 of 1100, lies in the second block of 512 steps
+    t_bad = 700 * (1.1 / 1100)
+    x = pr.batched(lambda t: np.stack([t, np.where(t == t_bad, np.nan, 0.5 * t)], -1))
+    xdot = pr.batched(lambda t: np.stack([np.ones_like(t), np.full_like(t, 0.5)], -1))
+    conn = gravity_connection(lambda t, x: 9.81)
+    with pytest.raises(DomainError) as info:
+        tp.horizontal_lift(conn, tp.SmoothPath(0.0, 1.1, x, xdot), step=1e-3)
+    assert float(re.search(r"t = (\S+)$", str(info.value)).group(1)) == t_bad
+
+
 def sequential_magnus(conn, seg, n_steps, g0):
     """Reference lift: the Magnus-4 propagators of every step, multiplied
     onto ``g0`` one step after another."""
@@ -268,8 +280,8 @@ def varying_connection(tag, seed):
     return pr.LocalConnection(pr.ChartDomain.unbounded(2), tag, coeff)
 
 
-# Galileo blocks take the running sums of _block_product, the others its doubling scan
-SCAN_TAGS = [lg.gl_tag(3), lg.so_tag(3), lg.GALILEO2, lg.galileo_tag(3)]
+# Galileo blocks run in algebra coordinates (_galilean_product), the others take the doubling scan
+SCAN_TAGS = [lg.gl_tag(3), lg.so_tag(3), lg.GALILEO2, lg.galileo_tag(3), lg.galileo_tag(4)]
 
 
 @pytest.mark.parametrize("tag", SCAN_TAGS, ids=lambda t: t.name)
@@ -362,38 +374,90 @@ def test_blocks_spanning_segments_match_the_per_segment_product(tag, durations, 
     assert np.max(np.abs(lifted.mats - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-def doubling_product(tag, props, g0):
-    """``_block_product`` through its doubling scan: a GL tag of the same size."""
+def doubling_product(props, g0):
+    """``_block_product`` of ``props`` onto ``g0``: the doubling scan."""
     out = np.empty((len(props) + 1,) + g0.shape)
     out[0] = g0
-    tp._block_product(lg.gl_tag(tag.size), props.copy(), out)
+    tp._block_product(props.copy(), out)
     return out
+
+
+def simpson_coefficients(conn, seg, n_steps):
+    """Coefficients at the Simpson nodes of ``seg`` cut into ``n_steps``
+    steps, as the lift takes them: step starts and midpoints, ``(2 n + 1, n, n)``."""
+    h = (seg.t1 - seg.t0) / n_steps
+    starts = seg.t0 + np.arange(n_steps + 1) * h
+    nodes = np.empty(2 * n_steps + 1)
+    nodes[0::2], nodes[1::2] = starts, starts[:-1] + h / 2
+    return h, pr.coeff_matrices(conn, seg.points(nodes), seg.velocities(nodes))
+
+
+def matrix_propagators(tag, h, coeffs):
+    """Magnus propagators by matrices: Omega by matmul, then ``lg.expm_matrix``."""
+    a0, ah, a1 = coeffs[0:-1:2], coeffs[1::2], coeffs[2::2]
+    omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
+    return lg.expm_matrix(tag, omega)
 
 
 @pytest.mark.parametrize("tag", [lg.GALILEO2, lg.galileo_tag(3), lg.galileo_tag(4)], ids=lambda t: t.name)
 @pytest.mark.parametrize("steps", [1, 2, 511, 512])
 def test_galilean_running_sums_match_the_doubling_scan(tag, steps):
+    # the coordinate route against the matrix propagators and the doubling scan
     rng = np.random.default_rng(steps)
-    props = lg.expm_matrix(tag, np.stack([lg.random_algebra(tag, rng, scale=0.8).mat for _ in range(steps)]))
-    assert not lg.group_defect(tag, props).any()   # exactly Galilean: the running sums apply
+    coeffs = np.stack([lg.random_algebra(tag, rng, scale=8.0).mat for _ in range(2 * steps + 1)])
+    coords = tp._galilean_coords(tag, coeffs)
+    assert np.array_equal(coords, lg._matrix_coords(tag, coeffs))
     g0 = lg.random_element(tag, rng, scale=0.6).mat
-    reference = doubling_product(tag, props, g0)
+    reference = doubling_product(matrix_propagators(tag, 0.1, coeffs), g0)
     out = np.empty_like(reference)
     out[0] = g0
-    tp._block_product(tag, props.copy(), out)
+    tp._galilean_product(tag, 0.1, coords[0:-1:2], coords[1::2], coords[2::2],
+                         np.tile(np.eye(tag.size), (steps, 1, 1)), out)
     assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
-def test_a_block_off_the_galilean_group_takes_the_doubling_scan():
+def test_a_galilean_block_is_bit_for_bit_the_matrix_arithmetic():
+    # one block of 400 steps of 1+2 gravity from a general start: Omega by
+    # matmul, expm_matrix, the three running sums from the identity, then
+    # one matmul onto the block start
     tag = lg.galileo_tag(3)
-    rng = np.random.default_rng(7)
-    props = lg.expm_matrix(tag, np.stack([lg.random_algebra(tag, rng).mat for _ in range(300)]))
-    props[123, 1, 2] = 1e-17   # one off-structure entry
-    g0 = lg.random_element(tag, rng).mat
-    out = np.empty((301, 4, 4))
-    out[0] = g0
-    tp._block_product(tag, props.copy(), out)
-    assert np.array_equal(out, doubling_product(tag, props, g0))
+    field = models.GravityField(pr.batched(lambda t, x, y: np.stack([0.3 * np.sin(y) - x, -9.81 + 0.2 * t * x], -1)),
+                                pr.batched(lambda t, x, y: 0.4 * y))
+    conn = models.galilean_gravity(field, pr.ChartDomain.unbounded(3)).conn
+    seg = tp.SmoothPath(0.0, 1.2, pr.batched(lambda t: np.stack([t, np.sin(t), 0.5 * t * t], -1)),
+                        pr.batched(lambda t: np.stack([np.ones_like(t), np.cos(t), t], -1)))
+    g0 = lg.random_element(tag, np.random.default_rng(9), scale=0.7).mat
+    props = matrix_propagators(tag, *simpson_coefficients(conn, seg, 400))
+    a, v, b = props[:, 0, -1], props[:, 1:-1, 0], props[:, 1:-1, -1]
+    np.cumsum(a, out=a)
+    b[1:] += v[1:] * a[:-1, None]
+    np.cumsum(v, axis=0, out=v)
+    np.cumsum(b, axis=0, out=b)
+    lifted = tp.horizontal_lift(conn, seg, lg.GroupElement(tag, g0), step=1.2 / 400)
+    assert np.array_equal(lifted.mats, np.concatenate([g0[None], props @ g0]))
+
+
+def test_a_block_off_the_galilean_group_takes_the_doubling_scan():
+    # one coefficient with an off-pattern entry of 1e-17 sends its block
+    # through the matrix propagators and the doubling scan
+    tag = lg.galileo_tag(3)
+    t_off = 123 / 300
+
+    @pr.batched
+    def coeff(x, d):
+        mat = np.zeros(np.shape(d)[:-1] + (4, 4))
+        mat[..., 1:-1, 0] = -np.array([0.5, -9.81]) * d[..., :1] - 0.3 * x[..., 1:] * d[..., 1:]
+        mat[..., :-1, -1] = d
+        mat[..., 1, 2] = np.where(np.abs(x[..., 0] - t_off) < 1e-12, 1e-17, 0.0)
+        return mat
+
+    conn = pr.LocalConnection(pr.ChartDomain.unbounded(3), tag, coeff)
+    seg = tp.line_segment([0.0, 0.2, -0.1], [1.0, 0.7, 0.4], 0.0, 1.0)
+    h, coeffs = simpson_coefficients(conn, seg, 300)
+    assert tp._galilean_coords(tag, coeffs) is None
+    g0 = lg.random_element(tag, np.random.default_rng(7)).mat
+    lifted = tp.horizontal_lift(conn, seg, lg.GroupElement(tag, g0), step=1.0 / 300)
+    assert np.array_equal(lifted.mats, doubling_product(matrix_propagators(tag, h, coeffs), g0))
 
 
 def test_an_off_algebra_galilean_map_fails_with_the_defect_of_the_doubling_scan():
@@ -415,16 +479,22 @@ def test_an_off_algebra_galilean_map_fails_with_the_defect_of_the_doubling_scan(
 
 @pytest.mark.parametrize("tag", [lg.GALILEO2, lg.galileo_tag(3), lg.galileo_tag(4)], ids=lambda t: t.name)
 def test_galilean_guard_takes_the_branch_of_the_group_defect(tag):
+    # the coefficient guard: a finite stack exactly on the algebra pattern
+    # runs in coordinates; an off-pattern 1e-300, 1e-17, NaN or +-inf, or a
+    # non-finite entry anywhere, takes the matrix route; -0.0 stays on the pattern
     rng = np.random.default_rng(tag.size)
-    base = lg.expm_matrix(tag, np.stack([lg.random_algebra(tag, rng).mat for _ in range(5)]))
+    base = np.stack([lg.random_algebra(tag, rng).mat for _ in range(5)])
+    on_pattern = lg.project_to_algebra(tag, np.ones((tag.size, tag.size))) != 0
     branches = set()
     entries = itertools.product(range(tag.size), repeat=2)
     for (i, j), value, add in itertools.product(entries, (np.nan, np.inf, -np.inf, 1e-300, 1e-17, -0.0), (False, True)):
-        props = base.copy()
-        props[2, i, j] = props[2, i, j] + value if add else value
-        with np.errstate(invalid="ignore"):
-            expected = not lg.group_defect(tag, props).any()
-        assert tp._exactly_galilean(tag, props) == expected, (i, j, value, add)
+        coeffs = base.copy()
+        coeffs[2, i, j] = coeffs[2, i, j] + value if add else value
+        expected = value == 0 or (np.isfinite(value) and on_pattern[i, j])
+        coords = tp._galilean_coords(tag, coeffs)
+        assert (coords is not None) == expected, (i, j, value, add)
+        if expected:
+            assert np.array_equal(coords, lg._matrix_coords(tag, coeffs))
         branches.add(expected)
     assert branches == {True, False}
 
@@ -880,6 +950,42 @@ def test_initial_tangent_reads_only_the_uniform_leading_nodes():
     y, h = whole.values, whole.ts[1] - whole.ts[0]
     five = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)
     assert np.array_equal(whole.initial_tangent, five)
+
+
+def cubic_fall(t0, t1):
+    """The curved trajectory ``x = 5 t^3`` over [t0, t1] (batched)."""
+    return tp.SmoothPath(t0, t1, pr.batched(lambda t: np.stack([t, 5 * t ** 3], -1)),
+                         pr.batched(lambda t: np.stack([np.ones_like(t), 15 * t * t], -1)))
+
+
+@pytest.mark.parametrize("step", [1e-3, 0.1])
+def test_second_differences_read_a_curve_on_two_node_spacings(step):
+    # split at 0.3705, each segment keeps its own equal steps, so the
+    # development has two node spacings; it reads its one-segment value
+    cs = models.galilean_gravity(models.GravityField.constant(9.81))
+    whole = cs.develop_base_path(cubic_fall(0.0, 1.0), step=step)
+    split = cs.develop_base_path(tp.concat(cubic_fall(0.0, 0.3705), cubic_fall(0.3705, 1.0)), step=step)
+    assert len(split.ts) == len(whole.ts) + 1 and len(split.second_differences()) == len(split.ts) - 2
+    assert abs(split.max_second_difference() - whole.max_second_difference()) < 0.02 * whole.max_second_difference()
+    if step == 1e-3:
+        assert abs(split.max_second_difference() - 20.16) < 1e-3
+        # a straight development on uniform nodes still reads about 0
+        assert cs.develop_base_path(freefall_path(v0=0.3), step=step).max_second_difference() < 1e-6
+
+
+def parabola(ts):
+    return tp.DevelopedPath(ts, np.stack([3 * ts * ts - ts + 2, -0.5 * ts * ts], -1), np.zeros(2))
+
+
+def test_second_differences_on_uneven_nodes_are_exact_for_a_parabola():
+    # the three-point formula differentiates quadratics exactly on any spacing
+    uneven = parabola(np.array([0.0, 0.1, 0.25, 0.3, 0.7, 0.71]))
+    assert np.allclose(uneven.second_differences(), [6.0, -1.0], rtol=0, atol=1e-10)
+    # uniform spacing keeps the classical formula
+    uniform = parabola(np.linspace(0.0, 1.0, 6))
+    y, h = uniform.values, uniform.ts[1]
+    assert np.array_equal(uniform.second_differences(), (y[2:] - 2 * y[1:-1] + y[:-2]) / h ** 2)
+    assert np.allclose(uniform.second_differences(), [6.0, -1.0], rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
