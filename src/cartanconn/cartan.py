@@ -56,7 +56,7 @@ from .errors import GeometryError, InvalidElementError, NotCartanError
 from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _algebra_part, _form_matrices, _frobenius,
                         coeff_matrices, full_form)
 from .settings import AXIOM, RANK, STRUCTURAL
-from .transport import DevelopedPath, Path, _start_point, horizontal_lift
+from .transport import DevelopedPath, Path, horizontal_lift
 
 
 def _complex_step(f: Callable[[np.ndarray], np.ndarray], x, dx) -> np.ndarray:
@@ -395,20 +395,15 @@ class CartanStructure:
         so the development ``y(t) = act(h'(t0) h(t)^{-1} h'(t), o)`` is
         ``act(P(t)^{-1} h'(t), o)``: one stacked inverse, one stacked frame
         call and one ``spec.act`` call for all nodes. Under the
-        diagonal section the node points come from one ``points`` call per
-        segment (a node on a corner belongs to the earlier segment); the
-        constant section frames every node by the identity.
+        diagonal section the frames are taken at the lift's own points, so
+        only the lift reads the path; the constant section frames every node
+        by the identity.
         """
-        segments, tag = path.segments, self.spec.tag
         lifted = horizontal_lift(self.conn, path, None, step)
-        ts, movers = lifted.ts, lg.inverse_matrix(tag, lifted.mats)
+        movers = lg.inverse_matrix(self.spec.tag, lifted.mats)
         if self.diagonal:
-            xs = np.empty((len(ts), self.base_dim))
-            cuts = [0, *np.searchsorted(ts, [seg.t1 + 1e-15 for seg in segments[:-1]], side="right"), len(ts)]
-            for seg, i0, i1 in zip(segments, cuts, cuts[1:]):
-                seg.points(np.clip(ts[i0:i1], seg.t0, seg.t1), out=xs[i0:i1])
-            movers = movers @ self._frames(xs)
-        return DevelopedPath(ts.copy(), self.spec.act(movers, self.spec.origin), _start_point(path))
+            movers = movers @ self._frames(lifted.points)
+        return DevelopedPath(lifted.ts.copy(), self.spec.act(movers, self.spec.origin), lifted.points[0])
 
     # -- parallelization -------------------------------------------------------------------
 

@@ -290,10 +290,8 @@ def _straightness(dev: tp.DevelopedPath, tolerance, default: float):
     """Second-difference norms of a development, 0 on the end rows, and the
     summary entries that call it STRAIGHT or CURVED against the tolerance
     (``default`` when unset)."""
-    second = dev.second_differences()
     norms = np.zeros(len(dev.ts))
-    if len(second):
-        norms[1:-1] = np.linalg.norm(second, axis=1)
+    norms[1:-1] = np.linalg.norm(dev.second_differences(), axis=1)
     tol = float(tolerance if tolerance is not None else default)
     max_sd = float(norms.max())   # = dev.max_second_difference(): the end rows are 0
     return norms, {"status": "STRAIGHT" if max_sd < tol else "CURVED",

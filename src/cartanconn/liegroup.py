@@ -577,15 +577,20 @@ def _sqrtm(mats: np.ndarray) -> np.ndarray:
     eigenvalue on the closed negative real axis: the Denman-Beavers
     iteration with determinant scaling (Higham 2008, 6.28), in the coupled
     form, which inverts no product of the iterates and so stays regular
-    near the axis (a rotation by nearly pi)."""
+    near the axis (a rotation by nearly pi). Each matrix stops at its own
+    convergence, so a row of a stack gets the root it gets alone."""
     n = mats.shape[-1]
-    y, z = mats, np.broadcast_to(_eye(n), mats.shape)
+    y, z, out, todo = mats, np.broadcast_to(_eye(n), mats.shape), mats.copy(), np.arange(len(mats))
     for _ in range(30):
         mu = (np.abs(np.linalg.det(y) * np.linalg.det(z)) ** (-0.5 / n))[:, None, None]
         y, z, previous = 0.5 * (mu * y + np.linalg.inv(z) / mu), 0.5 * (mu * z + np.linalg.inv(y) / mu), y
-        if np.abs(y - previous).max(initial=0.0) <= 1e-15 * np.abs(y).max(initial=0.0):
-            break
-    return y
+        out[todo] = y
+        moving = np.abs(y - previous).max(axis=(1, 2)) > 1e-15 * np.abs(y).max(axis=(1, 2))
+        if not moving.all():   # the converged matrices keep this iterate
+            y, z, todo = y[moving], z[moving], todo[moving]
+            if not len(todo):
+                break
+    return out
 
 
 def _logm_iss(mats: np.ndarray) -> np.ndarray:
@@ -593,7 +598,8 @@ def _logm_iss(mats: np.ndarray) -> np.ndarray:
     overwrites, by inverse scaling and squaring (Al-Mohy & Higham, SIAM J.
     Sci. Comput. 34, 2012): square roots, per matrix, until
     ``||M - I||_1 <= 0.58``, then the partial-fraction Pade approximant of
-    ``log(I + X)``."""
+    ``log(I + X)``, its terms summed in a fixed order, so a row of a stack
+    gets the logarithm it gets alone."""
     eye = _eye(mats.shape[-1])
     roots = np.zeros(len(mats))
     for _ in range(64):   # each root halves the logarithm
@@ -605,7 +611,7 @@ def _logm_iss(mats: np.ndarray) -> np.ndarray:
     x = mats - eye
     shifted = eye + _LOG_NODES[:, None, None, None] * x
     terms = np.linalg.solve(shifted, np.broadcast_to(x, shifted.shape))
-    return np.exp2(roots)[:, None, None] * np.tensordot(_LOG_WEIGHTS, terms, axes=1)
+    return np.exp2(roots)[:, None, None] * np.einsum("k,k...->...", _LOG_WEIGHTS, terms)
 
 
 def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:

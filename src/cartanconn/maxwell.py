@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .principal import batched, stacked
+from .principal import batched, is_batched, stacked
 
 BASIS_2FORMS = ("dx2^dx3", "dx3^dx1", "dx1^dx2", "dx1^dt", "dx2^dt", "dx3^dt")
 BASIS_3FORMS = ("dx1^dx2^dx3", "dx2^dx3^dt", "dx3^dx1^dt", "dx1^dx2^dt")
@@ -86,6 +86,12 @@ def as_field(value) -> ScalarField:
         return value
     const = float(value)
     return batched(lambda t, x1, x2, x3: const)
+
+
+def _negated(f: ScalarField) -> ScalarField:
+    """The field ``-f``, :func:`batched` when ``f`` is."""
+    neg = lambda t, x1, x2, x3: -f(t, x1, x2, x3)
+    return batched(neg) if is_batched(f) else neg
 
 
 def _triple(fields) -> tuple[ScalarField, ScalarField, ScalarField]:
@@ -132,16 +138,14 @@ def build_G(D, Hm) -> Form2Field:
     (note the -H ^ dt placement)."""
     d1, d2, d3 = _triple(D)
     h1, h2, h3 = _triple(Hm)
-    neg = lambda f: (lambda t, x1, x2, x3: -f(t, x1, x2, x3))
-    return Form2Field((d1, d2, d3, neg(h1), neg(h2), neg(h3)))
+    return Form2Field((d1, d2, d3, _negated(h1), _negated(h2), _negated(h3)))
 
 
 def build_J(rho, j) -> Form3Field:
     """Source three-form from the charge and current densities."""
     r = as_field(rho)
     j1, j2, j3 = _triple(j)
-    neg = lambda f: (lambda t, x1, x2, x3: -f(t, x1, x2, x3))
-    return Form3Field((r, neg(j1), neg(j2), neg(j3)))
+    return Form3Field((r, _negated(j1), _negated(j2), _negated(j3)))
 
 
 # ---------------------------------------------------------------------------

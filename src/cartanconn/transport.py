@@ -9,15 +9,15 @@ lifted tangent,
 with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
-without re-projection. One pass runs the whole path in blocks of steps
-that may span segments, in stages on arrays over each block's nodes. A
-Galileo block whose coefficients are finite and exactly on the algebra
+without re-projection. A lift reads its whole path once, then runs in
+blocks of steps that may span segments, on arrays over each block's nodes.
+A Galileo block whose coefficients are finite and exactly on the algebra
 pattern runs in algebra coordinates, where the algebra is nilpotent: each
 step's ``Omega`` and exponential in closed form, and the block's product as
 three running sums. Any other block takes its step exponentials by matrices
 and their product by a doubling scan. Through
 :func:`~cartanconn.principal.stacked`, the coefficient map is called once
-per block and a path once per segment in the block when declared
+per block and a path once per segment per lift when declared
 :func:`~cartanconn.principal.batched`, else once per node.
 
 Every node's group defect is checked against the round-trip tolerance.
@@ -35,9 +35,7 @@ holonomy of a small coordinate square of side ``d`` spanned by directions
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -45,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import liegroup as lg
-from .errors import DomainError, LiftDivergedError, LoopNotClosedError
+from .errors import DomainError, GeometryError, LiftDivergedError, LoopNotClosedError
 from .principal import LocalConnection, batched, coeff_matrices, stacked
 from .settings import LOOP_CLOSURE, PATH_CHECK, ROUNDTRIP
 
@@ -167,11 +165,6 @@ class PiecewisePath:
 Path = SmoothPath | PiecewisePath
 
 
-def _start_point(path: Path) -> np.ndarray:
-    """``x(t0)``: a piecewise path's stored first end, else one call of the path."""
-    return path.ends[0][0].copy() if isinstance(path, PiecewisePath) else path.point(path.t0)
-
-
 def _reparameterized(path: SmoothPath, a: float, b: float, s0: float, scale: float) -> SmoothPath:
     """``path`` read at the times ``s0 + (t - a) scale`` for ``t`` in [a, b] (batched)."""
     return SmoothPath(
@@ -221,16 +214,17 @@ def square_loop(corner, side: float, axes=(0, 1), dim: int | None = None, t0: fl
 class LiftedPath:
     """Sampled horizontal lift of a base path.
 
-    Stores the node times ``ts`` (N,) and the node matrices ``mats``
-    (N, n, n); ``elements``, ``start`` and ``end`` present them as group
-    elements.
+    Stores the node times ``ts`` (N,), matrices ``mats`` (N, n, n) and the
+    base ``points`` (N, dim) the lift read there (a corner's from the segment
+    ending at it); ``elements``, ``start`` and ``end`` present the matrices.
     """
 
-    def __init__(self, tag: lg.GroupTag, ts, mats):
+    def __init__(self, tag: lg.GroupTag, ts, mats, points):
         self.tag = tag
         self.ts = np.asarray(ts, dtype=float)
         self.mats = np.asarray(mats, dtype=float)
         self.mats.setflags(write=False)
+        self.points = np.asarray(points, dtype=float)
 
     def _element(self, i: int) -> lg.GroupElement:
         return lg.GroupElement(self.tag, self.mats[i])
@@ -309,19 +303,19 @@ def _galilean_product(tag: lg.GroupTag, h, c0: np.ndarray, ch: np.ndarray, c1: n
 
 
 def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarray):
-    """Node times ``(N,)`` and matrices ``(N, n, n)`` of the lift from ``g0``
-    along ``segments``, each cut into the fewest equal steps no longer than
-    ``step``; a segment of ``n`` steps has its own ``2 n + 1`` Simpson nodes,
-    so a corner is a node of both its segments, with two velocities.
+    """Node times ``(N,)``, matrices ``(N, n, n)`` and points ``(N, dim)``
+    of the lift from ``g0`` along ``segments``, each cut into the fewest
+    equal steps no longer than ``step``; a segment of ``n`` steps has its own
+    ``2 n + 1`` Simpson nodes, so a corner is a node of both its segments.
 
     Magnus-4 step, with ``M = -A`` and the step ``h`` of its segment:
     ``Omega = (h/6)(M0 + 4 Mh + M1) + (h^2/12)[M1, M0]``,
-    ``g_{k+1} = exp(Omega) g_k``. The path's steps run in blocks of
-    ``_BLOCK`` that may span segments, each in stages on arrays over its
-    nodes: path points and velocities (one call per segment in the block),
-    the domain check (before any coefficient), one coefficient call, the
-    product of the step propagators and a finiteness check naming the first
-    non-finite node. A Galileo block whose coefficients are finite and
+    ``g_{k+1} = exp(Omega) g_k``. First the points and velocities at every
+    node (one call per segment), and one domain check naming the first node
+    outside. Then the steps run in blocks of ``_BLOCK`` that may span
+    segments, each in stages on arrays over its nodes: one coefficient call,
+    the product of the step propagators and a finiteness check naming the
+    first non-finite node. A Galileo block whose coefficients are finite and
     exactly on the algebra pattern runs in algebra coordinates
     (:func:`_galilean_product`); any other takes every ``Omega``, one
     batched exponential and :func:`_block_product`. A block that continues
@@ -331,43 +325,40 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     # the slack keeps round-off (0.07 / 0.0025 = 28.000000000000004) from adding a step
     counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in segments]
     tag, total = conn.tag, sum(counts)
-    firsts = list(itertools.accumulate(counts, initial=0))   # first step of each segment
     hs = np.array([(seg.t1 - seg.t0) / n for seg, n in zip(segments, counts)])
-    ts, mats = np.empty(total + 1), np.empty((total + 1,) + g0.shape)
-    ts[0], mats[0] = segments[0].t0, g0
-    node_ts = np.empty(2 * total + len(segments))   # segment j's nodes: rows 2 firsts[j] + j onwards
-    for j, (seg, n, h, k) in enumerate(zip(segments, counts, hs, firsts)):
-        starts = seg.t0 + np.arange(n + 1) * h
-        ts[k + 1:k + n + 1] = starts[1:]
-        node_ts[2 * k + j:2 * (k + n) + j + 1:2] = starts
-        node_ts[2 * k + j + 1:2 * (k + n) + j:2] = starts[:-1] + h / 2
-    width = 2 * min(total, _BLOCK) + min(len(segments), _BLOCK)
-    xs, vs = np.empty((2, width, conn.domain.dim))
-    coeffs = np.empty((width, tag.size, tag.size))
+    node_ts = np.empty(2 * total + len(segments))   # each segment's 2 n + 1 nodes in turn
+    xs, vs = np.empty((2, len(node_ts), conn.domain.dim))
+    r = 0   # the segment's first row
+    for seg, n, h in zip(segments, counts, hs):
+        seg_rows, starts = slice(r, r + 2 * n + 1), seg.t0 + np.arange(n + 1) * h
+        node_ts[seg_rows][::2], node_ts[seg_rows][1::2] = starts, starts[:-1] + h / 2
+        seg.points(node_ts[seg_rows], out=xs[seg_rows])
+        seg.velocities(node_ts[seg_rows], out=vs[seg_rows])
+        r += 2 * n + 1
+    inside = conn.domain.contains(xs)
+    if not inside.all():
+        raise DomainError(f"path left the chart domain at t = {node_ts[np.argmin(inside)]}")
+    seg_of = np.repeat(np.arange(len(segments)), counts)   # each step's segment
+    row0, h_of = 2 * np.arange(total) + seg_of, hs[seg_of]   # each step's first row and its h
+    lift_rows = np.concatenate([[0], row0 + 2])   # the lift's nodes: the start and each step's end
+    ts, mats = node_ts[lift_rows], np.empty((total + 1,) + g0.shape)
+    mats[0] = g0
+    coeffs = np.empty((2 * min(total, _BLOCK) + min(len(segments), _BLOCK), tag.size, tag.size))
     galilean = tag.kind is lg.GroupKind.GALILEO
     if galilean:
         props = np.tile(np.eye(tag.size), (min(total, _BLOCK), 1, 1))
     for k0 in range(0, total, _BLOCK):
         k1 = min(k0 + _BLOCK, total)
-        j0, j1 = bisect.bisect_right(firsts, k0) - 1, bisect.bisect_left(firsts, k1)
-        r0, rows = 2 * k0 + j0, 2 * (k1 - k0) + j1 - j0   # the block's first row and row count
-        first = int(firsts[j0] < k0)   # row 0 is then the previous block's last node
-        for j in range(j0, j1):
-            lo, hi = max(2 * firsts[j] + j, r0 + first) - r0, min(2 * firsts[j + 1] + j + 1 - r0, rows)
-            segments[j].points(node_ts[r0 + lo:r0 + hi], out=xs[lo:hi])
-            segments[j].velocities(node_ts[r0 + lo:r0 + hi], out=vs[lo:hi])
-        inside = conn.domain.contains(xs[first:rows])
-        if not inside.all():
-            raise DomainError(f"path left the chart domain at t = {node_ts[r0 + first + np.argmin(inside)]}")
-        coeff_matrices(conn, xs[first:rows], vs[first:rows], out=coeffs[first:rows])
+        r0, rows = row0[k0], row0[k1 - 1] + 3 - row0[k0]   # the block's first row and row count
+        first = int(k0 > 0 and seg_of[k0 - 1] == seg_of[k0])   # row 0 is then the previous block's last node
+        coeff_matrices(conn, xs[r0 + first:r0 + rows], vs[r0 + first:r0 + rows], out=coeffs[first:rows])
         coords = _galilean_coords(tag, coeffs[:rows]) if galilean else None
         stack = coeffs if coords is None else coords
-        if j1 - j0 == 1:
-            h, a0, ah, a1 = hs[j0], stack[0:rows - 1:2], stack[1:rows:2], stack[2:rows:2]
+        if seg_of[k0] == seg_of[k1 - 1]:
+            h, a0, ah, a1 = h_of[k0], stack[0:rows - 1:2], stack[1:rows:2], stack[2:rows:2]
         else:   # each later segment's rows are shifted by one more
-            pieces = [min(firsts[j + 1], k1) - max(firsts[j], k0) for j in range(j0, j1)]
-            i0 = 2 * np.arange(k1 - k0) + np.repeat(np.arange(j1 - j0), pieces)
-            h = np.repeat(hs[j0:j1], pieces).reshape((-1,) + (1,) * (stack.ndim - 1))
+            i0 = row0[k0:k1] - r0
+            h = h_of[k0:k1].reshape((-1,) + (1,) * (stack.ndim - 1))
             a0, ah, a1 = stack[i0], stack[i0 + 1], stack[i0 + 2]
         out = mats[k0:k1 + 1]
         if coords is None:
@@ -379,7 +370,7 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
             finite = np.isfinite(out[1:]).all(axis=(1, 2))
             raise LiftDivergedError(f"lift diverged near t = {ts[k0 + 1 + np.argmin(finite)]}")
         coeffs[0] = coeffs[rows - 1]
-    return ts, mats
+    return ts, mats, xs[lift_rows]
 
 
 def horizontal_lift(
@@ -393,12 +384,12 @@ def horizontal_lift(
     Each smooth segment is cut into the fewest equal steps no longer than
     ``step``, and the whole path is integrated in one pass with a
     fourth-order Magnus method, which keeps the nodes on the group without
-    re-projection (one coefficient call, exponential and product per block
-    of steps, across segments: in algebra coordinates on a Galileo block
-    whose coefficients are finite and on the algebra pattern, else by
-    matrices and a doubling scan). A path point outside the
-    chart raises ``DomainError`` before the coefficient there is evaluated;
-    a non-finite step, or a node whose group defect exceeds
+    re-projection (the path read once, then one coefficient call,
+    exponential and product per block of steps, across segments: in algebra
+    coordinates on a Galileo block whose coefficients are finite and on the
+    algebra pattern, else by matrices and a doubling scan). A path point
+    outside the chart raises ``DomainError`` before any coefficient is
+    evaluated; a non-finite step, or a node whose group defect exceeds
     ``settings.ROUNDTRIP``, raises ``LiftDivergedError``.
     """
     if step <= 0:
@@ -408,12 +399,12 @@ def horizontal_lift(
     if g0.tag != conn.tag:
         raise lg.TagMismatchError("initial element tag does not match the connection")
 
-    ts, mats = _magnus_path(conn, path.segments, step, g0.mat)
+    ts, mats, points = _magnus_path(conn, path.segments, step, g0.mat)
     if conn.tag.kind is lg.GroupKind.PGL:
         # scaling commutes with left multiplication: normalizing once at the
         # end picks the same representatives as normalizing every step
         mats = lg.normalize_projective(mats)
-    lifted = LiftedPath(conn.tag, ts, mats)
+    lifted = LiftedPath(conn.tag, ts, mats, points)
     defect = float(np.max(lifted.group_defects()))
     if defect > ROUNDTRIP:
         raise LiftDivergedError(f"lift left the group manifold: defect {defect:.3e}")
@@ -502,19 +493,19 @@ class DevelopedPath:
         """Discrete second derivative, rowwise over interior samples:
         ``(y_{i+1} - 2 y_i + y_{i-1}) / h^2`` on uniform spacing, else the
         three-point formula ``2 (d_i - d_{i-1}) / (h_{i-1} + h_i)`` with the
-        slopes ``d_i = (y_{i+1} - y_i) / h_i`` (empty for fewer than three samples)."""
+        slopes ``d_i = (y_{i+1} - y_i) / h_i``. A development of fewer than
+        three samples has none and raises :class:`GeometryError`."""
         ts, y = self.ts, self.values
         h = np.diff(ts)
         if len(ts) < 3:
-            return np.empty((0, y.shape[1]))
+            raise GeometryError(f"second differences need at least three samples, the development has {len(ts)}")
         if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
             slopes = np.diff(y, axis=0) / h[:, None]
             return 2 * np.diff(slopes, axis=0) / (h[1:] + h[:-1])[:, None]
         return (y[2:] - 2 * y[1:-1] + y[:-2]) / h[0] ** 2
 
     def max_second_difference(self) -> float:
-        sd = self.second_differences()
-        return float(np.max(np.linalg.norm(sd, axis=1))) if len(sd) else 0.0
+        return float(np.max(np.linalg.norm(self.second_differences(), axis=1)))
 
 
 def develop_total_path(
@@ -531,10 +522,10 @@ def develop_total_path(
     The fibre path is read at the lift's node times through
     :func:`~cartanconn.principal.stacked` (once when batched), and one
     ``spec.act`` call moves all its points; values of the wrong shape raise
-    ``ValueError``. The development is constant exactly when the input path
-    is horizontal.
+    ``ValueError``; ``base_point`` is the lift's first point. The
+    development is constant exactly when the input path is horizontal.
     """
     lifted = horizontal_lift(conn, base_path, None, step)
     zetas = stacked(fiber_path, lifted.ts, out=np.empty((len(lifted.ts), spec.fiber_dim)), what="fibre path")
     values = spec.act(lg.inverse_matrix(conn.tag, lifted.mats), zetas)
-    return DevelopedPath(lifted.ts.copy(), values, _start_point(base_path))
+    return DevelopedPath(lifted.ts.copy(), values, lifted.points[0])

@@ -431,6 +431,21 @@ def test_expression_failures_exit_numerical(tmp_path):
         assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 3
 
 
+def test_a_two_node_development_exits_numerical(tmp_path, capsys):
+    # the curve x = 5 t^3 at step 1.0 develops to two nodes, which cannot be
+    # read STRAIGHT or CURVED; at step 0.5 (three nodes) it reads CURVED
+    doc = gravity_config(tmp_path / "out", trajectory={"x": "5*t^3", "xdot": "15*t^2", "t1": 1.0},
+                         integrator={"step": 1.0})
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 3
+    assert "the development has 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+    doc["integrator"] = {"step": 0.5}
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["samples"], summary["status"]) == (3, "CURVED")
+    assert abs(summary["max_second_difference"] - 5.19) < 5e-3
+
+
 def test_failures_inside_a_block_exit_numerical(tmp_path, capsys):
     # V is singular at t = 0.5, in the middle of the first block of steps;
     # the orbit starts at its perihelion a (1 - e) = 5e-4 from the Kepler

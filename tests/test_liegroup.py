@@ -502,6 +502,21 @@ def test_near_identity_log_skips_the_eigenvalues_bit_identically(tag, monkeypatc
         lg.log_matrix(tag, np.concatenate([mats, far]))
 
 
+@pytest.mark.parametrize("tag", [lg.so_tag(3), lg.gl_tag(3), lg.orthogonal_tag(3, 1), lg.pgl_tag(2), lg.aff_tag(2)],
+                         ids=lambda t: t.name)
+def test_log_matrix_gives_a_stack_row_its_single_matrix_log(tag):
+    # norms from 1e-8 to 2.9 need from no square root to several: every row
+    # of the stack, and of its first seven rows, is bit for bit its own log
+    mats = lg.expm_matrix(tag, algebra_stack(tag, np.random.default_rng(38), (1e-8, 0.02, 0.2, 0.6, 1.2, 2.9), per_norm=5))
+    if tag.kind is lg.GroupKind.PGL:
+        mats = lg.normalize_projective(mats)
+    roots = np.ceil(np.log2(np.maximum(lg._norm1(mats - np.eye(tag.size)), 0.58) / 0.58))
+    assert roots.min() == 0 and roots.max() >= 2
+    single = np.stack([lg.log_matrix(tag, m) for m in mats])
+    assert np.array_equal(lg.log_matrix(tag, mats), single)
+    assert np.array_equal(lg.log_matrix(tag, mats[:7]), single[:7])
+
+
 def test_log_matrix_keeps_the_cut_and_the_pgl_flip_off_the_identity():
     tag = lg.pgl_tag(2)
     near = lg.normalize_projective(lg.expm_matrix(tag, algebra_stack(tag, np.random.default_rng(40), (0.1,))))

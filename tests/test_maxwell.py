@@ -117,6 +117,33 @@ def test_plane_wave_form_residuals():
         assert np.max(np.abs(mx.d_numeric(G, point, h=1e-4))) < 1e-6
 
 
+def test_negated_components_keep_one_call_per_batched_field():
+    # G holds -H and J holds -j: a batched field stays batched through the
+    # negation, so each is called once for all points and their neighbours;
+    # the same fields called point by point give the same derivatives
+    calls = []
+
+    def counted(f, batched):
+        def field(*args):
+            calls.append(1)
+            return f(*args)
+        return pr.batched(field) if batched else field
+
+    wave = mx.preset_plane_wave(NATURAL, k=(0.6, 0.5, 0.3), e0=(0.5, -0.6, 0.0))
+    current = [pr.batched(lambda t, x1, x2, x3, a=a: np.sin(a * t + x1) * x2 - x3) for a in (0.5, 1.0, 2.0)]
+    points = np.random.default_rng(4).uniform(-2, 2, size=(30, 4))
+    derivatives = []
+    for batched in (True, False):
+        calls.clear()
+        G = mx.build_G(*([counted(f, batched) for f in fields] for fields in wave[2:4]))
+        J = mx.build_J(0.5, [counted(f, batched) for f in current])
+        derivatives.append((mx.d_numeric(G, points), mx.d3_numeric(J, points)))
+        assert len(calls) == (9 if batched else 9 * 9 * len(points))
+        assert all(pr.is_batched(f) == batched for f in (*G.coeffs[3:], *J.coeffs[1:]))
+    for stacked, per_point in zip(*derivatives):
+        assert np.allclose(stacked, per_point, rtol=0, atol=1e-12)
+
+
 def test_plane_wave_residual_scales_with_square_of_step():
     fields = mx.preset_plane_wave(NATURAL, k=(0.6, 0.5, 0.3), e0=(0.5, -0.6, 0.0))
     F = mx.build_F(fields[0], fields[1])

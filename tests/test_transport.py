@@ -529,8 +529,8 @@ def test_holonomy_of_a_per_node_loop_calls_the_legs_for_probes_ends_and_nodes():
 
 
 def test_developments_read_a_piecewise_base_point_from_its_ends():
-    # a piecewise path holds x(t0) in ends[0][0], so a development calls the
-    # legs only at the lift's nodes; a smooth path reads x(t0) by one call
+    # a development takes x(t0), and under the diagonal section its frames,
+    # from the lift's nodes, so it calls the legs only there, piecewise or smooth
     calls = {"x": 0, "xdot": 0}
     side, step, rates = 0.25, 0.0625, np.array([[1.0, 0.0], [0.0, 1.0]])
     corners = np.array([[0.1, 0.2], [0.35, 0.2]])
@@ -539,17 +539,19 @@ def test_developments_read_a_piecewise_base_point_from_its_ends():
     smooth = counting_leg(calls, corners[0], rates[0], 0.0, side)
     conn = gravity_connection(lambda t, x: 9.81 + 0.3 * np.sin(x))
     cs = models.CartanStructure("gravity", GALILEO, conn)
+    diagonal = models.CartanStructure("diagonal-gravity", GALILEO, conn, diagonal=True)
     zeta = lambda t: np.array([t, 0.5 * t])
     nodes = 2 * 4 + 1   # four steps per leg
     for develop in (lambda p: tp.develop_total_path(conn, GALILEO, p, zeta, step=step),
-                    lambda p: cs.develop_base_path(p, step=step)):
+                    lambda p: cs.develop_base_path(p, step=step),
+                    lambda p: diagonal.develop_base_path(p, step=step)):
         before = dict(calls)
         dev = develop(path)
         assert calls == {"x": before["x"] + 2 * nodes, "xdot": before["xdot"] + 2 * nodes}
         assert np.array_equal(dev.base_point, corners[0])
         before = dict(calls)
         dev = develop(smooth)
-        assert calls == {"x": before["x"] + nodes + 1, "xdot": before["xdot"] + nodes}
+        assert calls == {"x": before["x"] + nodes, "xdot": before["xdot"] + nodes}
         assert np.array_equal(dev.base_point, corners[0])
 
 
@@ -598,8 +600,7 @@ def test_domain_error_in_a_later_segment_names_its_first_node_outside(step):
         tp.horizontal_lift(conn, path, step=step)
     t_out = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
     assert 2.6102 < t_out <= 2.6102 + step / 2
-    assert all(np.all(x[:, 0] < 0.6102) for x in calls)
-    assert len(calls) == (1 if step < 0.01 else 0)   # only the block before the exit's block
+    assert calls == []   # the whole path is checked before any coefficient
 
 
 def test_lift_names_the_first_non_finite_node_in_a_later_segment():
@@ -643,7 +644,7 @@ def test_batched_and_per_point_routes_agree(batched):
 @pytest.mark.parametrize("step", [0.05, 1e-3])
 def test_batched_lift_raises_domain_error_before_the_coefficients_of_its_block(step):
     # as test_lift_stops_at_first_node_outside_domain, with one coefficient
-    # call per block: the block holding the first node outside gets none
+    # call per block: every node is checked before any block's coefficients
     calls = []
     domain = pr.ChartDomain.box([-1.0, -1.0], [0.6102, 1.0])
     conn = pr.LocalConnection(domain, lg.GALILEO2, counting_gravity_coeff(calls))
@@ -651,8 +652,7 @@ def test_batched_lift_raises_domain_error_before_the_coefficients_of_its_block(s
         tp.horizontal_lift(conn, tp.line_segment([0.0, 0.0], [1.0, 0.0], 0.0, 1.0), step=step)
     t_out = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
     assert 0.6102 < t_out <= 0.6102 + step / 2
-    assert all(np.all(x[:, 0] < t_out) for x in calls)
-    assert len(calls) == (1 if step == 1e-3 else 0)
+    assert calls == []
 
 
 def test_batched_path_with_wrong_shape_raises_at_construction():
@@ -676,7 +676,8 @@ def test_batched_coefficient_with_wrong_shape_raises():
 
 def test_traced_wrappers_keep_the_batched_route():
     # the benchmark's tracer wraps conn.coeff and path callables with
-    # functools.wraps; the lift must still call each once per block
+    # functools.wraps; the lift must still call the coefficients once per
+    # block and the path once per lift
     def traced(fn, counter):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
@@ -692,7 +693,45 @@ def test_traced_wrappers_keep_the_batched_route():
     assert pr.is_batched(conn.coeff) and pr.is_batched(path.x) and pr.is_batched(path.xdot)
     x_calls.clear(), v_calls.clear()
     tp.horizontal_lift(conn, path, step=1e-3)   # 1000 steps: two blocks
-    assert (len(coeff_calls), len(x_calls), len(v_calls)) == (2, 2, 2)
+    assert (len(coeff_calls), len(x_calls), len(v_calls)) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("steps, blocks", [(4, 1), (512, 3), (1500, 9)])
+def test_each_lift_reads_its_path_and_checks_the_chart_once(monkeypatch, steps, blocks):
+    # one x and one xdot call per batched leg, one per node of the per-node
+    # middle leg and one chart check, however many blocks the lift takes
+    calls = {"x": 0, "xdot": 0, "contains": 0, "coeff": 0}
+
+    def counted(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    path = tp.PiecewisePath([tp.SmoothPath(leg.t0, leg.t1, counted(leg.x, "x"), counted(leg.xdot, "xdot"))
+                             for leg in three_legs((1.0, 1.0, 1.0), per_node=(1,)).segments])
+    conn = varying_connection(lg.gl_tag(3), seed=5)
+    object.__setattr__(conn, "coeff", counted(conn.coeff, "coeff"))
+    monkeypatch.setattr(pr.ChartDomain, "contains", counted(pr.ChartDomain.contains, "contains"))
+    calls.update(dict.fromkeys(calls, 0))
+    lifted = tp.horizontal_lift(conn, path, step=1.0 / steps)
+    nodes = 2 * steps + 1
+    assert len(lifted.ts) == 3 * steps + 1
+    assert calls == {"x": 2 + nodes, "xdot": 2 + nodes, "contains": 1, "coeff": blocks}
+
+
+@pytest.mark.parametrize("per_node", [(), (1,), (0, 2)])
+def test_lifted_points_are_the_segments_points_at_the_node_times(per_node):
+    # 1,500 steps on each of three legs: 9 blocks, two of them across a
+    # corner; a corner's point is the end of the segment before it
+    path = three_legs((1.0, 1.0, 1.0), per_node=per_node)
+    lifted = tp.horizontal_lift(varying_connection(lg.GALILEO2, seed=3), path, step=1.0 / 1500)
+    assert len(lifted.ts) == 3 * 1500 + 1
+    expected = [path.segments[0].point(lifted.ts[0])]
+    for j, seg in enumerate(path.segments):   # nodes 1500 j + 1 to 1500 (j + 1), the corner last
+        expected += [seg.point(t) for t in lifted.ts[1 + 1500 * j:1 + 1500 * (j + 1)]]
+    assert np.array_equal(lifted.points, expected)
 
 
 def test_line_segment_points_match_per_point_calls():
@@ -971,6 +1010,18 @@ def test_second_differences_read_a_curve_on_two_node_spacings(step):
         assert abs(split.max_second_difference() - 20.16) < 1e-3
         # a straight development on uniform nodes still reads about 0
         assert cs.develop_base_path(freefall_path(v0=0.3), step=step).max_second_difference() < 1e-6
+
+
+def test_a_two_node_development_has_no_second_differences():
+    # one step of the curve x = 5 t^3: the development has two nodes, so no
+    # second difference can call it straight; three nodes read it curved
+    cs = models.galilean_gravity(models.GravityField.constant(9.81))
+    short = cs.develop_base_path(cubic_fall(0.0, 1.0), step=1.0)
+    assert len(short.ts) == 2
+    for read in (short.second_differences, short.max_second_difference):
+        with pytest.raises(GeometryError, match="at least three samples, the development has 2"):
+            read()
+    assert abs(cs.develop_base_path(cubic_fall(0.0, 1.0), step=0.5).max_second_difference() - 5.19) < 5e-3
 
 
 def parabola(ts):
