@@ -123,7 +123,7 @@ def criterion_2_flat_model(seed: int = 0) -> CriterionResult:
             moved = tp.parallel_transport(cs.conn, path, cs.spec, z0, step=5e-3)
             worst_transport = max(worst_transport, float(np.max(np.abs(moved - z0))))
             dev = cs.develop_base_path(path, step=5e-3)
-            worst_dev = max(worst_dev, float(np.max(np.abs(dev.values - path.points(dev.ts)))))
+            worst_dev = max(worst_dev, float(np.max(np.abs(dev.values - dev.points))))
         ok = worst_transport < 1e-8 and worst_dev < 1e-8
         return ok, f"transport gap {worst_transport:.2e}, development gap {worst_dev:.2e} < 1e-8"
 

@@ -403,7 +403,7 @@ class CartanStructure:
         movers = lg.inverse_matrix(self.spec.tag, lifted.mats)
         if self.diagonal:
             movers = movers @ self._frames(lifted.points)
-        return DevelopedPath(lifted.ts.copy(), self.spec.act(movers, self.spec.origin), lifted.points[0])
+        return DevelopedPath(lifted.ts.copy(), self.spec.act(movers, self.spec.origin), lifted.points)
 
     # -- parallelization -------------------------------------------------------------------
 

@@ -303,7 +303,7 @@ def _run_develop_gravity(cfg: dict, out_dir: Path) -> dict:
     path = _gravity_trajectory(cfg["trajectory"], v_fn)
     dev = cs.develop_base_path(path, step=cfg["step"])
     norms, verdict = _straightness(dev, cfg["tolerance"], 1e-6)
-    rows = np.column_stack([dev.ts, path.points(dev.ts)[:, 1], dev.values[:, 1], norms])
+    rows = np.column_stack([dev.ts, dev.points[:, 1], dev.values[:, 1], norms])
     summary = {
         "scenario": "develop-gravity",
         **verdict,
@@ -329,7 +329,7 @@ def _run_develop_kepler(cfg: dict, out_dir: Path) -> dict:
     orbit = models.kepler_orbit(mu=mu, a=a, e=e)
     dev = cs.develop_base_path(orbit, step=cfg["step"])
     norms, verdict = _straightness(dev, cfg["tolerance"], 1e-4)
-    rows = np.column_stack([dev.ts, orbit.points(dev.ts)[:, 1:], dev.values, norms])
+    rows = np.column_stack([dev.ts, dev.points[:, 1:], dev.values, norms])
     summary = {
         "scenario": "develop-kepler",
         **verdict,
@@ -493,12 +493,11 @@ def _run_homogeneous_demo(cfg: dict, out_dir: Path) -> dict:
 
     path = tp.SmoothPath(0.0, 1.0, x, xdot)
     dev = cs.develop_base_path(path, step=cfg["step"])
-    points = path.points(dev.ts)
-    gap = float(np.max(np.abs(dev.values - points)))
+    gap = float(np.max(np.abs(dev.values - dev.points)))
     z0 = cs.spec.origin + 0.2 * rng.standard_normal(dim)
     transported = tp.parallel_transport(cs.conn, path, cs.spec, z0, step=cfg["step"])
     transport_gap = float(np.max(np.abs(transported - z0)))
-    rows = np.column_stack([dev.ts, points, dev.values])
+    rows = np.column_stack([dev.ts, dev.points, dev.values])
     header = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"dev{i+1}" for i in range(dim)]
     tol = float(cfg["tolerance"] if cfg["tolerance"] is not None else 1e-8)
     ok = gap < tol and transport_gap < tol

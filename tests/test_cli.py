@@ -187,6 +187,28 @@ def test_kepler_scenario_coarse(tmp_path):
     assert summary["status"] == "STRAIGHT"
 
 
+@pytest.mark.parametrize("doc, reads", [
+    ({"scenario": "develop-gravity", "model": {"V": "9.81"},
+      "trajectory": {"x": "0.2 + 0.4*t + 0.5*9.81*t^2", "xdot": "0.4 + 9.81*t"}}, 2),
+    ({"scenario": "develop-kepler", "integrator": {"step": 0.002}}, 2),
+    ({"scenario": "homogeneous-demo", "integrator": {"step": 0.005}}, 3),
+], ids=lambda v: v["scenario"] if isinstance(v, dict) else str(v))
+def test_developments_write_the_points_their_lift_read(tmp_path, monkeypatch, doc, reads):
+    # the path is read for its probes and by each lift (the homogeneous demo
+    # also transports), never again for the table's points
+    calls, points = [], tp.SmoothPath.points
+
+    def counted(self, ts, out=None):
+        calls.append(len(ts))
+        return points(self, ts, out)
+
+    monkeypatch.setattr(tp.SmoothPath, "points", counted)
+    summary = cli.run(doc, out_dir=str(tmp_path))
+    assert len(calls) == reads
+    table = np.loadtxt(tmp_path / f"{doc['scenario']}.csv", delimiter=",", skiprows=1)
+    assert len(table) == summary.get("samples", len(table)) == (calls[1] + 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------

@@ -154,6 +154,31 @@ def test_effective_step_never_exceeds_requested():
     assert len(lifted.ts) == 4
 
 
+def test_each_segment_ends_at_its_own_t1():
+    # 0 + 700 * (0.7 / 700) rounds to 0.7000000000000001: the last node of
+    # a segment is pinned to t1, so a path defined only on [t0, t1] lifts
+    def only_inside(t0, t1, fn):
+        @pr.batched
+        def read(t):
+            t = np.asarray(t, dtype=float)
+            if t.min() < t0 or t.max() > t1:
+                raise ValueError(f"path read at t = {t.max()!r} outside [{t0}, {t1}]")
+            return fn(t)
+        return read
+
+    def fall(t0, t1):
+        return tp.SmoothPath(t0, t1, only_inside(t0, t1, lambda t: np.stack([t, 4.905 * t * t], -1)),
+                             only_inside(t0, t1, lambda t: np.stack([np.ones_like(t), 9.81 * t], -1)))
+
+    conn = models.galilean_gravity(models.GravityField.constant(9.81)).conn
+    lifted = tp.horizontal_lift(conn, fall(0.0, 0.7), step=1e-3)
+    assert len(lifted.ts) == 701 and lifted.ts[-1] == 0.7
+    assert np.array_equal(lifted.points[-1], [0.7, 4.905 * 0.7 * 0.7])
+    legs = tp.PiecewisePath([fall(0.0, 0.7), fall(0.7, 1.3)])
+    lifted = tp.horizontal_lift(conn, legs, step=1e-3)
+    assert lifted.ts[700] == 0.7 and lifted.ts[-1] == 1.3
+
+
 def test_richardson_agreement_freefall():
     # constant gravity, trajectory x = g t^2 / 2 lifted from the identity:
     # halving the step moves the endpoint by less than 1e-8
@@ -497,6 +522,75 @@ def test_galilean_guard_takes_the_branch_of_the_group_defect(tag):
             assert np.array_equal(coords, lg._matrix_coords(tag, coeffs))
         branches.add(expected)
     assert branches == {True, False}
+
+
+def counted_group_defects(monkeypatch):
+    """The shapes of the stacks passed to ``lg.group_defect`` from now on."""
+    shapes, defect = [], lg.group_defect
+
+    def counted(tag, mat):
+        shapes.append(np.shape(mat))
+        return defect(tag, mat)
+
+    monkeypatch.setattr(lg, "group_defect", counted)
+    return shapes
+
+
+def curved_gravity():
+    return models.galilean_gravity(models.GravityField(
+        pr.batched(lambda t, x: 9.81 + 0.8 * np.sin(x) * (1.0 + 0.5 * np.cos(t))),
+        pr.batched(lambda t, x: 0.3 * t * x))).conn
+
+
+COORDINATE_LIFTS = {   # connection, path and step of lifts whose every block runs in algebra coordinates
+    "kepler": (lambda: models.galilean_gravity_3d(models.kepler_acceleration(1.0)).conn,
+               lambda: models.kepler_orbit(e=0.6), 1e-3),
+    "curved-square-loop": (curved_gravity, lambda: tp.square_loop([0.2, -0.5], 0.5), 1e-3),
+    "constant-1+3": (lambda: models.galilean_gravity(models.GravityField.constant((0.0, 0.0, -9.81)),
+                                                     pr.ChartDomain.unbounded(4)).conn,
+                     lambda: tp.line_segment([0.0, 0.3, -0.2, 0.5], [1.2, 0.9, 0.4, -2.0], 0.0, 1.2), 1e-3),
+    "three-legs": (lambda: varying_connection(lg.GALILEO2, seed=3), lambda: three_legs((1.0, 1.0, 1.0)), 1.0 / 300),
+}
+
+
+@pytest.mark.parametrize("case", COORDINATE_LIFTS)
+def test_a_coordinate_lift_from_an_exact_start_is_exactly_on_the_group(monkeypatch, case):
+    # products of exact Galileo-pattern matrices keep the pattern exactly,
+    # so the lift skips the node defect pass and every node reads 0.0
+    conn, path, step = COORDINATE_LIFTS[case]
+    shapes = counted_group_defects(monkeypatch)
+    lifted = tp.horizontal_lift(conn(), path(), step=step)
+    assert shapes == [] and len(lifted.ts) > tp._BLOCK + 1
+    assert np.array_equal(lifted.group_defects(), np.zeros(len(lifted.ts)))
+
+
+def test_a_start_off_the_galilean_pattern_still_raises_with_its_defect():
+    # the off-pattern (0, 0) entry 1 + 1e-6 of the start stays at every node
+    g0 = np.eye(3)
+    g0[0, 0] += 1e-6
+    with pytest.raises(LiftDivergedError, match=r"defect 1\.000e-06"):
+        tp.horizontal_lift(curved_gravity(), tp.square_loop([0.2, -0.5], 0.1), lg.GroupElement(lg.GALILEO2, g0),
+                           step=2.5e-3)
+
+
+@pytest.mark.parametrize("start, pass_runs", [("identity", False), ("exact", False), ("1e-12 off", True)])
+def test_the_node_defect_pass_runs_unless_the_start_is_exactly_galilean(monkeypatch, start, pass_runs):
+    g0 = lg.random_element(lg.GALILEO2, np.random.default_rng(4)).mat.copy()
+    if start == "1e-12 off":
+        g0[2, 1] = 1e-12
+    shapes = counted_group_defects(monkeypatch)
+    lifted = tp.horizontal_lift(curved_gravity(), tp.square_loop([0.2, -0.5], 0.1),
+                                None if start == "identity" else lg.GroupElement(lg.GALILEO2, g0), step=2.5e-3)
+    assert ((len(lifted.ts), 3, 3) in shapes) == pass_runs
+    assert shapes.count((3, 3)) == int(start != "identity")   # the start's own defect
+    if pass_runs:
+        assert 0 < np.max(lifted.group_defects()) < 1e-9
+
+
+def test_a_matrix_route_lift_runs_the_node_defect_pass(monkeypatch):
+    shapes = counted_group_defects(monkeypatch)
+    lifted = tp.horizontal_lift(varying_connection(lg.gl_tag(3), seed=5), three_legs((1.0, 1.0, 1.0)), step=1.0 / 300)
+    assert shapes == [(len(lifted.ts), 3, 3)]
 
 
 def counting_leg(calls, start, rate, t0, t1):
@@ -1025,7 +1119,7 @@ def test_a_two_node_development_has_no_second_differences():
 
 
 def parabola(ts):
-    return tp.DevelopedPath(ts, np.stack([3 * ts * ts - ts + 2, -0.5 * ts * ts], -1), np.zeros(2))
+    return tp.DevelopedPath(ts, np.stack([3 * ts * ts - ts + 2, -0.5 * ts * ts], -1), np.zeros((len(ts), 2)))
 
 
 def test_second_differences_on_uneven_nodes_are_exact_for_a_parabola():
