@@ -44,7 +44,6 @@ from .liegroup import (
     maurer_cartan,
     orthogonal_tag,
     pgl_tag,
-    product_tag,
     so_tag,
 )
 from .principal import (
@@ -112,7 +111,6 @@ __all__ = [
     "maurer_cartan",
     "orthogonal_tag",
     "pgl_tag",
-    "product_tag",
     "so_tag",
     "ChartDomain",
     "LocalConnection",

@@ -279,7 +279,7 @@ class CartanStructure:
 
     def _reduction_point(self, xs, gps=None):
         """Points ``frame(x) g'`` of H' over a stack of base points ``(N, m)``
-        as raw matrices ``(N, n, n)``, with the factors ``g'`` (identities by
+        as raw matrices ``(N, n, n)``, with the elements ``g'`` (identities by
         default) rescaled alike: for PGL the point is stored normalized (as
         :func:`lg.compose` returns it), so ``points = frames @ gps`` holds
         for the returned pair."""

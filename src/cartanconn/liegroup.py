@@ -25,7 +25,6 @@ Supported families:
                    magnitude equals ``+1`` (first such entry in row-major
                    order when tied), which fixes a deterministic pick from
                    the homothety class
-* ``Product``      direct products of the above, realized block-diagonally
 
 Elements are produced by the factories :func:`group_element` and
 :func:`algebra_element`, which validate the defining relations and can
@@ -66,7 +65,6 @@ class GroupKind(Enum):
     AFF = "Aff"
     GALILEO = "Galileo"
     PGL = "PGL"
-    PRODUCT = "Product"
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,6 @@ class GroupTag:
 
     kind: GroupKind
     dims: tuple[int, ...] = ()
-    factors: tuple["GroupTag", ...] = ()
 
     @cached_property
     def size(self) -> int:
@@ -84,27 +81,10 @@ class GroupTag:
             return self.dims[0]
         if self.kind is GroupKind.ORTHOGONAL:
             return self.dims[0] + self.dims[1]
-        if self.kind is GroupKind.AFF or self.kind is GroupKind.PGL:
-            return self.dims[0] + 1
-        if self.kind is GroupKind.GALILEO:
-            return self.dims[0] + 1
-        return sum(f.size for f in self.factors)
-
-    @cached_property
-    def nilpotency(self) -> int | None:
-        """Least ``k`` with ``A^k = 0`` on the whole algebra, None if there is
-        none: 3 for Galileo, whose squares are pure space translations."""
-        if self.kind is GroupKind.GALILEO:
-            return 3
-        if self.kind is GroupKind.PRODUCT:
-            ks = [f.nilpotency for f in self.factors]
-            return None if None in ks else max(ks)
-        return None
+        return self.dims[0] + 1   # Aff, Galileo, PGL
 
     @property
     def name(self) -> str:
-        if self.kind is GroupKind.PRODUCT:
-            return " x ".join(f.name for f in self.factors)
         if self.kind is GroupKind.ORTHOGONAL:
             return f"O({self.dims[0]},{self.dims[1]})"
         if self.kind is GroupKind.GALILEO:
@@ -146,12 +126,6 @@ def galileo_tag(spacetime_dim: int = 2) -> GroupTag:
 
 def pgl_tag(n: int) -> GroupTag:
     return GroupTag(GroupKind.PGL, (n,))
-
-
-def product_tag(*factors: GroupTag) -> GroupTag:
-    if len(factors) < 2:
-        raise ValueError("product tag needs at least two factors")
-    return GroupTag(GroupKind.PRODUCT, (), tuple(factors))
 
 
 GALILEO2 = galileo_tag(2)
@@ -233,14 +207,6 @@ def eta_matrix(tag: GroupTag) -> np.ndarray:
     return eta
 
 
-def _product_slices(tag: GroupTag) -> list[tuple[slice, GroupTag]]:
-    out, start = [], 0
-    for f in tag.factors:
-        out.append((slice(start, start + f.size), f))
-        start += f.size
-    return out
-
-
 @lru_cache(maxsize=None)
 def _eye(n: int) -> np.ndarray:
     eye = np.eye(n)
@@ -283,14 +249,7 @@ def group_defect(tag: GroupTag, mat: np.ndarray):
         return _entry_max(np.abs(mat[..., -1:, :] - _eye(n)[-1]))
     if kind is GroupKind.GALILEO:
         return _entry_max(np.abs(mat - _eye(n) - project_to_algebra(tag, mat)))
-    if kind is GroupKind.PGL:
-        return np.abs(_pivots(mat) - 1.0)   # = max |mat - normalize_projective(mat)|
-    # product: block defects plus off-block mass
-    off_block, total = np.ones((n, n)), 0.0
-    for sl, f in _product_slices(tag):
-        total = np.maximum(total, group_defect(f, mat[..., sl, sl]))
-        off_block[sl, sl] = 0.0
-    return np.maximum(total, _entry_max(np.abs(mat * off_block)))
+    return np.abs(_pivots(mat) - 1.0)   # PGL: = max |mat - normalize_projective(mat)|
 
 
 def _entry_max(a: np.ndarray):
@@ -365,12 +324,7 @@ def project_to_group(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
         return out
     if kind is GroupKind.GALILEO:
         return _eye(tag.size) + project_to_algebra(tag, mat)
-    if kind is GroupKind.PGL:
-        return normalize_projective(mat)
-    out = np.zeros_like(mat)
-    for sl, f in _product_slices(tag):
-        out[sl, sl] = project_to_group(f, mat[sl, sl])
-    return out
+    return normalize_projective(mat)   # PGL
 
 
 def group_element(tag: GroupTag, mat: np.ndarray, *, project: bool = False) -> GroupElement:
@@ -421,13 +375,8 @@ def project_to_algebra(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
         out[..., 0, -1] = mat[..., 0, -1]
         out[..., 1:-1, -1] = mat[..., 1:-1, -1]
         return out
-    if kind is GroupKind.PGL:
-        n = tag.size
-        return mat - (np.trace(mat, axis1=-2, axis2=-1) / n)[..., None, None] * _eye(n)
-    out = np.zeros_like(mat)
-    for sl, f in _product_slices(tag):
-        out[..., sl, sl] = project_to_algebra(f, mat[..., sl, sl])
-    return out
+    n = tag.size   # PGL: traceless part
+    return mat - (np.trace(mat, axis1=-2, axis2=-1) / n)[..., None, None] * _eye(n)
 
 
 def algebra_element(tag: GroupTag, mat: np.ndarray, *, project: bool = False) -> AlgebraElement:
@@ -464,11 +413,6 @@ def inverse_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     if kind is GroupKind.ORTHOGONAL:
         eta = eta_matrix(tag)
         return eta @ mat.swapaxes(-1, -2) @ eta
-    if kind is GroupKind.PRODUCT:
-        out = np.zeros_like(mat)
-        for sl, f in _product_slices(tag):
-            out[..., sl, sl] = inverse_matrix(f, mat[..., sl, sl])
-        return out
     if kind is GroupKind.GALILEO:   # v -> -v, a -> -a, b -> v a - b
         out = 2 * _eye(tag.size) - mat
         out[..., 1:-1, -1] += mat[..., 1:-1, 0] * mat[..., 0, -1, None]
@@ -530,14 +474,14 @@ def expm_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     lowest that covers the largest 1-norm of the stack, up to 20; past
     that, each matrix is scaled by its own power of two to 1-norm 1.43 and
     squared back as often as it needs, so a large matrix makes no other pay
-    for its squarings. On nilpotent algebras (``tag.nilpotency``, 3 for
-    Galileo) the series terminates and is summed exactly, without scaling.
+    for its squarings. On the nilpotent Galileo algebra, where ``A^3 = 0``,
+    the series terminates and is summed exactly, without scaling.
     Non-finite matrices give non-finite exponentials and leave the others
     alone.
     """
     mat = np.asarray(mat, dtype=float)
-    if tag.nilpotency is not None:
-        return _taylor(mat, tag.nilpotency - 1, 1)
+    if tag.kind is GroupKind.GALILEO:   # I + A + A^2 / 2
+        return _taylor(mat, 2, 1)
     norms = _norm1(mat)
     norms = np.where(np.isfinite(norms), norms, 0.0)
     largest = norms.max(initial=0.0)
@@ -618,14 +562,13 @@ def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     """Principal logarithm of a group matrix of ``tag``, or of each matrix of
     a stack ``(..., n, n)``, not projected onto the algebra.
 
-    Galileo uses its closed form ``X - X^2 / 2`` with ``X = M - I``; product
-    tags take the logarithm block by block; every other family goes through
-    inverse scaling and squaring on the whole stack. Raises
-    :class:`NoPrincipalLogarithmError` if a finite matrix has an eigenvalue
-    on the closed negative real axis; for PGL, whose ``M`` and ``-M``
-    represent the same element, such a matrix is replaced by ``-M`` unless
-    that has one too. Non-finite matrices give NaN and leave the others
-    alone. The check is skipped, exactly, if every finite ``||M - I||_1 < 1/2``: then
+    Galileo uses its closed form ``X - X^2 / 2`` with ``X = M - I``; every
+    other family goes through inverse scaling and squaring on the whole
+    stack. Raises :class:`NoPrincipalLogarithmError` if a finite matrix has
+    an eigenvalue on the closed negative real axis; for PGL, whose ``M``
+    and ``-M`` represent the same element, such a matrix is replaced by
+    ``-M`` unless that has one too. Non-finite matrices give NaN and leave
+    the others alone. The check is skipped, exactly, if every finite ``||M - I||_1 < 1/2``: then
     ``|lam - 1| < 1/2`` even after rounding, so no ``lam`` is on the cut and no PGL flip.
     """
     mat = np.asarray(mat, dtype=float)
@@ -633,11 +576,6 @@ def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:
     if tag.kind is GroupKind.GALILEO:
         x = mat - _eye(n)
         return x - 0.5 * (x @ x)
-    if tag.kind is GroupKind.PRODUCT:
-        out = np.zeros_like(mat)
-        for sl, f in _product_slices(tag):
-            out[..., sl, sl] = log_matrix(f, mat[..., sl, sl])
-        return out
     flat = mat.reshape(-1, n, n)
     finite = np.isfinite(flat).all(axis=(1, 2))
     good = flat[finite]
@@ -716,7 +654,6 @@ def algebra_basis(tag: GroupTag) -> tuple[AlgebraElement, ...]:
     """
     n = tag.size
     kind = tag.kind
-    mats: list[np.ndarray] = []
     if kind is GroupKind.GL:
         mats = [_single_entry(n, i, j) for i in range(n) for j in range(n)]
     elif kind is GroupKind.SO:
@@ -741,18 +678,12 @@ def algebra_basis(tag: GroupTag) -> tuple[AlgebraElement, ...]:
         mats = [_single_entry(n, 1 + i, 0) for i in range(s)]       # boosts
         mats += [_single_entry(n, 0, n - 1)]                         # time translation
         mats += [_single_entry(n, 1 + i, n - 1) for i in range(s)]   # space translations
-    elif kind is GroupKind.PGL:
+    else:   # PGL
         mats = [_single_entry(n, i, j) for i in range(n) for j in range(n) if i != j]
         mats += [
             _single_entry(n, i, i) - _single_entry(n, i + 1, i + 1)
             for i in range(n - 1)
         ]
-    else:
-        for sl, f in _product_slices(tag):
-            for b in algebra_basis(f):
-                m = np.zeros((n, n))
-                m[sl, sl] = b.mat
-                mats.append(m)
     return tuple(AlgebraElement(tag, m) for m in mats)
 
 

@@ -196,16 +196,17 @@ def concat(*paths: Path) -> PiecewisePath:
     return PiecewisePath([seg for p in paths for seg in p.segments])
 
 
-def square_loop(corner, side: float, axes=(0, 1), dim: int | None = None, t0: float = 0.0) -> PiecewisePath:
-    """Closed square loop of side ``side`` in the coordinate plane spanned by
-    ``axes``, starting at ``corner`` and traversing the ``axes[0]`` leg first.
+def square_loop(corner, side: float, t0: float = 0.0) -> PiecewisePath:
+    """Closed square loop of side ``side`` in the plane of the first two
+    coordinates, starting at ``corner`` and traversing the first axis's leg
+    first.
 
     Parameter time equals arc length, so the loop closes at
     ``t0 + 4 side``; closure is exact.
     """
     corner = np.asarray(corner, dtype=float)
-    legs = np.zeros((2, corner.size if dim is None else dim))
-    legs[0, axes[0]] = legs[1, axes[1]] = side
+    legs = np.zeros((2, corner.size))
+    legs[0, 0] = legs[1, 1] = side
     corners = [corner, corner + legs[0], corner + legs[0] + legs[1], corner + legs[1], corner]
     return PiecewisePath([line_segment(p, q, t0 + k * side, t0 + (k + 1) * side)
                           for k, (p, q) in enumerate(zip(corners, corners[1:]))])
@@ -220,7 +221,7 @@ class LiftedPath:
 
     Stores the node times ``ts`` (N,), matrices ``mats`` (N, n, n) and the
     base ``points`` (N, dim) the lift read there (a corner's from the segment
-    ending at it); ``elements``, ``start`` and ``end`` present the matrices.
+    ending at it); ``elements`` and ``end`` present the matrices.
     """
 
     def __init__(self, tag: lg.GroupTag, ts, mats, points):
@@ -236,10 +237,6 @@ class LiftedPath:
     @property
     def elements(self) -> list[lg.GroupElement]:
         return [self._element(i) for i in range(len(self.ts))]
-
-    @property
-    def start(self) -> lg.GroupElement:
-        return self._element(0)
 
     @property
     def end(self) -> lg.GroupElement:

@@ -19,7 +19,6 @@ TAGS = [
     lg.galileo_tag(2),
     lg.galileo_tag(3),
     lg.pgl_tag(2),
-    lg.product_tag(lg.galileo_tag(2), lg.so_tag(2)),
 ]
 
 
@@ -338,7 +337,6 @@ STACK_TAGS = [
     lg.aff_tag(2),
     lg.galileo_tag(3),
     lg.pgl_tag(2),
-    lg.product_tag(lg.galileo_tag(2), lg.so_tag(2)),
 ]
 
 
@@ -377,7 +375,6 @@ KERNEL_TAGS = [
     lg.pgl_tag(2),
     lg.galileo_tag(2),
     lg.galileo_tag(3),
-    lg.product_tag(lg.galileo_tag(2), lg.so_tag(2)),
 ]
 KERNEL_NORMS = (1e-8, 0.02, 0.6, 3.0, 10.0)
 
@@ -441,7 +438,6 @@ def test_galileo_expm_matrix_is_the_terminating_series(tag):
     mats = algebra_stack(tag, np.random.default_rng(35), KERNEL_NORMS)
     expected = np.eye(tag.size) + mats + mats @ mats / 2
     assert np.array_equal(lg.expm_matrix(tag, mats), expected)
-    assert tag.nilpotency == 3 and lg.product_tag(tag, lg.so_tag(2)).nilpotency is None
 
 
 def test_log_matrix_rejects_a_stack_with_a_negative_eigenvalue():
@@ -557,10 +553,34 @@ def test_normalize_projective_on_a_stack():
 
 
 def test_tag_size_is_cached_without_changing_equality():
-    tag = lg.product_tag(lg.galileo_tag(3), lg.so_tag(2))
-    fresh = lg.product_tag(lg.galileo_tag(3), lg.so_tag(2))
-    assert tag.size == 6 and "size" in vars(tag) and "size" not in vars(fresh)
+    tag = lg.orthogonal_tag(3, 1)
+    fresh = lg.orthogonal_tag(3, 1)
+    assert tag.size == 4 and "size" in vars(tag) and "size" not in vars(fresh)
     assert tag == fresh and hash(tag) == hash(fresh)
+
+
+def closed_form_dims(tag):
+    """Matrix size and algebra dimension of each family, by hand."""
+    K = lg.GroupKind
+    if tag.kind is K.GL:
+        n = tag.dims[0]
+        return n, n * n
+    if tag.kind is K.SO or tag.kind is K.ORTHOGONAL:
+        n = sum(tag.dims)
+        return n, n * (n - 1) // 2
+    if tag.kind is K.AFF:
+        n = tag.dims[0]
+        return n + 1, n * n + n
+    if tag.kind is K.GALILEO:
+        m = tag.dims[0]
+        return m + 1, 2 * m - 1
+    n = tag.dims[0]   # PGL
+    return n + 1, (n + 1) ** 2 - 1
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
+def test_size_and_algebra_dim_match_their_closed_forms(tag):
+    assert (tag.size, lg.algebra_dim(tag)) == closed_form_dims(tag)
 
 
 @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.name)
@@ -582,16 +602,12 @@ def test_algebra_projection_and_defect_on_stacks(tag):
     assert np.ndim(lg.algebra_defect(tag, mats[0, 0])) == 0
 
 
-@pytest.mark.parametrize("tag", [
-    lg.galileo_tag(2), lg.galileo_tag(3), lg.product_tag(lg.so_tag(2), lg.galileo_tag(3)),
-], ids=lambda t: t.name)
+@pytest.mark.parametrize("tag", [lg.galileo_tag(2), lg.galileo_tag(3)], ids=lambda t: t.name)
 def test_galileo_inverse_is_closed_form(tag, monkeypatch):
     rng = np.random.default_rng(29)
     mats = np.stack([lg.random_element(tag, rng, scale=3.0).mat for _ in range(50)])
     expected = np.linalg.inv(mats)
-    if tag.kind is lg.GroupKind.GALILEO:
-        # the closed form needs no general inverse
-        monkeypatch.setattr(lg.np.linalg, "inv", None)
+    monkeypatch.setattr(lg.np.linalg, "inv", None)   # the closed form needs no general inverse
     inverses = lg.inverse_matrix(tag, mats)
     assert np.allclose(inverses, expected, rtol=0.0, atol=1e-14)
     assert np.allclose(inverses @ mats, np.eye(tag.size), rtol=0.0, atol=1e-14)

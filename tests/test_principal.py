@@ -268,7 +268,7 @@ def curved_connection(tag, seed, domain=pr.ChartDomain.unbounded(2)):
 
 
 @pytest.mark.parametrize("tag", [
-    lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3), lg.product_tag(lg.GALILEO2, lg.so_tag(2)),
+    lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3),
 ], ids=lambda tag: tag.name)
 def test_axioms_hold_for_curved_connections(tag):
     conn = curved_connection(tag, seed=5)
@@ -283,7 +283,7 @@ DEFAULT_ROUTE_CASES = {
     **{name: lambda name=name: models.build_model(name).conn
        for name in ("galilean", "affine", "mobius", "projective")},
     **{tag.name: lambda tag=tag: curved_connection(tag, seed=5) for tag in (
-        lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3), lg.product_tag(lg.GALILEO2, lg.so_tag(2)))},
+        lg.pgl_tag(2), lg.orthogonal_tag(3, 1), lg.so_tag(3))},
     "per-point galilean": lambda: per_point(models.build_model("galilean").conn),
     # a box chart interleaves its uniform draws with the normal ones
     "box PGL(2)": lambda: curved_connection(lg.pgl_tag(2), seed=5, domain=pr.ChartDomain.box([-1.0, 0.5], [2.0, 3.0])),
