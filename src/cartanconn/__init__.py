@@ -11,6 +11,10 @@ The package is organized as a small stack:
   soldering, development of base paths, parallelization
 * :mod:`cartanconn.models`     ready-made geometries (flat homogeneous,
   affine, Galilean gravity, projective and Mobius model spaces)
+
+``import cartanconn`` loads only these five core modules (with ``errors``
+and ``settings``); the others load when imported by name:
+
 * :mod:`cartanconn.maxwell`    Maxwell's equations as exterior calculus
 * :mod:`cartanconn.fieldexpr`  small arithmetic expression language
 * :mod:`cartanconn.acceptance` end-to-end acceptance battery

@@ -56,7 +56,7 @@ from .errors import GeometryError, InvalidElementError, NotCartanError
 from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _algebra_part, _form_matrices, _frobenius,
                         coeff_matrices, full_form)
 from .settings import AXIOM, RANK, STRUCTURAL
-from .transport import DevelopedPath, Path, horizontal_lift
+from .transport import DevelopedPath, LiftedPath, Path, horizontal_lift
 
 
 def _complex_step(f: Callable[[np.ndarray], np.ndarray], x, dx) -> np.ndarray:
@@ -399,7 +399,11 @@ class CartanStructure:
         only the lift reads the path; the constant section frames every node
         by the identity.
         """
-        lifted = horizontal_lift(self.conn, path, None, step)
+        return self._develop_lift(horizontal_lift(self.conn, path, None, step))
+
+    def _develop_lift(self, lifted: LiftedPath) -> DevelopedPath:
+        """:meth:`develop_base_path` from a lift started at the identity, so that a
+        caller can also transport along the path (``act(lifted.mats[-1], z0)``)."""
         movers = lg.inverse_matrix(self.spec.tag, lifted.mats)
         if self.diagonal:
             movers = movers @ self._frames(lifted.points)

@@ -11,6 +11,12 @@ runs are byte-identical given the same configuration and seed (no clocks,
 no unseeded randomness). Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 input/output failure.
 
+Every scenario runs on the core modules and :mod:`cartanconn.fieldexpr`
+(the expression models). Only the ``maxwell`` scenario loads
+:mod:`cartanconn.maxwell`, and only ``--selftest`` loads
+:mod:`cartanconn.acceptance`, each when it runs, so that no other
+scenario's start-up compiles or runs them.
+
 Example configuration::
 
     {
@@ -32,23 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
 from . import fieldexpr as fe
 from . import liegroup as lg
-from . import maxwell as mx
 from . import models
 from . import principal as pr
 from . import transport as tp
 from .errors import ConfigError, ExprEvalError, ExprSyntaxError, GeometryError
-
-SCENARIOS = (
-    "develop-gravity",
-    "develop-kepler",
-    "holonomy",
-    "check-axioms",
-    "maxwell",
-    "homogeneous-demo",
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,10 +176,6 @@ def _expression_field(source, variables) -> callable:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write a table: ``rows`` is a 2-d float array, whose cells (the reprs
     of one flat ``tolist()``) are joined a row at a time with no Python-level
@@ -193,7 +184,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         cells = map(repr, rows.astype(float, copy=False).ravel().tolist())
         lines = map(",".join, zip(*[cells] * rows.shape[1]))
     else:
-        lines = [",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row)
+        lines = [",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row)
                  for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join([",".join(header), *lines]) + "\n")
@@ -414,6 +405,7 @@ def _run_check_axioms(cfg: dict, out_dir: Path) -> dict:
 
 
 def _run_maxwell(cfg: dict, out_dir: Path) -> dict:
+    from . import maxwell as mx
     model_cfg = dict(cfg["model"])
     allowed = {
         "preset": (str, False),
@@ -491,11 +483,12 @@ def _run_homogeneous_demo(cfg: dict, out_dir: Path) -> dict:
         phase = 2 * np.pi * np.asarray(t, dtype=float)[..., None]
         return 2 * np.pi * (coeff[0] * np.cos(phase) - coeff[1] * np.sin(phase))
 
-    path = tp.SmoothPath(0.0, 1.0, x, xdot)
-    dev = cs.develop_base_path(path, step=cfg["step"])
+    # one lift serves the development and the transport of z0 (parallel_transport's act)
+    lifted = tp.horizontal_lift(cs.conn, tp.SmoothPath(0.0, 1.0, x, xdot), None, cfg["step"])
+    dev = cs._develop_lift(lifted)
     gap = float(np.max(np.abs(dev.values - dev.points)))
     z0 = cs.spec.origin + 0.2 * rng.standard_normal(dim)
-    transported = tp.parallel_transport(cs.conn, path, cs.spec, z0, step=cfg["step"])
+    transported = cs.spec.act(lifted.mats[-1], z0)
     transport_gap = float(np.max(np.abs(transported - z0)))
     rows = np.column_stack([dev.ts, dev.points, dev.values])
     header = ["t"] + [f"x{i+1}" for i in range(dim)] + [f"dev{i+1}" for i in range(dim)]
@@ -522,6 +515,7 @@ _RUNNERS = {
     "maxwell": _run_maxwell,
     "homogeneous-demo": _run_homogeneous_demo,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run(config: dict, seed: int | None = None, out_dir: str | None = None) -> dict:
@@ -535,6 +529,7 @@ def run(config: dict, seed: int | None = None, out_dir: str | None = None) -> di
 
 
 def _selftest(seed: int) -> int:
+    from . import acceptance
     results = acceptance.run_all(seed)
     for result in results:
         print(result.line())

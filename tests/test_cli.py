@@ -191,11 +191,12 @@ def test_kepler_scenario_coarse(tmp_path):
     ({"scenario": "develop-gravity", "model": {"V": "9.81"},
       "trajectory": {"x": "0.2 + 0.4*t + 0.5*9.81*t^2", "xdot": "0.4 + 9.81*t"}}, 2),
     ({"scenario": "develop-kepler", "integrator": {"step": 0.002}}, 2),
-    ({"scenario": "homogeneous-demo", "integrator": {"step": 0.005}}, 3),
+    ({"scenario": "homogeneous-demo", "integrator": {"step": 0.005}}, 2),
 ], ids=lambda v: v["scenario"] if isinstance(v, dict) else str(v))
 def test_developments_write_the_points_their_lift_read(tmp_path, monkeypatch, doc, reads):
-    # the path is read for its probes and by each lift (the homogeneous demo
-    # also transports), never again for the table's points
+    # the path is read for its probes and by its one lift (the homogeneous
+    # demo transports along the development's lift), never again for the
+    # table's points
     calls, points = [], tp.SmoothPath.points
 
     def counted(self, ts, out=None):
@@ -557,10 +558,39 @@ def test_selftest_prints_table_and_reports(monkeypatch, capsys):
     assert cli.main(["--selftest"]) == 3
 
 
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_package_runs_as_a_module():
     # ``python -m cartanconn`` reaches cli.main without the console script
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "cartanconn", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python("-m", "cartanconn", "--help")
     assert done.returncode == 0, done.stderr
     assert "Scenario runner" in done.stdout
+
+
+def test_start_up_loads_maxwell_and_acceptance_only_where_they_run():
+    # the package loads its core modules; cli adds fieldexpr (expression
+    # models) but not maxwell or acceptance, which only their runners import
+    done = fresh_python("-c", "import json, sys\n"
+                        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('cartanconn'))\n"
+                        "import cartanconn\nbefore = loaded()\nimport cartanconn.cli\n"
+                        "print(json.dumps([before, loaded()]))")
+    assert done.returncode == 0, done.stderr
+    package, cli_start = (set(names) for names in json.loads(done.stdout))
+    core = {"liegroup", "principal", "transport", "cartan", "models", "errors", "settings"}
+    assert package == {"cartanconn"} | {f"cartanconn.{name}" for name in core}
+    assert cli_start == package | {"cartanconn.fieldexpr", "cartanconn.cli"}
+
+
+def test_maxwell_scenario_and_selftest_run_in_fresh_processes(tmp_path):
+    doc = {"scenario": "maxwell", "model": {"preset": "plane-wave"}, "output": {"path": str(tmp_path / "out")}}
+    done = fresh_python("-m", "cartanconn", "run", write_config(tmp_path, doc))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "SATISFIED"
+    done = fresh_python("-m", "cartanconn", "--selftest")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("[PASS]") == 10
+    assert "ALL CRITERIA PASS (10/10)" in done.stdout
