@@ -65,6 +65,24 @@ def _complex_step(f: Callable[[np.ndarray], np.ndarray], x, dx) -> np.ndarray:
     return np.imag(f(x + 1e-30j * np.asarray(dx))) / 1e-30
 
 
+def _apply(mats, vecs) -> np.ndarray:
+    """Products ``mats @ vecs`` of broadcasting stacks of matrices
+    ``(..., r, c)`` and vectors ``(..., c)``, summed one column at a time,
+    which on small matrices is much faster than a stacked ``matmul``."""
+    vecs = np.asarray(vecs, dtype=float)
+    out = mats[..., :, 0] * vecs[..., :1]
+    for j in range(1, vecs.shape[-1]):
+        out = out + mats[..., :, j] * vecs[..., j, None]
+    return out
+
+
+def _affine_act(mats, points) -> np.ndarray:
+    """Action ``z -> L z + t`` of affine matrices ``[[L, t], [0, 1]]`` on
+    stacks. The Galileo groups are affine: ``(v, a2, b2)`` sends ``(a, b)``
+    to ``(a + a2, b + b2 + v a)``."""
+    return _apply(mats[..., :-1, :-1], points) + mats[..., :-1, -1]
+
+
 @dataclass(eq=False)
 class HomogeneousSpec:
     """Homogeneous-space data for a fibre ``F = G / G'`` realized on a chart.
@@ -403,11 +421,23 @@ class CartanStructure:
 
     def _develop_lift(self, lifted: LiftedPath) -> DevelopedPath:
         """:meth:`develop_base_path` from a lift started at the identity, so that a
-        caller can also transport along the path (``act(lifted.mats[-1], z0)``)."""
-        movers = lg.inverse_matrix(self.spec.tag, lifted.mats)
+        caller can also transport along the path (``act(lifted.mats[-1], z0)``).
+        A Galileo space with the affine action and the origin 0, under the
+        constant section, reads ``act(g^{-1}, 0) = (0.0 - a, (0.0 - b) + v a)``
+        from the nodes as :func:`~cartanconn.liegroup.inverse_matrix` rounds it
+        (never -0.0); any other takes the stacked inverse, frames and ``act``."""
+        spec, mats = self.spec, lifted.mats
+        galilean = spec.tag.kind is lg.GroupKind.GALILEO and spec.act is _affine_act
+        if galilean and not (self.diagonal or spec.origin.any()):
+            a, values = mats[:, 0, -1], np.empty((len(mats), spec.fiber_dim))
+            np.subtract(0.0, a, out=values[:, 0])
+            np.subtract(0.0, mats[:, 1:-1, -1], out=values[:, 1:])
+            values[:, 1:] += mats[:, 1:-1, 0] * a[:, None]
+            return DevelopedPath(lifted.ts.copy(), values, lifted.points)
+        movers = lg.inverse_matrix(spec.tag, mats)
         if self.diagonal:
             movers = movers @ self._frames(lifted.points)
-        return DevelopedPath(lifted.ts.copy(), self.spec.act(movers, self.spec.origin), lifted.points)
+        return DevelopedPath(lifted.ts.copy(), spec.act(movers, spec.origin), lifted.points)
 
     # -- parallelization -------------------------------------------------------------------
 

@@ -170,6 +170,16 @@ class AlgebraElement:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
+    @classmethod
+    def _holding(cls, tag: GroupTag, mat: np.ndarray) -> "AlgebraElement":
+        """The element of the float array ``mat``, made read-only and held without
+        the copy: for a stack that its caller has just built and keeps no other hold on."""
+        mat.setflags(write=False)
+        element = object.__new__(cls)
+        object.__setattr__(element, "tag", tag)
+        object.__setattr__(element, "mat", mat)
+        return element
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _require_same_tag(self.tag, other.tag)
         return AlgebraElement(self.tag, self.mat + other.mat)

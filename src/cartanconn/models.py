@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import liegroup as lg
-from .cartan import CartanStructure, HomogeneousSpec
+from .cartan import CartanStructure, HomogeneousSpec, _affine_act, _apply
 from .errors import (
     GeometryError,
     PointAtInfinityError,
@@ -54,24 +54,6 @@ def _translation_section(points) -> np.ndarray:
     mats = np.tile(np.eye(points.shape[-1] + 1, dtype=np.result_type(points, float)), (len(points), 1, 1))
     mats[:, :-1, -1] = points
     return mats
-
-
-def _apply(mats, vecs) -> np.ndarray:
-    """Products ``mats @ vecs`` of broadcasting stacks of matrices
-    ``(..., r, c)`` and vectors ``(..., c)``, summed one column at a time,
-    which on small matrices is much faster than a stacked ``matmul``."""
-    vecs = np.asarray(vecs, dtype=float)
-    out = mats[..., :, 0] * vecs[..., :1]
-    for j in range(1, vecs.shape[-1]):
-        out = out + mats[..., :, j] * vecs[..., j, None]
-    return out
-
-
-def _affine_act(mats, points) -> np.ndarray:
-    """Action ``z -> L z + t`` of affine matrices ``[[L, t], [0, 1]]`` on
-    stacks. The Galileo groups are affine: ``(v, a2, b2)`` sends ``(a, b)``
-    to ``(a + a2, b + b2 + v a)``."""
-    return _apply(mats[..., :-1, :-1], points) + mats[..., :-1, -1]
 
 
 def galileo_homogeneous_spec(spacetime_dim: int = 2) -> HomogeneousSpec:
@@ -297,7 +279,7 @@ def affine_structure(
         mat = np.zeros((len(ws), n + 1, n + 1))
         mat[:, :n, :n] = (stacked(gamma_fn, xs) @ ws[:, None, :, None])[..., 0]
         mat[:, :n, n] = (stacked(sigma_fn, xs) @ ws[..., None])[..., 0]
-        return lg.AlgebraElement(tag, mat.reshape(shape + (n + 1, n + 1)))
+        return lg.AlgebraElement._holding(tag, mat.reshape(shape + (n + 1, n + 1)))
 
     return CartanStructure(
         name="affine",
@@ -378,7 +360,7 @@ def galilean_gravity(field: GravityField, domain: ChartDomain | None = None) -> 
         if field.W is not None:
             mat[:, 1:-1, 0] -= _field_rows(field.W, ps, 1, "W") * ds[:, 1:]
         mat[:, :-1, -1] = ds
-        return lg.AlgebraElement(tag, mat.reshape(shape + (s + 2, s + 2)))
+        return lg.AlgebraElement._holding(tag, mat.reshape(shape + (s + 2, s + 2)))
 
     return CartanStructure(
         name="galilean-gravity" if s == 1 else f"galilean-gravity-{domain.dim}d",

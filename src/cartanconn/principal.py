@@ -179,7 +179,7 @@ def zero_connection(domain: ChartDomain, tag: lg.GroupTag) -> LocalConnection:
     """The connection with ``A = 0`` (Maurer-Cartan only)."""
     shape = (tag.size, tag.size)
     return LocalConnection(domain, tag, batched(
-        lambda x, dx: lg.AlgebraElement(tag, np.zeros(np.shape(dx)[:-1] + shape))))
+        lambda x, dx: lg.AlgebraElement._holding(tag, np.zeros(np.shape(dx)[:-1] + shape))))
 
 
 @dataclass(frozen=True, eq=False)

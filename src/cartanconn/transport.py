@@ -12,19 +12,22 @@ is an ordered product of per-step exponentials, which stays on the group
 without re-projection. A lift reads its whole path once, then runs in
 blocks of steps that may span segments, on arrays over each block's nodes.
 A Galileo block whose coefficients are finite and exactly on the algebra
-pattern runs in algebra coordinates, where the algebra is nilpotent: each
-step's ``Omega`` and exponential in closed form, and the block's product as
-three running sums. Any other block takes its step exponentials by matrices
-and their product by a doubling scan. Through
+pattern, from a start exactly on the group's pattern, runs in algebra
+coordinates, where the algebra is nilpotent: each step's ``Omega`` and
+exponential in closed form, and the block's product as three running sums
+composed with the start's coordinates, written into the nodes' pattern
+entries with no matrix stack of its own. Any other block, and every block
+after it, takes its step exponentials by matrices and their product by a
+doubling scan. Through
 :func:`~cartanconn.principal.stacked`, the coefficient map is called once
 per block and a path once per segment per lift when declared
 :func:`~cartanconn.principal.batched`, else once per node.
 
 Every node's group defect is checked against the round-trip tolerance,
 except where the lift is exact by construction: when every block ran in
-algebra coordinates from a start exactly on the Galileo pattern, each node
-is a product of exact Galileo-pattern matrices, whose off-pattern entries
-stay exactly 0 and 1, so its defect is 0.0.
+algebra coordinates, each node is a product of exact Galileo-pattern
+matrices, whose off-pattern entries stay exactly 0 and 1, so its defect
+is 0.0.
 The step is not adapted: :func:`lift_error_estimate` returns the Richardson
 estimate ``|g_h - g_{h/2}| / 15``, which is the endpoint error of the lift
 at half the step, not of the lift at ``step``.
@@ -71,7 +74,11 @@ class SmoothPath:
     once per array and any other once per time. On construction ``x`` is
     read in one call at ten probe times and at those times +- h, ``xdot``
     at the probes; both must give ``(N, dim)`` values, and the derivative
-    is checked against the central finite differences.
+    is checked against the central differences ``D(h)``, where one disagrees
+    against ``(4 D(h/2) - D(h)) / 3`` from one more read of ``x`` (Richardson:
+    :func:`~cartanconn.models.kepler_orbit` passes at e = 0.995, not at
+    0.999). ``h = 1e-6 (1 + |t0| + |t1|)``, at most an eighth of the
+    interval, so that every read lies in ``[t0, t1]``.
     """
 
     t0: float
@@ -86,7 +93,7 @@ class SmoothPath:
         self._validate()
 
     def _validate(self):
-        h, n = 1e-6 * (1.0 + abs(self.t0) + abs(self.t1)), 10
+        h, n = min(1e-6 * (1.0 + abs(self.t0) + abs(self.t1)), (self.t1 - self.t0) / 8), 10
         (index, shift), start, stop = self._PROBES, self.t0 + 2 * h, self.t1 - 2 * h
         times = index * ((stop - start) / (n - 1)) + start   # np.linspace(start, stop, n), thrice
         times[n - 1::n] = stop
@@ -99,7 +106,13 @@ class SmoothPath:
         if not finite.all():
             raise ValueError(f"path is not finite at t = {probes[np.argmin(finite)]}")
         fd = (points[n:2 * n] - points[2 * n:]) / (2 * h)
-        agrees = np.abs(fd - derivs).max(axis=-1) <= PATH_CHECK
+        errors = np.abs(fd - derivs).max(axis=-1)
+        redo = errors > PATH_CHECK
+        if redo.any():
+            plus, minus = np.split(self.points(np.concatenate([probes[redo] + h / 2, probes[redo] - h / 2])), 2)
+            fine = (plus - minus) / h
+            errors[redo] = np.abs((4 * fine - fd[redo]) / 3 - derivs[redo]).max(axis=-1)
+        agrees = errors <= PATH_CHECK
         if not agrees.all():
             raise ValueError(
                 f"declared derivative disagrees with finite differences at t = {probes[np.argmin(agrees)]}"
@@ -284,17 +297,20 @@ def _block_product(props: np.ndarray, out: np.ndarray) -> None:
 
 
 def _galilean_product(tag: lg.GroupTag, h, c0: np.ndarray, ch: np.ndarray, c1: np.ndarray,
-                      props: np.ndarray, out: np.ndarray) -> None:
-    """:func:`_block_product` of the Magnus propagators of Galileo steps
-    from the algebra coordinates (v, a, b), ``(B, 2s+1)``, of the
-    coefficients at each step's start, midpoint and end, rounded as the
-    matrix route rounds them. The algebra is nilpotent: ``Omega`` is
-    ``-(h/6)(c0 + 4 ch + c1)`` plus ``(h^2/12)(v1 a0 - v0 a1)`` in ``b``,
-    and ``exp(Omega)`` adds ``v a / 2`` to ``b``. ``P g`` for
+                      out: np.ndarray) -> np.ndarray:
+    """Write the Magnus propagators of Galileo steps, composed onto the
+    block start ``out[0]``, into the algebra pattern entries of ``out[1:]``
+    and return their algebra coordinates (v, a, b), ``(B, 2s+1)``, from the
+    coordinates of the coefficients at each step's start, midpoint and
+    end, rounded as the matrix route rounds them. The algebra is nilpotent:
+    ``Omega`` is ``-(h/6)(c0 + 4 ch + c1)`` plus ``(h^2/12)(v1 a0 - v0 a1)``
+    in ``b``, and ``exp(Omega)`` adds ``v a / 2`` to ``b``. ``P g`` for
     ``g = [[1, 0, a], [v, I, b], [0, 0, 1]]`` has ``a + a(P)``, ``v + v(P)``
     and ``b + b(P) + v(P) a``: three running sums from the identity, to
-    round at the block's scale, written into the identity stack ``props``
-    for one matmul onto ``out[0]``.
+    round at the block's scale, then the start's ``a + a0``, ``v + v0`` and
+    ``(v a0 + b0) + b``, the order in which ``P @ out[0]`` rounds them. The
+    start and the entries of ``out[1:]`` off the pattern must be exactly
+    those of the group: they are not read or written.
     """
     s = tag.dims[0] - 1
     coords = np.multiply(ch, 4)   # -(h/6)(c0 + 4 ch + c1), in place
@@ -313,17 +329,24 @@ def _galilean_product(tag: lg.GroupTag, h, c0: np.ndarray, ch: np.ndarray, c1: n
     b[1:] += np.multiply(v[1:], a[:-1, None], out=term[1:])
     np.cumsum(v, axis=0, out=v)
     np.cumsum(b, axis=0, out=b)
-    props.reshape(len(props), -1)[:, _pattern(tag)] = coords
-    np.matmul(props, out[0], out=out[1:])
+    start = out[0]
+    np.multiply(v, start[0, -1], out=term)   # (v a0 + b0) + b
+    term += start[1:-1, -1]
+    b += term
+    a += start[0, -1]
+    v += start[1:-1, 0]
+    out[1:].reshape(len(coords), -1)[:, _pattern(tag)] = coords
+    return coords
 
 
 def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarray):
     """Node times ``(N,)``, matrices ``(N, n, n)`` and points ``(N, dim)``
     of the lift from ``g0`` along ``segments``, and whether every block ran
-    in algebra coordinates. Each segment is cut into the fewest equal steps
-    no longer than ``step``; a segment of ``n`` steps has its own
-    ``2 n + 1`` Simpson nodes, the last at ``t1`` exactly, so a corner is a
-    node of both its segments.
+    in algebra coordinates, which implies a start exactly on the pattern.
+    Each segment is cut into the fewest equal steps no longer than
+    ``step``; a segment of ``n`` steps has its own ``2 n + 1`` Simpson
+    nodes, the last at ``t1`` exactly, so a corner is a node of both its
+    segments.
 
     Magnus-4 step, with ``M = -A`` and the step ``h`` of its segment:
     ``Omega = (h/6)(M0 + 4 Mh + M1) + (h^2/12)[M1, M0]``,
@@ -334,10 +357,14 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     the product of the step propagators and a finiteness check naming the
     first non-finite node. A Galileo block whose coefficients are finite and
     exactly on the algebra pattern runs in algebra coordinates
-    (:func:`_galilean_product`); any other takes every ``Omega``, one
-    batched exponential and :func:`_block_product`. A block that continues
-    a segment reuses the previous block's last coefficient, so a step costs
-    two coefficient evaluations.
+    (:func:`_galilean_product`, whose coordinates the finiteness check
+    reads) while every block before it did, from a start whose entries off
+    the pattern are exactly the identity's; the lift writes the identity
+    there once for all its nodes. Any other block, and every later one,
+    takes every ``Omega``, one batched exponential and
+    :func:`_block_product`, which carry an off-pattern start or node. A
+    block that continues a segment reuses the previous block's last
+    coefficient, so a step costs two coefficient evaluations.
     """
     # the slack keeps round-off (0.07 / 0.0025 = 28.000000000000004) from adding a step
     counts = [max(1, math.ceil((seg.t1 - seg.t0) / step * (1.0 - 1e-9))) for seg in segments]
@@ -360,18 +387,20 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     row0, h_of = 2 * np.arange(total) + seg_of, hs[seg_of]   # each step's first row and its h
     lift_rows = np.concatenate([[0], row0 + 2])   # the lift's nodes: the start and each step's end
     ts, mats = node_ts[lift_rows], np.empty((total + 1,) + g0.shape)
-    mats[0] = g0
     coeffs = np.empty((2 * min(total, _BLOCK) + min(len(segments), _BLOCK), tag.size, tag.size))
-    galilean = by_coords = tag.kind is lg.GroupKind.GALILEO
-    if galilean:
-        props = np.tile(np.eye(tag.size), (min(total, _BLOCK), 1, 1))
+    by_coords = tag.kind is lg.GroupKind.GALILEO
+    if by_coords:   # the running sums carry only a start exactly on the pattern
+        off, identity = _off_pattern(tag), np.eye(tag.size)
+        by_coords = np.array_equal(g0.reshape(-1)[off], identity.reshape(-1)[off])
+        mats[1:] = identity   # off the pattern, what the coordinate blocks leave unwritten
+    mats[0] = g0
     for k0 in range(0, total, _BLOCK):
         k1 = min(k0 + _BLOCK, total)
         r0, rows = row0[k0], row0[k1 - 1] + 3 - row0[k0]   # the block's first row and row count
         first = int(k0 > 0 and seg_of[k0 - 1] == seg_of[k0])   # row 0 is then the previous block's last node
         coeff_matrices(conn, xs[r0 + first:r0 + rows], vs[r0 + first:r0 + rows], out=coeffs[first:rows])
-        coords = _galilean_coords(tag, coeffs[:rows]) if galilean else None
-        by_coords = by_coords and coords is not None
+        coords = _galilean_coords(tag, coeffs[:rows]) if by_coords else None
+        by_coords = coords is not None
         stack = coeffs if coords is None else coords
         if seg_of[k0] == seg_of[k1 - 1]:
             h, a0, ah, a1 = h_of[k0], stack[0:rows - 1:2], stack[1:rows:2], stack[2:rows:2]
@@ -383,10 +412,11 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
         if coords is None:
             omega = (h * h / 12) * (a1 @ a0 - a0 @ a1) - (h / 6) * (a0 + 4 * ah + a1)
             _block_product(lg.expm_matrix(tag, omega), out)
+            nodes = out[1:].reshape(k1 - k0, -1)
         else:
-            _galilean_product(tag, h, a0, ah, a1, props[:k1 - k0], out)
-        if not np.isfinite(out[1:]).all():   # whole block first, node by node only to name one
-            finite = np.isfinite(out[1:]).all(axis=(1, 2))
+            nodes = _galilean_product(tag, h, a0, ah, a1, out)
+        if not np.isfinite(nodes).all():   # whole block first, node by node only to name one
+            finite = np.isfinite(nodes).all(axis=1)
             raise LiftDivergedError(f"lift diverged near t = {ts[k0 + 1 + np.argmin(finite)]}")
         coeffs[0] = coeffs[rows - 1]
     return ts, mats, xs[lift_rows], by_coords
@@ -406,18 +436,17 @@ def horizontal_lift(
     re-projection (the path read once, then one coefficient call,
     exponential and product per block of steps, across segments: in algebra
     coordinates on a Galileo block whose coefficients are finite and on the
-    algebra pattern, else by matrices and a doubling scan). A path point
-    outside the chart raises ``DomainError`` before any coefficient is
+    algebra pattern while every block before it did, from a start exactly
+    on the group's pattern, else by matrices and a doubling scan). A path
+    point outside the chart raises ``DomainError`` before any coefficient is
     evaluated; a non-finite step, or a node whose group defect exceeds
     ``settings.ROUNDTRIP``, raises ``LiftDivergedError``. The node defects
     are skipped only where they are 0.0 by construction: every block ran in
-    algebra coordinates and the start is the identity default or a ``g0``
-    of defect 0.0.
+    algebra coordinates, which it does only from an exact start.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    exact_start = g0 is None
-    if exact_start:
+    if g0 is None:
         g0 = lg.identity(conn.tag)
     if g0.tag != conn.tag:
         raise lg.TagMismatchError("initial element tag does not match the connection")
@@ -428,7 +457,7 @@ def horizontal_lift(
         # end picks the same representatives as normalizing every step
         mats = lg.normalize_projective(mats)
     lifted = LiftedPath(conn.tag, ts, mats, points)
-    if not (by_coords and (exact_start or lg.group_defect(conn.tag, g0.mat) == 0.0)):
+    if not by_coords:
         defect = float(np.max(lifted.group_defects()))
         if defect > ROUNDTRIP:
             raise LiftDivergedError(f"lift left the group manifold: defect {defect:.3e}")

@@ -300,6 +300,19 @@ def test_algebra_coords_roundtrip():
         assert (back - xi).norm() < 1e-12
 
 
+def test_an_algebra_element_copies_the_callers_array():
+    # the public constructor copies; only the library's own coefficient maps
+    # hand over a stack they have just built
+    arr = np.zeros((3, 3))
+    arr[1, 0] = 2.0
+    xi = lg.AlgebraElement(lg.GALILEO2, arr)
+    assert arr.flags.writeable and not xi.mat.flags.writeable
+    arr[1, 0] = 5.0
+    assert xi.mat[1, 0] == 2.0
+    held = lg.AlgebraElement._holding(lg.GALILEO2, arr)
+    assert held.mat is arr and not arr.flags.writeable
+
+
 def test_invalid_element_rejected():
     bad = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 1.0]])
     with pytest.raises(InvalidElementError):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cartanconn import cli
 from cartanconn import liegroup as lg
 from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn import transport as tp
+from cartanconn.cartan import CartanStructure
 from cartanconn.errors import (
     DomainError,
     GeometryError,
@@ -154,18 +156,54 @@ def test_effective_step_never_exceeds_requested():
     assert len(lifted.ts) == 4
 
 
+def only_inside(t0, t1, fn):
+    """The batched ``fn``, raising when read at a time outside [t0, t1]."""
+    @pr.batched
+    def read(t):
+        t = np.asarray(t, dtype=float)
+        if t.min() < t0 or t.max() > t1:
+            raise ValueError(f"path read at t = {t.max()!r} outside [{t0}, {t1}]")
+        return fn(t)
+    return read
+
+
+@pytest.mark.parametrize("t0", [0.0, 5.0])
+def test_a_short_path_is_probed_inside_its_interval(t0):
+    # h is capped at an eighth of the interval: a 1e-6 segment was read
+    # from t0 - 2e-6 to t1 + 2e-6 with h = 1e-6 (1 + |t0| + |t1|)
+    t1 = t0 + 1e-6
+    tp.SmoothPath(t0, t1, only_inside(t0, t1, lambda t: np.stack([t, np.sin(3 * t)], -1)),
+                  only_inside(t0, t1, lambda t: np.stack([np.ones_like(t), 3 * np.cos(3 * t)], -1)))
+
+
+@pytest.mark.parametrize("e, x_rows", [(0.6, [30]), (0.99, [30, 2]), (0.995, [30, 2])])
+def test_a_steep_orbit_passes_its_probe_by_one_more_read(e, x_rows):
+    # near perihelion at e = 0.99 the central difference is off by 4.0e-5,
+    # over PATH_CHECK; one more read of x at the probe +- h/2 gives the
+    # Richardson difference, off by 8.7e-11 (7.7e-9 at e = 0.995). A path
+    # whose central differences all agree reads x once, as before
+    orbit = models.kepler_orbit(e=e)
+    rows = []
+
+    @pr.batched
+    def x(t):
+        rows.append(len(t))
+        return orbit.x(t)
+
+    tp.SmoothPath(orbit.t0, orbit.t1, x, orbit.xdot)
+    assert rows == x_rows
+
+
+def test_a_wrong_derivative_of_a_steep_orbit_still_fails_its_probe():
+    # off by a relative 1e-4, the Richardson difference still reads 1.4e-3
+    orbit = models.kepler_orbit(e=0.99)
+    with pytest.raises(ValueError, match=r"^declared derivative disagrees with finite differences at t = "):
+        tp.SmoothPath(orbit.t0, orbit.t1, orbit.x, pr.batched(lambda t: (1 + 1e-4) * orbit.xdot(t)))
+
+
 def test_each_segment_ends_at_its_own_t1():
     # 0 + 700 * (0.7 / 700) rounds to 0.7000000000000001: the last node of
     # a segment is pinned to t1, so a path defined only on [t0, t1] lifts
-    def only_inside(t0, t1, fn):
-        @pr.batched
-        def read(t):
-            t = np.asarray(t, dtype=float)
-            if t.min() < t0 or t.max() > t1:
-                raise ValueError(f"path read at t = {t.max()!r} outside [{t0}, {t1}]")
-            return fn(t)
-        return read
-
     def fall(t0, t1):
         return tp.SmoothPath(t0, t1, only_inside(t0, t1, lambda t: np.stack([t, 4.905 * t * t], -1)),
                              only_inside(t0, t1, lambda t: np.stack([np.ones_like(t), 9.81 * t], -1)))
@@ -427,18 +465,22 @@ def matrix_propagators(tag, h, coeffs):
 @pytest.mark.parametrize("tag", [lg.GALILEO2, lg.galileo_tag(3), lg.galileo_tag(4)], ids=lambda t: t.name)
 @pytest.mark.parametrize("steps", [1, 2, 511, 512])
 def test_galilean_running_sums_match_the_doubling_scan(tag, steps):
-    # the coordinate route against the matrix propagators and the doubling scan
+    # the coordinate route, composed onto a start exactly on the pattern into
+    # a stack that holds the identity off it, against the matrix propagators
+    # and the doubling scan; the returned coordinates are the nodes'
     rng = np.random.default_rng(steps)
     coeffs = np.stack([lg.random_algebra(tag, rng, scale=8.0).mat for _ in range(2 * steps + 1)])
     coords = tp._galilean_coords(tag, coeffs)
     assert np.array_equal(coords, lg._matrix_coords(tag, coeffs))
     g0 = lg.random_element(tag, rng, scale=0.6).mat
+    assert lg.group_defect(tag, g0) == 0.0
     reference = doubling_product(matrix_propagators(tag, 0.1, coeffs), g0)
-    out = np.empty_like(reference)
+    out = np.tile(np.eye(tag.size), (steps + 1, 1, 1))
     out[0] = g0
-    tp._galilean_product(tag, 0.1, coords[0:-1:2], coords[1::2], coords[2::2],
-                         np.tile(np.eye(tag.size), (steps, 1, 1)), out)
+    nodes = tp._galilean_product(tag, 0.1, coords[0:-1:2], coords[1::2], coords[2::2], out)
     assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert np.array_equal(nodes, lg._matrix_coords(tag, out[1:]))
+    assert np.array_equal(lg.group_defect(tag, out), np.zeros(steps + 1))
 
 
 def test_a_galilean_block_is_bit_for_bit_the_matrix_arithmetic():
@@ -582,7 +624,7 @@ def test_the_node_defect_pass_runs_unless_the_start_is_exactly_galilean(monkeypa
     lifted = tp.horizontal_lift(curved_gravity(), tp.square_loop([0.2, -0.5], 0.1),
                                 None if start == "identity" else lg.GroupElement(lg.GALILEO2, g0), step=2.5e-3)
     assert ((len(lifted.ts), 3, 3) in shapes) == pass_runs
-    assert shapes.count((3, 3)) == int(start != "identity")   # the start's own defect
+    assert (3, 3) not in shapes   # the lift reads the start's pattern, not its defect
     if pass_runs:
         assert 0 < np.max(lifted.group_defects()) < 1e-9
 
@@ -591,6 +633,100 @@ def test_a_matrix_route_lift_runs_the_node_defect_pass(monkeypatch):
     shapes = counted_group_defects(monkeypatch)
     lifted = tp.horizontal_lift(varying_connection(lg.gl_tag(3), seed=5), three_legs((1.0, 1.0, 1.0)), step=1.0 / 300)
     assert shapes == [(len(lifted.ts), 3, 3)]
+
+
+def onto_the_start_by_matmul(product):
+    """A coordinate block product that runs ``product`` from the identity,
+    then moves the whole stack onto the block start with one matmul: the
+    identity stack and matmul that the coordinate blocks replace."""
+    def run(tag, h, c0, ch, c1, out):
+        props = np.tile(np.eye(tag.size), (len(out), 1, 1))
+        product(tag, h, c0, ch, c1, props)
+        np.matmul(props[1:], out[0], out=out[1:])
+        return lg._matrix_coords(tag, out[1:])
+    return run
+
+
+def wobbling_fall():
+    return tp.SmoothPath(0.0, 1.0, pr.batched(lambda t: np.stack([t, 4.905 * t * t + 0.1 * np.sin(5 * t)], -1)),
+                         pr.batched(lambda t: np.stack([np.ones_like(t), 9.81 * t + 0.5 * np.cos(5 * t)], -1)))
+
+
+def kepler():
+    return models.galilean_gravity_3d(models.kepler_acceleration(1.0))
+
+
+GALILEAN_DEVELOPMENTS = {   # structure, path and step of developments under the constant section
+    "kepler-1e-3": (kepler, lambda: models.kepler_orbit(e=0.6), 1e-3),
+    "kepler-2e-4": (kepler, lambda: models.kepler_orbit(e=0.6), 2e-4),
+    "expression-1+1": (lambda: cli._gravity_structure({"V": "9.81 + 0.8*sin(x)*(1 + 0.5*cos(t))", "W": "0.3*t*x"})[0],
+                       wobbling_fall, 1e-4),
+    "constant-1+3": (lambda: models.galilean_gravity(models.GravityField.constant((0.0, 0.0, -9.81)),
+                                                     pr.ChartDomain.unbounded(4)),
+                     lambda: tp.line_segment([0.0, 0.3, -0.2, 0.5], [1.2, 0.9, 0.4, -2.0], 0.0, 1.2), 1e-3),
+    "three-legs": (lambda: CartanStructure("three-legs", models.galileo_homogeneous_spec(2),
+                                           varying_connection(lg.GALILEO2, seed=3)),
+                   lambda: three_legs((1.0, 1.0, 1.0)), 1.0 / 300),
+}
+
+
+@pytest.mark.parametrize("case", GALILEAN_DEVELOPMENTS)
+def test_galilean_lifts_and_developments_are_bit_for_bit_the_matrix_arithmetic(monkeypatch, case):
+    # the lift against an identity stack moved onto each block start by matmul,
+    # the development against the stacked inverse and spec.act, which never gives -0.0
+    structure, path, step = GALILEAN_DEVELOPMENTS[case]
+    cs, path = structure(), path()
+    lifted = tp.horizontal_lift(cs.conn, path, step=step)
+    dev = cs._develop_lift(lifted)
+    assert np.array_equal(dev.values, cs.spec.act(lg.inverse_matrix(cs.spec.tag, lifted.mats), cs.spec.origin))
+    assert not np.any(np.signbit(dev.values) & (dev.values == 0.0))
+    monkeypatch.setattr(tp, "_galilean_product", onto_the_start_by_matmul(tp._galilean_product))
+    reference = tp.horizontal_lift(cs.conn, path, step=step)
+    assert len(lifted.ts) > tp._BLOCK + 1 and np.array_equal(lifted.mats, reference.mats)
+    assert np.array_equal(cs.develop_base_path(path, step=step).values, dev.values)
+
+
+def test_a_start_off_the_galilean_pattern_takes_the_matrix_route(monkeypatch):
+    # a start 1e-12 off the pattern: every block by matrices and the doubling
+    # scan, which carry the start, then the node defect pass
+    g0 = lg.random_element(lg.GALILEO2, np.random.default_rng(4)).mat.copy()
+    g0[2, 1] = 1e-12
+    conn, path = varying_connection(lg.GALILEO2, seed=3), tp.line_segment([0.3, -0.2], [-0.8, 1.1], 0.0, 1.0)
+    shapes = counted_group_defects(monkeypatch)
+    lifted = tp.horizontal_lift(conn, path, lg.GroupElement(lg.GALILEO2, g0), step=1.0 / 700)
+    assert shapes == [(701, 3, 3)]
+    h, coeffs = simpson_coefficients(conn, path, 700)
+    props = matrix_propagators(lg.GALILEO2, h, coeffs)
+    middle = doubling_product(props[:tp._BLOCK], g0)
+    assert np.array_equal(lifted.mats, np.concatenate([middle, doubling_product(props[tp._BLOCK:], middle[-1])[1:]]))
+    assert np.max(np.abs(lifted.mats[:, 2, 1] - 1e-12)) == 0.0
+
+
+def test_an_off_pattern_block_sends_the_rest_of_the_lift_by_matrices(monkeypatch):
+    # 1300 steps of constant gravity from the identity, with one coefficient
+    # 1e-17 off the pattern in the second block: the first block runs in
+    # coordinates, as without that entry, the second and the third (on the
+    # pattern again) by matrices from their starts; then the node defect pass runs
+    def gravity(off):
+        @pr.batched
+        def coeff(x, d):
+            mat = np.zeros(np.shape(d)[:-1] + (3, 3))
+            mat[..., 1, 0], mat[..., 0, 2], mat[..., 1, 2] = -9.81 * d[..., 0], d[..., 0], d[..., 1]
+            mat[..., 1, 1] = np.where(np.abs(x[..., 0] - 700 / 1300) < 1e-12, off, 0.0)
+            return mat
+        return pr.LocalConnection(pr.ChartDomain.unbounded(2), lg.GALILEO2, coeff)
+
+    conn, path, k = gravity(1e-17), tp.line_segment([0.0, 0.0], [1.0, 0.5], 0.0, 1.0), tp._BLOCK
+    shapes = counted_group_defects(monkeypatch)
+    lifted = tp.horizontal_lift(conn, path, step=1.0 / 1300)
+    assert shapes == [(1301, 3, 3)]
+    shapes.clear()
+    assert np.array_equal(lifted.mats[:k + 1], tp.horizontal_lift(gravity(0.0), path, step=1.0 / 1300).mats[:k + 1])
+    assert shapes == []
+    props = matrix_propagators(lg.GALILEO2, *simpson_coefficients(conn, path, 1300))
+    second = doubling_product(props[k:2 * k], lifted.mats[k])
+    assert np.array_equal(lifted.mats[k:2 * k + 1], second)
+    assert np.array_equal(lifted.mats[2 * k:], doubling_product(props[2 * k:], second[-1]))
 
 
 def counting_leg(calls, start, rate, t0, t1):
