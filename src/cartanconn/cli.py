@@ -176,18 +176,26 @@ def _expression_field(source, variables) -> callable:
 # Output helpers
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK_ROWS = 1024
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a table: ``rows`` is a 2-d float array, whose cells (the reprs
-    of one flat ``tolist()``) are joined a row at a time with no Python-level
-    loop, or a sequence of rows mixing numbers and strings."""
-    if isinstance(rows, np.ndarray):
-        cells = map(repr, rows.astype(float, copy=False).ravel().tolist())
-        lines = map(",".join, zip(*[cells] * rows.shape[1]))
-    else:
-        lines = [",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row)
-                 for row in rows]
+    """Write a table: ``rows`` is a 2-d float array or a sequence of rows
+    mixing numbers and strings. An array goes out ``_CSV_CHUNK_ROWS`` rows at
+    a time, each chunk's cells the reprs of one flat ``tolist()`` joined a row
+    at a time with no Python-level loop: the bytes are those of joining the
+    whole table at once, but the writer's memory is one chunk's, not the
+    table's. An array with no columns writes the header alone."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+        fh.write(",".join(header) + "\n")
+        if not isinstance(rows, np.ndarray):
+            fh.write("".join(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v)
+                                      for v in row) + "\n" for row in rows))
+        elif rows.shape[1]:
+            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+                chunk = rows[start:start + _CSV_CHUNK_ROWS].astype(float, copy=False)
+                cells = map(repr, chunk.ravel().tolist())
+                fh.write("\n".join(map(",".join, zip(*[cells] * rows.shape[1]))) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,62 @@ def test_csv_writer_bytes_match_the_per_cell_formatter(tmp_path):
     mixed = [(int(7), "eps_v", -0.0, 1e-300), ("x", np.float64(2.5), 3, -1.25e-17)] + table.tolist()
     cli._write_csv(tmp_path / "mixed.csv", header, mixed)
     assert (tmp_path / "mixed.csv").read_bytes() == old_csv_bytes(header, mixed)
+
+
+def one_shot_csv_bytes(header, table) -> bytes:
+    """The writer the CLI had before it wrote arrays in chunks: the whole
+    table joined in one piece."""
+    cells = map(repr, table.astype(float, copy=False).ravel().tolist())
+    lines = map(",".join, zip(*[cells] * table.shape[1]))
+    return ("\n".join([",".join(header), *lines]) + "\n").encode()
+
+
+def test_chunked_csv_bytes_match_the_one_shot_writer(tmp_path, monkeypatch):
+    c = cli._CSV_CHUNK_ROWS
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf, 1e16, 1e-5, 5e-324, 0.1 + 0.2])
+    rng = np.random.default_rng(30)
+    path = tmp_path / "t.csv"
+    for n_rows in (0, 1, c - 1, c, c + 1, 3 * c + 7):
+        for n_cols in range(8):
+            table = rng.choice(specials, size=(n_rows, n_cols))
+            header = [f"c{j}" for j in range(n_cols)]
+            cli._write_csv(path, header, table)
+            assert path.read_bytes() == one_shot_csv_bytes(header, table), (n_rows, n_cols)
+    # the tables the develop scenarios and the homogeneous demo emit
+    written, write_csv = [], cli._write_csv
+
+    def recorded(path, header, rows):
+        written.append((path, header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    docs = [
+        gravity_config(tmp_path / "gravity", integrator={"step": 1e-4}),
+        {"scenario": "develop-kepler", "integrator": {"step": 2e-4}, "output": {"path": str(tmp_path / "kepler")}},
+        {"scenario": "homogeneous-demo", "model": {"space": "projective"}, "integrator": {"step": 4e-4},
+         "output": {"path": str(tmp_path / "demo")}},
+    ]
+    for i, doc in enumerate(docs):
+        assert cli.main(["run", write_config(tmp_path, doc, f"{i}.json")]) == 0
+    assert len(written) == 3
+    for path, header, rows in written:
+        assert isinstance(rows, np.ndarray) and len(rows) > c
+        assert path.read_bytes() == one_shot_csv_bytes(header, rows)
+
+
+def test_csv_writer_memory_is_bounded_by_one_chunk(tmp_path):
+    # a writer that holds the whole table as floats, strings and text before
+    # writing traces over 20 MB at 100,001 rows
+    rng = np.random.default_rng(31)
+    for n_rows in (10_001, 100_001):
+        table = rng.standard_normal((n_rows, 4))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "t.csv", ["t", "a", "b", "c"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (n_rows, peak)
 
 
 def test_no_arguments_is_usage_error(capsys):
