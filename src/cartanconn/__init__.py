@@ -8,7 +8,7 @@ The package is organized as a small stack:
 * :mod:`cartanconn.transport`  horizontal lifts, parallel transport,
   holonomy, development of paths
 * :mod:`cartanconn.cartan`     Cartan structures: reductions, induced forms,
-  soldering, development of base paths, parallelization
+  soldering, development of base paths
 * :mod:`cartanconn.models`     ready-made geometries (flat homogeneous,
   affine, Galilean gravity, projective and Mobius model spaces)
 
@@ -67,7 +67,6 @@ from .transport import (
     LiftedPath,
     PiecewisePath,
     SmoothPath,
-    develop_total_path,
     holonomy,
     horizontal_lift,
     lift_error_estimate,
@@ -130,7 +129,6 @@ __all__ = [
     "LiftedPath",
     "PiecewisePath",
     "SmoothPath",
-    "develop_total_path",
     "holonomy",
     "horizontal_lift",
     "lift_error_estimate",

@@ -52,10 +52,10 @@ from typing import Callable
 import numpy as np
 
 from . import liegroup as lg
-from .errors import GeometryError, InvalidElementError, NotCartanError
+from .errors import GeometryError, InvalidElementError
 from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _algebra_part, _form_matrices, _frobenius,
-                        coeff_matrices, full_form)
-from .settings import AXIOM, RANK, STRUCTURAL
+                        coeff_matrices)
+from .settings import RANK, STRUCTURAL
 from .transport import DevelopedPath, LiftedPath, Path, horizontal_lift
 
 
@@ -91,7 +91,9 @@ class HomogeneousSpec:
                     matrices ``(..., n, n)`` and chart points
                     ``(..., fiber_dim)`` that broadcast against each other,
                     giving ``(..., fiber_dim)``; the quotient projection
-                    ``G -> F`` is ``act(mats, origin)``. It is the only
+                    ``G -> F`` is ``act(mats, origin)``, which development
+                    applies to a lift's stack, while parallel transport
+                    moves one point by one matrix. It is the only
                     implementation of the chart: it must accept complex
                     matrices and keep their imaginary parts, because
                     :meth:`push` and :attr:`fiber_map` differentiate it by
@@ -278,21 +280,6 @@ class CartanStructure:
         moved = _complex_step(lambda g: self.spec.act(g, self.spec.origin), p.g.mat, v.dg)
         return float(np.max(np.abs((moved - v.dx) if self.diagonal else moved)))
 
-    # -- induced form ---------------------------------------------------------------
-
-    def induced_form(self, p: PrincipalPoint, v: PrincipalTangent) -> lg.AlgebraElement:
-        """Restriction of the connection form to the reduction.
-
-        The point must belong to H' and the tangent must be tangent to H'
-        (checked by differentiating the membership constraint); values lie
-        in the full algebra of G, not merely in that of G'.
-        """
-        if not self.in_reduction(p):
-            raise GeometryError("point does not belong to the reduction H'")
-        if self.reduction_tangency_residual(p, v) > AXIOM * (1.0 + float(np.max(np.abs(v.dg)))):
-            raise GeometryError("tangent vector is not tangent to the reduction H'")
-        return full_form(self.conn, p, v)
-
     # -- tangent frames of the reduction --------------------------------------------
 
     def _reduction_point(self, xs, gps=None):
@@ -438,25 +425,3 @@ class CartanStructure:
         if self.diagonal:
             movers = movers @ self._frames(lifted.points)
         return DevelopedPath(lifted.ts.copy(), spec.act(movers, spec.origin), lifted.points)
-
-    # -- parallelization -------------------------------------------------------------------
-
-    def parallelization_frame(self, p: PrincipalPoint) -> list[PrincipalTangent]:
-        """Tangent frame of H' at p indexed by the algebra basis of G:
-        the inverse images of the basis under the induced form.
-
-        Only defined for Cartan structures; raises when the dimension
-        condition fails or the form matrix is singular at p.
-        """
-        if self.base_dim != self.spec.fiber_dim:
-            raise NotCartanError("dimension condition dim B = dim F fails")
-        if not self.in_reduction(p):
-            raise GeometryError("point does not belong to the reduction H'")
-        # frame the point as frame(x) * g' to reuse the tangent basis
-        gps = lg.inverse_matrix(self.spec.tag, self._frames(p.x[None])) @ p.g.mat
-        _, dxs, dgs, matrix = (stack[0] for stack in self._induced_coords(p.x[None], gps))
-        svals = np.linalg.svd(matrix, compute_uv=False)
-        if svals[-1] <= RANK:
-            raise NotCartanError(f"induced form is singular at the requested point (sigma_min = {svals[-1]:.3e})")
-        coeffs = np.linalg.inv(matrix)  # column j: coordinates of frame vector j
-        return [PrincipalTangent(c @ dxs, np.tensordot(c, dgs, 1)) for c in coeffs.T]

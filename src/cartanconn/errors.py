@@ -40,10 +40,6 @@ class SingularFieldError(GeometryError):
     """A field was evaluated inside its excluded singular set."""
 
 
-class NotCartanError(GeometryError):
-    """An operation requiring a Cartan structure met a degenerate one."""
-
-
 class ExprSyntaxError(GeometryError):
     """Expression parsing failed; ``position`` is the byte offset."""
 

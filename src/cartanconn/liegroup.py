@@ -401,10 +401,6 @@ def algebra_element(tag: GroupTag, mat: np.ndarray, *, project: bool = False) ->
     return AlgebraElement(tag, mat)
 
 
-def zero_algebra(tag: GroupTag) -> AlgebraElement:
-    return AlgebraElement(tag, np.zeros((tag.size, tag.size)))
-
-
 # ---------------------------------------------------------------------------
 # Group operations
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Two-forms are stored by their coefficients on the ordered basis
 
     [dx2^dx3, dx3^dx1, dx1^dx2, dx1^dt, dx2^dt, dx3^dt]
 
-and three-forms on
+and their exterior derivatives are returned on the three-form basis
 
     [dx1^dx2^dx3, dx2^dx3^dt, dx3^dx1^dt, dx1^dx2^dt],
 
-so antisymmetry is structural. The field strength and excitation forms are
+so antisymmetry is structural. The field strength and excitation forms,
+and the source three-form, are
 
     F = B1 dx2^dx3 + B2 dx3^dx1 + B3 dx1^dx2 + (E1 dx1 + E2 dx2 + E3 dx3) ^ dt
     G = D1 dx2^dx3 + D2 dx3^dx1 + D3 dx1^dx2 - (H1 dx1 + H2 dx2 + H3 dx3) ^ dt
@@ -32,7 +33,9 @@ to minus the identity on two-forms, as the Lorentzian signature demands.
 The residual check evaluates each callable field once, through
 :func:`principal.stacked`, on the probe points and their 8 stencil
 neighbours; grid-sampled fields give their partials by ``np.gradient``, and
-one assembly turns either table into residuals and dictionary gap.
+one assembly turns either table into residuals and dictionary gap. ``J``
+is not stored as a form: the assembly reads it, and the continuity
+residual ``dJ``, from the arrays of ``rho`` and ``j``.
 """
 
 from __future__ import annotations
@@ -101,28 +104,18 @@ def _triple(fields) -> tuple[ScalarField, ScalarField, ScalarField]:
 
 
 @dataclass(frozen=True, eq=False)
-class _FormField:
+class Form2Field:
+    """Two-form with callable coefficients on :data:`BASIS_2FORMS`."""
+
     coeffs: tuple[ScalarField, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.basis):
-            raise GeometryError(f"a {self.degree}-form needs {len(self.basis)} coefficient functions")
+        if len(self.coeffs) != len(BASIS_2FORMS):
+            raise GeometryError(f"a two-form needs {len(BASIS_2FORMS)} coefficient functions")
 
     def __call__(self, point) -> np.ndarray:
         t, x1, x2, x3 = point
         return np.array([c(t, x1, x2, x3) for c in self.coeffs])
-
-
-class Form2Field(_FormField):
-    """Two-form with callable coefficients on :data:`BASIS_2FORMS`."""
-
-    degree, basis = "two", BASIS_2FORMS
-
-
-class Form3Field(_FormField):
-    """Three-form with callable coefficients on :data:`BASIS_3FORMS`."""
-
-    degree, basis = "three", BASIS_3FORMS
 
 
 def build_F(E, B) -> Form2Field:
@@ -139,13 +132,6 @@ def build_G(D, Hm) -> Form2Field:
     d1, d2, d3 = _triple(D)
     h1, h2, h3 = _triple(Hm)
     return Form2Field((d1, d2, d3, _negated(h1), _negated(h2), _negated(h3)))
-
-
-def build_J(rho, j) -> Form3Field:
-    """Source three-form from the charge and current densities."""
-    r = as_field(rho)
-    j1, j2, j3 = _triple(j)
-    return Form3Field((r, _negated(j1), _negated(j2), _negated(j3)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +167,6 @@ def _d2(p: np.ndarray) -> np.ndarray:
     )
 
 
-def _d3(p: np.ndarray) -> np.ndarray:
-    """Coefficient of dt^dx1^dx2^dx3 in d of a three-form, from its partials."""
-    return p[0, 0] - p[1, 1] - p[2, 2] - p[3, 3]
-
-
 def d_numeric(form: Form2Field, point, h: float = 1e-4) -> np.ndarray:
     """Exterior derivative of a two-form at a point ``(4,)`` or at each of a
     stack of points ``(N, 4)``, as coefficients on :data:`BASIS_3FORMS`,
@@ -193,13 +174,6 @@ def d_numeric(form: Form2Field, point, h: float = 1e-4) -> np.ndarray:
     polynomial coefficients of degree at most two."""
     d = _d2(_partials(form.coeffs, point, h)[1]).T
     return d if np.ndim(point) == 2 else d[0]
-
-
-def d3_numeric(form: Form3Field, point, h: float = 1e-4) -> float | np.ndarray:
-    """Exterior derivative of a three-form: the coefficient of
-    dt^dx1^dx2^dx3, a float at a point ``(4,)``, ``(N,)`` at points ``(N, 4)``."""
-    d = _d3(_partials(form.coeffs, point, h)[1])
-    return d if np.ndim(point) == 2 else float(d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +189,6 @@ def hodge_matrix(alpha: float) -> np.ndarray:
         mat[i + 3, i] = -root       # dxj^dxk -> -sqrt(alpha) dxi^dt
         mat[i, i + 3] = 1.0 / root  # dxi^dt  ->  dxj^dxk / sqrt(alpha)
     return mat
-
-
-def hodge2(form: Form2Field, point, constants: EMConstants = SI) -> np.ndarray:
-    """Star of a two-form at a point (coefficients on the two-form basis)."""
-    return hodge_matrix(constants.alpha) @ form(point)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +236,7 @@ def _report(values: np.ndarray, partials: np.ndarray) -> MaxwellReport:
     # form side: F = [B, E], G = [D, -H], J = [rho, -j]
     dF = _d2(np.concatenate([B, E]))
     dG = _d2(np.concatenate([D, -H])) - four_pi * np.concatenate([values[12:13], -values[13:]])
-    continuity = _d3(np.concatenate([partials[12:13], -j]))
+    continuity = partials[12, 0] + j[0, 1] + j[1, 2] + j[2, 3]   # dJ on dt^dx1^dx2^dx3
     # classical side
     curl = lambda f: np.array([f[2, 2] - f[1, 3], f[0, 3] - f[2, 1], f[1, 1] - f[0, 2]])
     div = lambda f: f[0, 1] + f[1, 2] + f[2, 3]

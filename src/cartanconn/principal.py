@@ -28,7 +28,7 @@ import numpy as np
 
 from . import liegroup as lg
 from .errors import DomainError, InvalidElementError, TagMismatchError
-from .settings import AXIOM, CURVATURE_STEP, RANK
+from .settings import AXIOM, CURVATURE_STEP
 
 
 @dataclass(frozen=True)
@@ -367,17 +367,3 @@ def curvature(conn: LocalConnection, x, dx1, dx2) -> lg.AlgebraElement:
     d1 = (a[0] - a[1]) / (2 * h)
     d2 = (a[2] - a[3]) / (2 * h)
     return lg.algebra_element(conn.tag, d1 - d2 + (a[4] @ a[5] - a[5] @ a[4]), project=True)
-
-
-def horizontal_space_dimension(conn: LocalConnection, p: PrincipalPoint) -> int:
-    """Dimension of the kernel of the form at ``p``.
-
-    The form is assembled as a linear map from (base tangent, algebra
-    coordinates of the vertical part) to algebra coordinates on all basis
-    tangents at once; kernel dimension uses a relative singular-value threshold.
-    """
-    m, g = conn.domain.dim, p.g.mat
-    dgs = np.concatenate([np.zeros((m, *g.shape)), g @ lg.algebra_basis_matrices(conn.tag)])
-    mats = _form_matrices(conn.tag, coeff_matrices(conn, np.tile(p.x, (len(dgs), 1)), np.eye(len(dgs), m)), g, dgs)
-    svals = np.linalg.svd(lg._matrix_coords(conn.tag, mats).T, compute_uv=False)
-    return len(dgs) - int(np.sum(svals > RANK * svals[0]))

@@ -1,4 +1,6 @@
-"""Horizontal lifts, parallel transport, holonomy and development.
+"""Horizontal lifts, parallel transport and holonomy, and the sampled
+developments that :meth:`~cartanconn.cartan.CartanStructure.develop_base_path`
+builds from a lift.
 
 Lifting a base path ``t -> x(t)`` through a connection means solving the
 group-valued initial value problem obtained from horizontality of the
@@ -78,7 +80,12 @@ class SmoothPath:
     against ``(4 D(h/2) - D(h)) / 3`` from one more read of ``x`` (Richardson:
     :func:`~cartanconn.models.kepler_orbit` passes at e = 0.995, not at
     0.999). ``h = 1e-6 (1 + |t0| + |t1|)``, at most an eighth of the
-    interval, so that every read lies in ``[t0, t1]``.
+    interval, so that every read lies in ``[t0, t1]``. Each difference is
+    divided by the step between the float times it read, not by ``2 h``
+    or ``h``, so the rounding of ``t +- h`` costs nothing; the rounding of
+    the values, about ``eps |x| / h``, remains against the absolute
+    ``settings.PATH_CHECK``: ``(t, sin 3t)`` passes on ``[5, 5 + 1e-10]``,
+    not on ``[5, 5 + 1e-11]``.
     """
 
     t0: float
@@ -105,12 +112,13 @@ class SmoothPath:
         finite = np.isfinite(points[:n]).all(axis=-1) & np.isfinite(derivs).all(axis=-1)
         if not finite.all():
             raise ValueError(f"path is not finite at t = {probes[np.argmin(finite)]}")
-        fd = (points[n:2 * n] - points[2 * n:]) / (2 * h)
+        fd = (points[n:2 * n] - points[2 * n:]) / (times[n:2 * n] - times[2 * n:])[:, None]
         errors = np.abs(fd - derivs).max(axis=-1)
         redo = errors > PATH_CHECK
         if redo.any():
-            plus, minus = np.split(self.points(np.concatenate([probes[redo] + h / 2, probes[redo] - h / 2])), 2)
-            fine = (plus - minus) / h
+            plus, minus = probes[redo] + h / 2, probes[redo] - h / 2
+            above, below = np.split(self.points(np.concatenate([plus, minus])), 2)
+            fine = (above - below) / (plus - minus)[:, None]
             errors[redo] = np.abs((4 * fine - fd[redo]) / 3 - derivs[redo]).max(axis=-1)
         agrees = errors <= PATH_CHECK
         if not agrees.all():
@@ -205,10 +213,6 @@ def line_segment(p, q, t0: float, t1: float) -> SmoothPath:
     )
 
 
-def concat(*paths: Path) -> PiecewisePath:
-    return PiecewisePath([seg for p in paths for seg in p.segments])
-
-
 def square_loop(corner, side: float, t0: float = 0.0) -> PiecewisePath:
     """Closed square loop of side ``side`` in the plane of the first two
     coordinates, starting at ``corner`` and traversing the first axis's leg
@@ -234,7 +238,7 @@ class LiftedPath:
 
     Stores the node times ``ts`` (N,), matrices ``mats`` (N, n, n) and the
     base ``points`` (N, dim) the lift read there (a corner's from the segment
-    ending at it); ``elements`` and ``end`` present the matrices.
+    ending at it); ``end`` presents the last matrix as a group element.
     """
 
     def __init__(self, tag: lg.GroupTag, ts, mats, points):
@@ -244,16 +248,9 @@ class LiftedPath:
         self.mats.setflags(write=False)
         self.points = np.asarray(points, dtype=float)
 
-    def _element(self, i: int) -> lg.GroupElement:
-        return lg.GroupElement(self.tag, self.mats[i])
-
-    @property
-    def elements(self) -> list[lg.GroupElement]:
-        return [self._element(i) for i in range(len(self.ts))]
-
     @property
     def end(self) -> lg.GroupElement:
-        return self._element(-1)
+        return lg.GroupElement(self.tag, self.mats[-1])
 
     def group_defects(self) -> np.ndarray:
         return lg.group_defect(self.tag, self.mats)
@@ -565,26 +562,3 @@ class DevelopedPath:
 
     def max_second_difference(self) -> float:
         return float(np.max(np.linalg.norm(self.second_differences(), axis=1)))
-
-
-def develop_total_path(
-    conn: LocalConnection,
-    spec: HomogeneousSpec,
-    base_path: Path,
-    fiber_path: Callable[[float], np.ndarray],
-    step: float = 1e-3,
-) -> DevelopedPath:
-    """Development of the total-space path ``t -> (x(t), zeta(t))`` into the
-    fibre over ``x(t0)``: inverse parallel transport applied at every node,
-    ``t -> act(g(t)^{-1}, zeta(t))`` for the lift ``g`` from the identity.
-
-    The fibre path is read at the lift's node times through
-    :func:`~cartanconn.principal.stacked` (once when batched), and one
-    ``spec.act`` call moves all its points; values of the wrong shape raise
-    ``ValueError``; ``points`` are the lift's. The development is constant
-    exactly when the input path is horizontal.
-    """
-    lifted = horizontal_lift(conn, base_path, None, step)
-    zetas = stacked(fiber_path, lifted.ts, out=np.empty((len(lifted.ts), spec.fiber_dim)), what="fibre path")
-    values = spec.act(lg.inverse_matrix(conn.tag, lifted.mats), zetas)
-    return DevelopedPath(lifted.ts.copy(), values, lifted.points)

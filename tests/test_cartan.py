@@ -1,5 +1,5 @@
 """Tests for Cartan structures: reductions, induced forms, soldering,
-classification, development, parallelization."""
+classification, development."""
 
 import dataclasses
 
@@ -11,7 +11,7 @@ from cartanconn import liegroup as lg
 from cartanconn import models
 from cartanconn import principal as pr
 from cartanconn.cartan import CartanStructure
-from cartanconn.errors import GeometryError, InvalidElementError, NotCartanError
+from cartanconn.errors import GeometryError, InvalidElementError
 
 from conftest import freefall_path, perturbed_freefall_path, trig_path
 
@@ -42,64 +42,17 @@ def test_reduction_membership_default_section(gravity):
     assert gravity.in_reduction(pr.PrincipalPoint(x, boost))
     mover = lg.galileo_element(0.0, 0.5, 0.0)  # moves the fibre base point
     assert not gravity.in_reduction(pr.PrincipalPoint(x, mover))
+    assert not gravity.in_reduction(pr.PrincipalPoint(x, lg.galileo_element(0.0, 1.0, 2.0)))
 
 
-def test_induced_form_on_stabilizer_vertical_returns_generator(gravity):
-    # vertical tangents from the subgroup algebra are reproduced exactly
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.standard_normal(2)
-        gp = gravity.spec.random_stabilizer_element(rng)
-        p = pr.PrincipalPoint(x, gp)
-        eta = gravity.spec.random_stabilizer_algebra(rng)
-        v = pr.fundamental_vector(eta, p)
-        assert (gravity.induced_form(p, v) - eta).norm() < 1e-10
-
-
-def test_induced_form_values_leave_subalgebra(gravity):
-    # on base directions the induced form picks up time/space translations
+def test_tangency_residual_reads_one_off_the_reduction(gravity):
+    # a boost is tangent to H' at the identity, a time translation moves o
+    # at unit rate
     p = pr.PrincipalPoint([0.0, 0.0], lg.identity(lg.GALILEO2))
-    v = pr.PrincipalTangent([1.0, 0.0], np.zeros((3, 3)))
-    out = gravity.induced_form(p, v)
-    coords = lg.algebra_coords(out)
-    assert abs(coords[1]) > 0.5  # time-translation component present
-
-
-def test_induced_form_zero_tangent(gravity):
-    p = pr.PrincipalPoint([0.2, 0.1], lg.identity(lg.GALILEO2))
-    v = pr.PrincipalTangent(np.zeros(2), np.zeros((3, 3)))
-    assert gravity.induced_form(p, v).norm() == 0.0
-
-
-def test_induced_form_is_maurer_cartan_on_flat_structure(flat_galileo):
-    # the reduction of the flat structure is a copy of the group and the
-    # induced form is the left-invariant pairing: tangent g xi evaluates to xi
-    cs = flat_galileo
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        g = lg.random_element(cs.spec.tag, rng)
-        x = cs.spec.act(g.mat, cs.spec.origin)
-        xi = lg.random_algebra(cs.spec.tag, rng)
-        dx = cs.spec.push(g.mat) @ lg.algebra_coords(xi)
-        v = pr.PrincipalTangent(dx, g.mat @ xi.mat)
-        p = pr.PrincipalPoint(x, g)
-        assert cs.in_reduction(p)
-        assert (cs.induced_form(p, v) - xi).norm() < 1e-9
-
-
-def test_induced_form_rejects_nonmember(gravity):
-    p = pr.PrincipalPoint([0.0, 0.0], lg.galileo_element(0.0, 1.0, 2.0))
-    v = pr.PrincipalTangent(np.zeros(2), np.zeros((3, 3)))
-    with pytest.raises(GeometryError):
-        gravity.induced_form(p, v)
-
-
-def test_induced_form_rejects_nontangent(gravity):
-    p = pr.PrincipalPoint([0.0, 0.0], lg.identity(lg.GALILEO2))
-    # group velocity along eps_a leaves the reduction
-    v = pr.PrincipalTangent(np.zeros(2), lg.galileo_algebra(0.0, 1.0, 0.0).mat)
-    with pytest.raises(GeometryError):
-        gravity.induced_form(p, v)
+    along_a = pr.PrincipalTangent(np.zeros(2), lg.galileo_algebra(0.0, 1.0, 0.0).mat)
+    along_v = pr.PrincipalTangent(np.zeros(2), lg.galileo_algebra(1.0, 0.0, 0.0).mat)
+    assert gravity.reduction_tangency_residual(p, along_a) == 1.0
+    assert gravity.reduction_tangency_residual(p, along_v) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +134,6 @@ def test_reduced_form_matrix_of_a_stack_matches_each_point():
     assert stack.shape == (6, lg.algebra_dim(cs.spec.tag), cs.base_dim + len(cs.spec.stabilizer_basis))
     for x, gp, matrix in zip(xs, gps, stack):
         assert np.array_equal(cs.reduced_form_matrix(x[None], gp[None])[0], matrix)
-
-
-@pytest.mark.parametrize("name", ["affine", "affine-sigma", "gravity", "projective"])
-def test_horizontal_space_dimension_matches_column_by_column_reference(name, monkeypatch):
-    cs = FORM_STRUCTURES[name]()
-    conn, rng = cs.conn, np.random.default_rng(15)
-    m, svd, seen = cs.base_dim, np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
-    for _ in range(10):
-        p = pr.PrincipalPoint(conn.domain.sample(rng), lg.random_element(conn.tag, rng))
-        tangents = [pr.PrincipalTangent(w, np.zeros_like(p.g.mat)) for w in np.eye(m)]
-        tangents += [pr.fundamental_vector(eta, p) for eta in lg.algebra_basis(conn.tag)]
-        expected = column_by_column(conn, p, tangents)
-        seen.clear()
-        assert pr.horizontal_space_dimension(conn, p) == m
-        assert np.allclose(seen[-1], expected, rtol=0.0, atol=1e-14)
 
 
 # kind and smallest singular value of the column-by-column classification
@@ -504,8 +441,8 @@ SPECS = [
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_projection_of_a_stack_is_the_action_on_the_origin(spec):
     # develop_base_path projects all node matrices by one act call at o, and
-    # develop_total_path moves all fibre points by one act call: the stacked
-    # action must equal the action row by row, bit for bit
+    # HomogeneousSpec.validate moves stacks of points by stacks of matrices:
+    # the stacked action must equal the action row by row, bit for bit
     rng = np.random.default_rng(14)
     mats = np.stack([lg.random_element(spec.tag, rng, scale=0.6).mat for _ in range(25)])
     points = 0.5 * rng.standard_normal((25, spec.fiber_dim))
@@ -691,44 +628,22 @@ def test_shipped_fiber_actions_satisfy_action_laws():
 
 
 # ---------------------------------------------------------------------------
-# Parallelization
+# Tangent bases of the reduction
 # ---------------------------------------------------------------------------
 
-def test_parallelization_frame_roundtrip(flat_galileo):
-    cs = flat_galileo
-    rng = np.random.default_rng(9)
-    basis = lg.algebra_basis(cs.spec.tag)
-    for _ in range(10):
-        g = lg.random_element(cs.spec.tag, rng)
-        p = pr.PrincipalPoint(cs.spec.act(g.mat, cs.spec.origin), g)
-        frame = cs.parallelization_frame(p)
-        assert len(frame) == len(basis)
-        for vec, eta in zip(frame, basis):
-            out = pr.full_form(cs.conn, p, vec)
-            assert (out - eta).norm() < 1e-9
-
-
-def test_parallelization_frame_invertible_at_many_points(gradient_gravity):
+def test_reduced_form_matrix_invertible_at_many_points(gradient_gravity):
     cs = gradient_gravity
     rng = np.random.default_rng(10)
     for _ in range(50):
         x = rng.standard_normal(2)
         gp = cs.spec.random_stabilizer_element(rng)
-        p = pr.PrincipalPoint(x, gp)
         matrix = cs.reduced_form_matrix(x[None], gp.mat[None])[0]
         assert abs(np.linalg.det(matrix)) > 1e-8
 
 
-def test_parallelization_requires_cartan():
-    cs = models.affine_structure(2, sigma0=np.zeros((2, 2)))
-    p = pr.PrincipalPoint(np.zeros(2), lg.identity(cs.spec.tag))
-    with pytest.raises(NotCartanError):
-        cs.parallelization_frame(p)
-
-
 def test_projective_tangents_are_tangent_to_the_reduction():
     # the point of H' is stored as a normalized PGL representative, so its
-    # tangent basis and the parallelization must be scaled with it
+    # tangent basis must be scaled with it
     cs = models.build_model("projective")
     rng = np.random.default_rng(14)
     for _ in range(5):
@@ -738,5 +653,5 @@ def test_projective_tangents_are_tangent_to_the_reduction():
         p = pr.PrincipalPoint(x, lg.compose(frame, gprime))
         _, dxs, dgs, _ = cs._induced_coords(x[None], gprime.mat[None])
         tangents = [pr.PrincipalTangent(dx, dg) for dx, dg in zip(dxs[0], dgs[0])]
-        for v in tangents + cs.parallelization_frame(p):
+        for v in tangents:
             assert cs.reduction_tangency_residual(p, v) < 1e-8

@@ -105,7 +105,7 @@ def test_random_gl_inverse():
 
 def test_exp_zero_is_identity():
     for tag in TAGS:
-        assert np.array_equal(lg.exp(lg.zero_algebra(tag)).mat, np.eye(tag.size))
+        assert np.array_equal(lg.exp(lg.AlgebraElement(tag, np.zeros((tag.size, tag.size)))).mat, np.eye(tag.size))
 
 
 def test_galileo_exp_closed_form():

@@ -358,7 +358,7 @@ def test_library_maps_and_paths_are_batched():
              *tp.square_loop([0.0, 0.0], 0.5).segments]
     paths += [p.reverse() for p in paths + per_node_paths]
     paths += list(tp.square_loop([0.0, 0.0], 0.5).reverse().segments)
-    paths += list(tp.concat(*per_node_paths).reverse().segments)
+    paths += list(tp.PiecewisePath(per_node_paths).reverse().segments)
     assert all(pr.is_batched(p.x) and pr.is_batched(p.xdot) for p in paths)
 
 

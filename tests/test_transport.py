@@ -114,8 +114,7 @@ def test_constant_path_lifts_to_constant():
     rng = np.random.default_rng(0)
     g0 = lg.random_element(lg.GALILEO2, rng)
     lifted = tp.horizontal_lift(conn, path, g0, step=1e-2)
-    for g in lifted.elements:
-        assert np.max(np.abs(g.mat - g0.mat)) < 1e-12
+    assert np.max(np.abs(lifted.mats - g0.mat)) < 1e-12
 
 
 def test_flat_connection_lift_stays_at_start():
@@ -123,8 +122,7 @@ def test_flat_connection_lift_stays_at_start():
     rng = np.random.default_rng(1)
     path = trig_path(rng, 2)
     lifted = tp.horizontal_lift(conn, path, step=1e-2)
-    for g in lifted.elements:
-        assert np.max(np.abs(g.mat - np.eye(3))) < 1e-12
+    assert np.max(np.abs(lifted.mats - np.eye(3))) < 1e-12
 
 
 @pytest.mark.parametrize("tag", [lg.so_tag(3), lg.orthogonal_tag(3, 1)], ids=lambda t: t.name)
@@ -174,6 +172,28 @@ def test_a_short_path_is_probed_inside_its_interval(t0):
     t1 = t0 + 1e-6
     tp.SmoothPath(t0, t1, only_inside(t0, t1, lambda t: np.stack([t, np.sin(3 * t)], -1)),
                   only_inside(t0, t1, lambda t: np.stack([np.ones_like(t), 3 * np.cos(3 * t)], -1)))
+
+
+@pytest.mark.parametrize("t0, length, rel, passes", [
+    (5.0, 1e-10, 0.0, True), (0.0, 1e-10, 0.0, True), (100.0, 1e-8, 0.0, True), (1000.0, 1e-7, 0.0, True),
+    (0.0, 1.0, 1e-4, False), (0.0, 1.0, 1e-5, False), (5.0, 1e-10, 1e-4, False), (5.0, 1e-10, 1e-5, False),
+    (5.0, 1e-11, 0.0, False),
+])
+def test_path_probes_divide_by_the_step_they_took(t0, length, rel, passes):
+    # each difference is divided by the step between the float times it read:
+    # at t = 5 the times t +- h of a 1e-10 segment round by about eps |t|,
+    # which the nominal 2 h turned into an error of about 9e-5, over
+    # PATH_CHECK. What still fails is (t, sin 3t) with a derivative off by
+    # a relative 1e-5, and a 1e-11 segment at 5, where the rounding of the
+    # values, eps |x| / h, is over PATH_CHECK itself. The steep Kepler
+    # orbits are the rows of test_a_steep_orbit_passes_its_probe_by_one_more_read
+    x = pr.batched(lambda t: np.stack([t, np.sin(3 * t)], -1))
+    xdot = pr.batched(lambda t: (1 + rel) * np.stack([np.ones_like(t), 3 * np.cos(3 * t)], -1))
+    if passes:
+        tp.SmoothPath(t0, t0 + length, x, xdot)
+    else:
+        with pytest.raises(ValueError, match=r"^declared derivative disagrees with finite differences at t = "):
+            tp.SmoothPath(t0, t0 + length, x, xdot)
 
 
 @pytest.mark.parametrize("e, x_rows", [(0.6, [30]), (0.99, [30, 2]), (0.995, [30, 2])])
@@ -770,17 +790,14 @@ def test_developments_read_a_piecewise_base_point_from_its_ends():
     conn = gravity_connection(lambda t, x: 9.81 + 0.3 * np.sin(x))
     cs = models.CartanStructure("gravity", GALILEO, conn)
     diagonal = models.CartanStructure("diagonal-gravity", GALILEO, conn, diagonal=True)
-    zeta = lambda t: np.array([t, 0.5 * t])
     nodes = 2 * 4 + 1   # four steps per leg
-    for develop in (lambda p: tp.develop_total_path(conn, GALILEO, p, zeta, step=step),
-                    lambda p: cs.develop_base_path(p, step=step),
-                    lambda p: diagonal.develop_base_path(p, step=step)):
+    for develop in (cs.develop_base_path, diagonal.develop_base_path):
         before = dict(calls)
-        dev = develop(path)
+        dev = develop(path, step=step)
         assert calls == {"x": before["x"] + 2 * nodes, "xdot": before["xdot"] + 2 * nodes}
         assert np.array_equal(dev.base_point, corners[0])
         before = dict(calls)
-        dev = develop(smooth)
+        dev = develop(smooth, step=step)
         assert calls == {"x": before["x"] + nodes, "xdot": before["xdot"] + nodes}
         assert np.array_equal(dev.base_point, corners[0])
 
@@ -1063,7 +1080,7 @@ def test_transport_concatenation_is_composition():
     step_by_step = tp.parallel_transport(
         conn, second, GALILEO, tp.parallel_transport(conn, first, GALILEO, z0, step=1e-3), step=1e-3
     )
-    joined = tp.parallel_transport(conn, tp.concat(first, second), GALILEO, z0, step=1e-3)
+    joined = tp.parallel_transport(conn, tp.PiecewisePath([first, second]), GALILEO, z0, step=1e-3)
     assert np.max(np.abs(step_by_step - joined)) < 1e-7
 
 
@@ -1109,99 +1126,42 @@ def test_gradient_gravity_holonomy_matches_curvature():
 
 
 # ---------------------------------------------------------------------------
-# Development of total-space paths
+# Development of base paths
 # ---------------------------------------------------------------------------
-
-def test_development_of_horizontal_path_is_constant():
-    conn = gravity_connection(lambda t, x: 9.81 + 0.3 * x)
-    rng = np.random.default_rng(5)
-    base = trig_path(rng, 2)
-    z0 = rng.standard_normal(2)
-    lifted = tp.horizontal_lift(conn, base, step=1e-3)
-    # the development samples the fibre path at the lift's own node times
-    nodes = dict(zip(lifted.ts, lifted.elements))
-    zeta = lambda t: GALILEO.act(nodes[t].mat, z0)
-    dev = tp.develop_total_path(conn, GALILEO, base, zeta, step=1e-3)
-    assert np.max(np.abs(dev.values - dev.values[0])) < 1e-7
-
-
-def test_development_over_constant_base_is_fiber_path():
-    conn = gravity_connection(lambda t, x: 2.0)
-    base = tp.SmoothPath(0.0, 1.0, lambda t: np.array([0.3, 0.1]), lambda t: np.zeros(2))
-    zeta = lambda t: np.array([np.sin(t), np.cos(t)])
-    dev = tp.develop_total_path(conn, GALILEO, base, zeta, step=1e-2)
-    expected = np.array([zeta(t) for t in dev.ts])
-    assert np.max(np.abs(dev.values - expected)) < 1e-12
-
-
-def test_flat_development_of_section_image_reproduces_base_path():
-    # image of the diagonal section over x(t) develops to t -> x(t)
-    conn = flat_connection()
-    rng = np.random.default_rng(6)
-    base = trig_path(rng, 2)
-    dev = tp.develop_total_path(conn, GALILEO, base, lambda t: base.point(t), step=1e-2)
-    expected = np.array([base.point(t) for t in dev.ts])
-    assert np.max(np.abs(dev.values - expected)) < 1e-10
-
-
-@pr.batched
-def wavy_fiber_path(t):
-    t = np.asarray(t, dtype=float)
-    return np.stack([np.sin(t), np.cos(3 * t)], axis=-1)
-
 
 @pytest.mark.parametrize("structure", ["gravity", "flat"])
 def test_development_matches_per_node_action(structure):
-    # one stacked act call against act(g_i^{-1}, zeta(t_i)) node by node
+    # the stacked development against act(g_i^{-1} h'(x_i), o) node by node:
+    # gravity under the constant section (frames I), the flat model under
+    # the diagonal one (frames at the lift's points)
     if structure == "gravity":
         cs = models.galilean_gravity(models.GravityField(
             pr.batched(lambda t, x: 9.81 + 0.7 * np.sin(x)), pr.batched(lambda t, x: 0.3 * t * x)))
-        conn, spec = cs.conn, cs.spec
     else:
-        conn, spec = flat_connection(), GALILEO
+        cs = models.homogeneous_flat(GALILEO)
     base = trig_path(np.random.default_rng(9), 2)
-    dev = tp.develop_total_path(conn, spec, base, wavy_fiber_path, step=1e-3)
-    lifted = tp.horizontal_lift(conn, base, step=1e-3)
-    expected = [spec.act(lg.inverse(g).mat, wavy_fiber_path(t)) for t, g in zip(lifted.ts, lifted.elements)]
+    dev = cs.develop_base_path(base, step=1e-3)
+    lifted = tp.horizontal_lift(cs.conn, base, step=1e-3)
+    expected = [cs.spec.act(np.linalg.inv(g) @ cs._frames(x[None])[0], cs.spec.origin)
+                for g, x in zip(lifted.mats, lifted.points)]
     assert np.array_equal(dev.ts, lifted.ts)
     assert np.max(np.abs(dev.values - np.array(expected))) < 1e-14
 
 
-def test_development_reads_a_batched_fiber_path_once():
-    calls = []
-
-    @pr.batched
-    def zeta(t):
-        calls.append(np.array(t))
-        return wavy_fiber_path(t)
-
-    base = trig_path(np.random.default_rng(10), 2)
-    dev = tp.develop_total_path(gravity_connection(lambda t, x: 9.81), GALILEO, base, zeta, step=1e-3)
-    assert len(calls) == 1 and np.array_equal(calls[0], dev.ts)
-
-
-def test_development_rejects_a_fiber_path_of_the_wrong_shape():
-    base = trig_path(np.random.default_rng(11), 2)
-    conn = flat_connection()
-    for zeta in (lambda t: np.zeros(3), pr.batched(lambda t: np.zeros((len(t), 3))),
-                 pr.batched(lambda t: np.zeros((len(t) - 1, 2)))):
-        with pytest.raises(ValueError, match="fibre path"):
-            tp.develop_total_path(conn, GALILEO, base, zeta, step=1e-2)
-
-
 def test_development_raises_where_the_projective_action_leaves_the_chart():
-    # A = dx (E_10 - E_01) on a line: the inverse lift at x = pi/2 rotates
-    # the fibre origin [1, 0, 0] onto the hyperplane at infinity
+    # A = dx (E_10 - E_01) on a line under the constant section: the inverse
+    # lift at x = pi/2 rotates the fibre origin [1, 0, 0] onto the hyperplane
+    # at infinity
     spec = models.projective_homogeneous_spec(2)
     rotation = np.zeros((3, 3))
     rotation[1, 0], rotation[0, 1] = 1.0, -1.0
     conn = pr.LocalConnection(pr.ChartDomain.unbounded(1), spec.tag,
                               lambda x, dx: lg.AlgebraElement(spec.tag, dx[0] * rotation))
-    zeta = pr.batched(lambda t: np.zeros((len(t), 2)))
-    short = tp.line_segment([0.0], [1.0], 0.0, 1.0)
-    assert np.all(np.isfinite(tp.develop_total_path(conn, spec, short, zeta, step=1e-2).values))
+    cs = CartanStructure("rotating-line", spec, conn)
+    short = cs.develop_base_path(tp.line_segment([0.0], [1.0], 0.0, 1.0), step=1e-2)
+    assert np.all(np.isfinite(short.values))
     with pytest.raises(PointAtInfinityError, match="left the affine chart"):
-        tp.develop_total_path(conn, spec, tp.line_segment([0.0], [np.pi / 2], 0.0, 1.0), zeta, step=1e-2)
+        cs.develop_base_path(tp.line_segment([0.0], [np.pi / 2], 0.0, 1.0), step=1e-2)
 
 
 def test_initial_tangent_reads_only_the_uniform_leading_nodes():
@@ -1233,7 +1193,7 @@ def test_second_differences_read_a_curve_on_two_node_spacings(step):
     # development has two node spacings; it reads its one-segment value
     cs = models.galilean_gravity(models.GravityField.constant(9.81))
     whole = cs.develop_base_path(cubic_fall(0.0, 1.0), step=step)
-    split = cs.develop_base_path(tp.concat(cubic_fall(0.0, 0.3705), cubic_fall(0.3705, 1.0)), step=step)
+    split = cs.develop_base_path(tp.PiecewisePath([cubic_fall(0.0, 0.3705), cubic_fall(0.3705, 1.0)]), step=step)
     assert len(split.ts) == len(whole.ts) + 1 and len(split.second_differences()) == len(split.ts) - 2
     assert abs(split.max_second_difference() - whole.max_second_difference()) < 0.02 * whole.max_second_difference()
     if step == 1e-3:
