@@ -12,8 +12,9 @@ The package is organized as a small stack:
 * :mod:`cartanconn.models`     ready-made geometries (flat homogeneous,
   affine, Galilean gravity, projective and Mobius model spaces)
 
-``import cartanconn`` loads only these five core modules (with ``errors``
-and ``settings``); the others load when imported by name:
+``import cartanconn`` loads only these five core modules (with ``errors``,
+``settings`` and the record bases of ``_records``); the others load when
+imported by name:
 
 * :mod:`cartanconn.maxwell`    Maxwell's equations as exterior calculus
 * :mod:`cartanconn.fieldexpr`  small arithmetic expression language

@@ -9,7 +9,6 @@ battery is executable without a test harness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,17 +18,20 @@ from . import maxwell as mx
 from . import models
 from . import principal as pr
 from . import transport as tp
+from ._records import ValueRecord, set_field
 from .errors import PointAtInfinityError
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-    budget: float
+class CriterionResult(ValueRecord):
+    _fields = ("number", "name", "passed", "detail", "elapsed", "budget")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str, elapsed: float, budget: float):
+        set_field(self, "number", number)
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
+        set_field(self, "elapsed", elapsed)
+        set_field(self, "budget", budget)
 
     @property
     def in_budget(self) -> bool:

@@ -45,13 +45,13 @@ is ``y(t) = h'(t0) g(t) (o)`` and its initial velocity equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import liegroup as lg
+from ._records import Record, ValueRecord, set_field
 from .errors import GeometryError, InvalidElementError
 from .principal import (LocalConnection, PrincipalPoint, PrincipalTangent, _algebra_part, _form_matrices, _frobenius,
                         coeff_matrices)
@@ -83,8 +83,7 @@ def _affine_act(mats, points) -> np.ndarray:
     return _apply(mats[..., :-1, :-1], points) + mats[..., :-1, -1]
 
 
-@dataclass(eq=False)
-class HomogeneousSpec:
+class HomogeneousSpec(Record):
     """Homogeneous-space data for a fibre ``F = G / G'`` realized on a chart.
 
     act             left action of ``G`` on the fibre chart, on raw group
@@ -104,20 +103,21 @@ class HomogeneousSpec:
                     at ``o``. It must accept complex points and keep their
                     imaginary parts, for :meth:`coset_derivative`
     stabilizer_basis  basis of the Lie algebra of ``G'``; random elements of
-                    ``G'`` are drawn as stacks by one exponential, and the
-                    ``random_stabilizer_*`` methods are the one-row case
+                    ``G'`` are drawn as stacks by one exponential
     """
 
-    name: str
-    tag: lg.GroupTag
-    fiber_dim: int
-    origin: np.ndarray
-    act: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    coset_section: Callable[[np.ndarray], np.ndarray]
-    stabilizer_basis: tuple[lg.AlgebraElement, ...]
+    _fields = ("name", "tag", "fiber_dim", "origin", "act", "coset_section", "stabilizer_basis")
 
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
+    def __init__(self, name: str, tag: lg.GroupTag, fiber_dim: int, origin: np.ndarray,
+                 act: Callable[[np.ndarray, np.ndarray], np.ndarray], coset_section: Callable[[np.ndarray], np.ndarray],
+                 stabilizer_basis: tuple[lg.AlgebraElement, ...]):
+        self.name = name
+        self.tag = tag
+        self.fiber_dim = fiber_dim
+        self.origin = np.asarray(origin, dtype=float)
+        self.act = act
+        self.coset_section = coset_section
+        self.stabilizer_basis = stabilizer_basis
 
     def push(self, mats) -> np.ndarray:
         """``T_o g . T_e pi`` at raw group matrices ``(..., n, n)`` on algebra
@@ -163,14 +163,6 @@ class HomogeneousSpec:
                 f"matrix violates the defining relations of {self.tag.name}: residual {defect:.3e}")
         return mats
 
-    def random_stabilizer_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> lg.AlgebraElement:
-        coords = rng.standard_normal((1, len(self.stabilizer_basis)))
-        return lg.AlgebraElement(self.tag, self._stabilizer_algebra(coords, scale)[0])
-
-    def random_stabilizer_element(self, rng: np.random.Generator, scale: float = 0.5) -> lg.GroupElement:
-        coords = rng.standard_normal((1, len(self.stabilizer_basis)))
-        return lg.GroupElement(self.tag, self._stabilizer_elements(coords, scale)[0])
-
     def validate(self, rng: np.random.Generator | None = None, samples: int = 10) -> None:
         """Structural checks on stacks of samples: the identity fixes the
         base point and every sampled point, the action obeys the composition
@@ -206,24 +198,28 @@ class HomogeneousSpec:
                                 "onto its direction (coset_section must keep imaginary parts)")
 
 
-@dataclass(frozen=True)
-class CartanReport:
-    """Outcome of a kernel / dimension classification."""
+class CartanReport(ValueRecord):
+    """Outcome of a kernel / dimension classification; ``kind`` is "cartan",
+    "generalized" or "neither"."""
 
-    kind: str  # "cartan" | "generalized" | "neither"
-    min_singular_value: float
-    base_dim: int
-    fiber_dim: int
-    samples: int
-    worst_point: tuple = field(repr=False, default=())
+    _fields = ("kind", "min_singular_value", "base_dim", "fiber_dim", "samples", "worst_point")
+    _hidden = ("worst_point",)
+
+    def __init__(self, kind: str, min_singular_value: float, base_dim: int, fiber_dim: int, samples: int,
+                 worst_point: tuple = ()):
+        set_field(self, "kind", kind)
+        set_field(self, "min_singular_value", min_singular_value)
+        set_field(self, "base_dim", base_dim)
+        set_field(self, "fiber_dim", fiber_dim)
+        set_field(self, "samples", samples)
+        set_field(self, "worst_point", worst_point)
 
     @property
     def is_cartan(self) -> bool:
         return self.kind == "cartan"
 
 
-@dataclass(eq=False)
-class CartanStructure:
+class CartanStructure(Record):
     """Connection plus homogeneous data plus a section of the associated bundle.
 
     The section is the constant one at the fibre base point ``o`` unless
@@ -235,15 +231,16 @@ class CartanStructure:
     ``coset_section(o)``, the identity, and has a zero frame derivative.
     """
 
-    name: str
-    spec: HomogeneousSpec
-    conn: LocalConnection
-    diagonal: bool = False
+    _fields = ("name", "spec", "conn", "diagonal")
 
-    def __post_init__(self):
-        if self.conn.tag != self.spec.tag:
+    def __init__(self, name: str, spec: HomogeneousSpec, conn: LocalConnection, diagonal: bool = False):
+        self.name = name
+        self.spec = spec
+        self.conn = conn
+        self.diagonal = diagonal
+        if conn.tag != spec.tag:
             raise GeometryError("connection and homogeneous data use different groups")
-        if self.diagonal and self.base_dim != self.spec.fiber_dim:
+        if diagonal and self.base_dim != spec.fiber_dim:
             raise GeometryError("the diagonal section needs base dimension = fibre dimension")
 
     # -- geometry of the reduction -------------------------------------------------

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
+from ._records import ValueRecord, set_field
 from .errors import ExprEvalError, ExprSyntaxError
 
 FUNCTIONS = {
@@ -47,32 +47,44 @@ FUNCTIONS = {
 CONSTANTS = {"pi": math.pi}
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(ValueRecord):
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(ValueRecord):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(ValueRecord):
+    _fields = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class BinOp(ValueRecord):
+    """``left op right``, with ``op`` one of ``+ - * / ^``."""
+
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class Call(ValueRecord):
+    _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: "Expr"):
+        set_field(self, "func", func)
+        set_field(self, "arg", arg)
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]

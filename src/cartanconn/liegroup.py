@@ -43,13 +43,13 @@ and :func:`log` are their validated single-element cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 import numpy as np
 
+from ._records import FrozenRecord, ValueRecord, set_field
 from .errors import (
     InvalidElementError,
     NoPrincipalLogarithmError,
@@ -67,12 +67,24 @@ class GroupKind(Enum):
     PGL = "PGL"
 
 
-@dataclass(frozen=True)
-class GroupTag:
+class GroupTag(ValueRecord):
     """Name of a matrix group together with its dimension parameters."""
 
-    kind: GroupKind
-    dims: tuple[int, ...] = ()
+    _fields = ("kind", "dims")
+
+    def __init__(self, kind: GroupKind, dims: tuple[int, ...] = ()):
+        set_field(self, "kind", kind)
+        set_field(self, "dims", dims)
+
+    # spelled out, not the generic field loop: tags are compared and hashed
+    # on every group operation
+    def __eq__(self, other):
+        if other.__class__ is not GroupTag:
+            return NotImplemented
+        return (self.kind, self.dims) == (other.kind, other.dims)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.dims))
 
     @cached_property
     def size(self) -> int:
@@ -131,8 +143,7 @@ def pgl_tag(n: int) -> GroupTag:
 GALILEO2 = galileo_tag(2)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(FrozenRecord):
     """An element of the matrix group named by ``tag``.
 
     Build instances through :func:`group_element`, which validates the
@@ -140,13 +151,13 @@ class GroupElement:
     are made read-only, so elements are immutable and safe to share.
     """
 
-    tag: GroupTag
-    mat: np.ndarray
+    _fields = ("tag", "mat")
 
-    def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
+    def __init__(self, tag: GroupTag, mat: np.ndarray):
+        m = np.array(mat, dtype=float)
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        set_field(self, "tag", tag)
+        set_field(self, "mat", m)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return compose(self, other)
@@ -158,17 +169,16 @@ class GroupElement:
         return f"GroupElement({self.tag.name}, {np.array2string(self.mat, precision=6)})"
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
+class AlgebraElement(FrozenRecord):
     """An element of the Lie algebra of the group named by ``tag``."""
 
-    tag: GroupTag
-    mat: np.ndarray
+    _fields = ("tag", "mat")
 
-    def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
+    def __init__(self, tag: GroupTag, mat: np.ndarray):
+        m = np.array(mat, dtype=float)
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        set_field(self, "tag", tag)
+        set_field(self, "mat", m)
 
     @classmethod
     def _holding(cls, tag: GroupTag, mat: np.ndarray) -> "AlgebraElement":
@@ -176,8 +186,8 @@ class AlgebraElement:
         the copy: for a stack that its caller has just built and keeps no other hold on."""
         mat.setflags(write=False)
         element = object.__new__(cls)
-        object.__setattr__(element, "tag", tag)
-        object.__setattr__(element, "mat", mat)
+        set_field(element, "tag", tag)
+        set_field(element, "mat", mat)
         return element
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -513,13 +523,17 @@ def exp(xi: AlgebraElement) -> GroupElement:
     return group_element(xi.tag, expm_matrix(xi.tag, xi.mat), project=True)
 
 
-# Gauss-Legendre nodes and weights on [0, 1]. The m-point rule for
-# log(I + X) = int_0^1 X (I + t X)^{-1} dt is the [m/m] Pade approximant; at
-# m = 12 its error is below the unit roundoff for ||X||_1 <= 0.58 (Higham,
-# "Functions of Matrices", 2008, Table 11.1).
-_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_LOG_NODES, _LOG_WEIGHTS = (_LOG_NODES + 1) / 2, _LOG_WEIGHTS / 2
 _LOG_THETA = 0.58
+
+
+@lru_cache(maxsize=None)
+def _log_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], computed on first use. The
+    m-point rule for log(I + X) = int_0^1 X (I + t X)^{-1} dt is the [m/m] Pade
+    approximant; at m = 12 its error is below the unit roundoff for
+    ||X||_1 <= 0.58 (Higham, "Functions of Matrices", 2008, Table 11.1)."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    return (nodes + 1) / 2, weights / 2
 
 
 def _sqrtm(mats: np.ndarray) -> np.ndarray:
@@ -558,10 +572,11 @@ def _logm_iss(mats: np.ndarray) -> np.ndarray:
             break
         mats[far] = _sqrtm(mats[far])
         roots[far] += 1
+    nodes, weights = _log_rule()
     x = mats - eye
-    shifted = eye + _LOG_NODES[:, None, None, None] * x
+    shifted = eye + nodes[:, None, None, None] * x
     terms = np.linalg.solve(shifted, np.broadcast_to(x, shifted.shape))
-    return np.exp2(roots)[:, None, None] * np.einsum("k,k...->...", _LOG_WEIGHTS, terms)
+    return np.exp2(roots)[:, None, None] * np.einsum("k,k...->...", weights, terms)
 
 
 def log_matrix(tag: GroupTag, mat: np.ndarray) -> np.ndarray:

@@ -43,11 +43,11 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._records import FrozenRecord, ValueRecord, set_field
 from .errors import GeometryError
 from .principal import batched, is_batched, stacked
 
@@ -55,12 +55,14 @@ BASIS_2FORMS = ("dx2^dx3", "dx3^dx1", "dx1^dx2", "dx1^dt", "dx2^dt", "dx3^dt")
 BASIS_3FORMS = ("dx1^dx2^dx3", "dx2^dx3^dt", "dx3^dx1^dt", "dx1^dx2^dt")
 
 
-@dataclass(frozen=True)
-class EMConstants:
+class EMConstants(ValueRecord):
     """Vacuum permittivity and permeability (SI values by default)."""
 
-    eps0: float = 8.8541878128e-12
-    mu0: float = 1.25663706212e-6
+    _fields = ("eps0", "mu0")
+
+    def __init__(self, eps0: float = 8.8541878128e-12, mu0: float = 1.25663706212e-6):
+        set_field(self, "eps0", eps0)
+        set_field(self, "mu0", mu0)
 
     @property
     def c(self) -> float:
@@ -103,14 +105,14 @@ def _triple(fields) -> tuple[ScalarField, ScalarField, ScalarField]:
     return tuple(as_field(f) for f in fields)
 
 
-@dataclass(frozen=True, eq=False)
-class Form2Field:
+class Form2Field(FrozenRecord):
     """Two-form with callable coefficients on :data:`BASIS_2FORMS`."""
 
-    coeffs: tuple[ScalarField, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(BASIS_2FORMS):
+    def __init__(self, coeffs: tuple[ScalarField, ...]):
+        set_field(self, "coeffs", coeffs)
+        if len(coeffs) != len(BASIS_2FORMS):
             raise GeometryError(f"a two-form needs {len(BASIS_2FORMS)} coefficient functions")
 
     def __call__(self, point) -> np.ndarray:
@@ -195,21 +197,27 @@ def hodge_matrix(alpha: float) -> np.ndarray:
 # Residual report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaxwellReport:
+class MaxwellReport(ValueRecord):
     """Worst-case residuals of dF = 0 and dG = 4 pi J over the probe points,
     together with the classical vector-calculus residuals and the gap of
     the component dictionary identifying the two."""
 
-    points: int
-    max_dF: float
-    max_dG_minus_4piJ: float
-    max_curl_E_plus_dBdt: float
-    max_div_B: float
-    max_curl_H_minus_dDdt_minus_4pij: float
-    max_div_D_minus_4pirho: float
-    identification_gap: float
-    continuity_residual: float
+    _fields = ("points", "max_dF", "max_dG_minus_4piJ", "max_curl_E_plus_dBdt", "max_div_B",
+               "max_curl_H_minus_dDdt_minus_4pij", "max_div_D_minus_4pirho", "identification_gap",
+               "continuity_residual")
+
+    def __init__(self, points: int, max_dF: float, max_dG_minus_4piJ: float, max_curl_E_plus_dBdt: float,
+                 max_div_B: float, max_curl_H_minus_dDdt_minus_4pij: float, max_div_D_minus_4pirho: float,
+                 identification_gap: float, continuity_residual: float):
+        set_field(self, "points", points)
+        set_field(self, "max_dF", max_dF)
+        set_field(self, "max_dG_minus_4piJ", max_dG_minus_4piJ)
+        set_field(self, "max_curl_E_plus_dBdt", max_curl_E_plus_dBdt)
+        set_field(self, "max_div_B", max_div_B)
+        set_field(self, "max_curl_H_minus_dDdt_minus_4pij", max_curl_H_minus_dDdt_minus_4pij)
+        set_field(self, "max_div_D_minus_4pirho", max_div_D_minus_4pirho)
+        set_field(self, "identification_gap", identification_gap)
+        set_field(self, "continuity_residual", continuity_residual)
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -357,12 +365,14 @@ def probe_grid(t_values, x_values) -> list[tuple[float, float, float, float]]:
 # Grid-sampled fields (CSV interface)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GridSampledField:
+class GridSampledField(FrozenRecord):
     """Scalar field sampled on a full regular lattice in (t, x1, x2, x3)."""
 
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    values: np.ndarray
+    _fields = ("axes", "values")
+
+    def __init__(self, axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], values: np.ndarray):
+        set_field(self, "axes", axes)
+        set_field(self, "values", values)
 
     @classmethod
     def from_csv(cls, path) -> "GridSampledField":

@@ -27,12 +27,12 @@ models to the scenario runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import liegroup as lg
+from ._records import FrozenRecord, set_field
 from .cartan import CartanStructure, HomogeneousSpec, _affine_act, _apply
 from .errors import (
     GeometryError,
@@ -292,15 +292,17 @@ def affine_structure(
 # Galilean gravity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GravityField:
+class GravityField(FrozenRecord):
     """Gravity data on the (t, x_1, ..., x_s) chart: the acceleration V, a
     scalar when s = 1 and s components otherwise, and the optional scalar
     velocity coupling W, functions of a time and a position (of arrays of
     both when declared :func:`~cartanconn.principal.batched`)."""
 
-    V: Callable[..., float | np.ndarray]
-    W: Callable[..., float] | None = None
+    _fields = ("V", "W")
+
+    def __init__(self, V: Callable[..., float | np.ndarray], W: Callable[..., float] | None = None):
+        set_field(self, "V", V)
+        set_field(self, "W", W)
 
     @staticmethod
     def constant(g0: float | tuple[float, ...]) -> "GravityField":

@@ -21,27 +21,27 @@ with ``d`` taken by central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import liegroup as lg
+from ._records import FrozenRecord, ValueRecord, set_field
 from .errors import DomainError, InvalidElementError, TagMismatchError
 from .settings import AXIOM, CURVATURE_STEP
 
 
-@dataclass(frozen=True)
-class ChartDomain:
+class ChartDomain(ValueRecord):
     """Axis-aligned box (or all of R^m) on which a chart is valid."""
 
-    dim: int
-    lower: tuple[float, ...] | None = None
-    upper: tuple[float, ...] | None = None
+    _fields = ("dim", "lower", "upper")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, lower: tuple[float, ...] | None = None, upper: tuple[float, ...] | None = None):
+        if dim < 1:
             raise ValueError("chart domain needs dimension >= 1")
+        set_field(self, "dim", dim)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
 
     @staticmethod
     def unbounded(dim: int) -> "ChartDomain":
@@ -149,8 +149,7 @@ def _value(value):
     return value.mat if isinstance(value, lg.AlgebraElement) else value
 
 
-@dataclass(frozen=True, eq=False)
-class LocalConnection:
+class LocalConnection(FrozenRecord):
     """Chart-level connection data: ``A(x, dx)``, linear in ``dx``.
 
     ``coeff`` maps a base point and a base tangent to an algebra element of
@@ -163,9 +162,13 @@ class LocalConnection:
     ``coeff`` is called once per node.
     """
 
-    domain: ChartDomain
-    tag: lg.GroupTag
-    coeff: Callable[[np.ndarray, np.ndarray], lg.AlgebraElement]
+    _fields = ("domain", "tag", "coeff")
+
+    def __init__(self, domain: ChartDomain, tag: lg.GroupTag,
+                 coeff: Callable[[np.ndarray, np.ndarray], lg.AlgebraElement]):
+        set_field(self, "domain", domain)
+        set_field(self, "tag", tag)
+        set_field(self, "coeff", coeff)
 
     def __call__(self, x, dx) -> lg.AlgebraElement:
         x = np.asarray(x, dtype=float)
@@ -182,28 +185,25 @@ def zero_connection(domain: ChartDomain, tag: lg.GroupTag) -> LocalConnection:
         lambda x, dx: lg.AlgebraElement._holding(tag, np.zeros(np.shape(dx)[:-1] + shape))))
 
 
-@dataclass(frozen=True, eq=False)
-class PrincipalPoint:
+class PrincipalPoint(FrozenRecord):
     """Point ``(x, g)`` of the trivialized bundle ``U x G``."""
 
-    x: np.ndarray
-    g: lg.GroupElement
+    _fields = ("x", "g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+    def __init__(self, x: np.ndarray, g: lg.GroupElement):
+        set_field(self, "x", np.asarray(x, dtype=float))
+        set_field(self, "g", g)
 
 
-@dataclass(frozen=True, eq=False)
-class PrincipalTangent:
+class PrincipalTangent(FrozenRecord):
     """Tangent ``(dx, dg)`` attached at a bundle point; ``dg`` is a raw
     matrix tangent at the group component."""
 
-    dx: np.ndarray
-    dg: np.ndarray
+    _fields = ("dx", "dg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dx", np.asarray(self.dx, dtype=float))
-        object.__setattr__(self, "dg", np.asarray(self.dg, dtype=float))
+    def __init__(self, dx: np.ndarray, dg: np.ndarray):
+        set_field(self, "dx", np.asarray(dx, dtype=float))
+        set_field(self, "dg", np.asarray(dg, dtype=float))
 
 
 FormFunction = Callable[[PrincipalPoint, PrincipalTangent], lg.AlgebraElement]
@@ -251,8 +251,7 @@ def fundamental_vector(eta: lg.AlgebraElement, p: PrincipalPoint) -> PrincipalTa
     return PrincipalTangent(np.zeros_like(p.x), p.g.mat @ eta.mat)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(ValueRecord):
     """Outcome of a connection-form audit.
 
     ``residual_fundamental`` is the worst gap in ``omega(eta-hat) = eta``;
@@ -260,12 +259,18 @@ class AxiomReport:
     transformation rule under right translation.
     """
 
-    samples: int
-    residual_fundamental: float
-    residual_equivariance: float
-    tolerance: float
-    worst_fundamental: tuple = field(repr=False, default=())
-    worst_equivariance: tuple = field(repr=False, default=())
+    _fields = ("samples", "residual_fundamental", "residual_equivariance", "tolerance",
+               "worst_fundamental", "worst_equivariance")
+    _hidden = ("worst_fundamental", "worst_equivariance")
+
+    def __init__(self, samples: int, residual_fundamental: float, residual_equivariance: float, tolerance: float,
+                 worst_fundamental: tuple = (), worst_equivariance: tuple = ()):
+        set_field(self, "samples", samples)
+        set_field(self, "residual_fundamental", residual_fundamental)
+        set_field(self, "residual_equivariance", residual_equivariance)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "worst_fundamental", worst_fundamental)
+        set_field(self, "worst_equivariance", worst_equivariance)
 
     @property
     def passed(self) -> bool:

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import liegroup as lg
+from ._records import FrozenRecord, Record, set_field
 from .errors import DomainError, GeometryError, LiftDivergedError, LoopNotClosedError
 from .principal import LocalConnection, batched, coeff_matrices, stacked
 from .settings import LOOP_CLOSURE, PATH_CHECK, ROUNDTRIP
@@ -64,8 +64,7 @@ if TYPE_CHECKING:   # cartan imports this module
 # Paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SmoothPath:
+class SmoothPath(FrozenRecord):
     """Time-parameterized curve in the base with caller-supplied derivative.
 
     ``x`` and ``xdot`` map a time to a point and a velocity of the base,
@@ -88,15 +87,16 @@ class SmoothPath:
     not on ``[5, 5 + 1e-11]``.
     """
 
-    t0: float
-    t1: float
-    x: Callable[[float], np.ndarray]
-    xdot: Callable[[float], np.ndarray]
+    _fields = ("t0", "t1", "x", "xdot")
     _PROBES = np.tile(np.arange(10.0), 3), np.repeat([0.0, 1.0, -1.0], 10)   # ten probes, then each + h, - h
 
-    def __post_init__(self):
-        if not self.t0 < self.t1:
+    def __init__(self, t0: float, t1: float, x: Callable[[float], np.ndarray], xdot: Callable[[float], np.ndarray]):
+        if not t0 < t1:
             raise ValueError("path needs t0 < t1")
+        set_field(self, "t0", t0)
+        set_field(self, "t1", t1)
+        set_field(self, "x", x)
+        set_field(self, "xdot", xdot)
         self._validate()
 
     def _validate(self):
@@ -514,8 +514,7 @@ def holonomy(conn: LocalConnection, loop: Path, step: float = 1e-3) -> lg.GroupE
     return horizontal_lift(conn, loop, None, step).end
 
 
-@dataclass(eq=False)
-class DevelopedPath:
+class DevelopedPath(Record):
     """Development of a path, sampled in the fibre over the starting base point.
 
     ``values[i]`` are fibre-chart coordinates at time ``ts[i]``, and
@@ -526,9 +525,12 @@ class DevelopedPath:
     (fourth order from five, second order from three or four).
     """
 
-    ts: np.ndarray
-    values: np.ndarray
-    points: np.ndarray
+    _fields = ("ts", "values", "points")
+
+    def __init__(self, ts: np.ndarray, values: np.ndarray, points: np.ndarray):
+        self.ts = ts
+        self.values = values
+        self.points = points
 
     @property
     def base_point(self) -> np.ndarray:

@@ -7,6 +7,12 @@ from cartanconn import principal as pr
 from cartanconn import transport as tp
 
 
+def rebuilt(record, **changes):
+    """A new record of ``record``'s class from its fields, with ``changes`` in
+    place of some of them; the constructor checks them again."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 def gravity_connection(V, W=None):
     """Gravity connection on the (t, x) chart for scalar fields V, W."""
     W = W or (lambda t, x: 0.0)

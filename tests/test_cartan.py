@@ -1,8 +1,6 @@
 """Tests for Cartan structures: reductions, induced forms, soldering,
 classification, development."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.exceptions import ComplexWarning
@@ -13,7 +11,7 @@ from cartanconn import principal as pr
 from cartanconn.cartan import CartanStructure
 from cartanconn.errors import GeometryError, InvalidElementError
 
-from conftest import freefall_path, perturbed_freefall_path, trig_path
+from conftest import freefall_path, perturbed_freefall_path, rebuilt, trig_path
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +29,16 @@ def flat_galileo():
     return models.homogeneous_flat(models.galileo_homogeneous_spec(2))
 
 
+def stabilizer_algebra(spec, rng, scale=0.5):
+    """A random matrix of the stabilizer algebra: one row of ``spec``'s stacked draw."""
+    return spec._stabilizer_algebra(rng.standard_normal((1, len(spec.stabilizer_basis))), scale)[0]
+
+
+def stabilizer_element(spec, rng, scale=0.5):
+    """A random matrix of the stabilizer: one row of ``spec``'s stacked draw."""
+    return spec._stabilizer_elements(rng.standard_normal((1, len(spec.stabilizer_basis))), scale)[0]
+
+
 # ---------------------------------------------------------------------------
 # Reduction membership and induced form
 # ---------------------------------------------------------------------------
@@ -38,7 +46,7 @@ def flat_galileo():
 def test_reduction_membership_default_section(gravity):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(2)
-    boost = lg.exp(gravity.spec.random_stabilizer_algebra(rng))
+    boost = lg.exp(lg.AlgebraElement(gravity.spec.tag, stabilizer_algebra(gravity.spec, rng)))
     assert gravity.in_reduction(pr.PrincipalPoint(x, boost))
     mover = lg.galileo_element(0.0, 0.5, 0.0)  # moves the fibre base point
     assert not gravity.in_reduction(pr.PrincipalPoint(x, mover))
@@ -111,7 +119,7 @@ def test_reduced_form_matrix_matches_column_by_column_reference(name):
     m = cs.base_dim
     for _ in range(10):
         x = cs.conn.domain.sample(rng)
-        gprime = cs.spec.random_stabilizer_element(rng)
+        gprime = lg.GroupElement(cs.spec.tag, stabilizer_element(cs.spec, rng))
         frame = lg.GroupElement(cs.spec.tag, cs._frames(x[None])[0])
         p = pr.PrincipalPoint(x, lg.compose(frame, gprime))
         framed = frame.mat @ gprime.mat
@@ -129,7 +137,7 @@ def test_reduced_form_matrix_of_a_stack_matches_each_point():
     cs = FORM_STRUCTURES["projective"]()
     rng = np.random.default_rng(16)
     xs = 2.0 * rng.standard_normal((6, cs.base_dim))
-    gps = np.array([cs.spec.random_stabilizer_element(rng).mat for _ in xs])
+    gps = np.array([stabilizer_element(cs.spec, rng) for _ in xs])
     stack = cs.reduced_form_matrix(xs, gps)
     assert stack.shape == (6, lg.algebra_dim(cs.spec.tag), cs.base_dim + len(cs.spec.stabilizer_basis))
     for x, gp, matrix in zip(xs, gps, stack):
@@ -377,11 +385,11 @@ def test_soldering_independent_of_choices(model):
         w = rng.standard_normal(cs.base_dim)
         reference = cs.soldering(x, w)
         for _ in range(5):
-            gp = cs.spec.random_stabilizer_element(rng, scale=0.4)
-            eta = cs.spec.random_stabilizer_algebra(rng, scale=0.4)
-            value = cs.soldering_with_choices(x, w, gp.mat, eta.mat)
+            gp = stabilizer_element(cs.spec, rng, scale=0.4)
+            eta = stabilizer_algebra(cs.spec, rng, scale=0.4)
+            value = cs.soldering_with_choices(x, w, gp, eta)
             assert np.max(np.abs(value - reference)) < 1e-9
-            choices.append((x, w, gp.mat, eta.mat))
+            choices.append((x, w, gp, eta))
             values.append(value)
     stack = cs.soldering_with_choices(*map(np.array, zip(*choices)))
     assert stack.shape == (125, cs.spec.fiber_dim)
@@ -496,7 +504,7 @@ def test_fiber_map_is_the_projection_on_algebra_coordinates():
 def test_fiber_map_rejects_an_act_that_drops_imaginary_parts():
     # an act that casts to float has a zero derivative
     spec = models.affine_homogeneous_spec(2)
-    real = dataclasses.replace(spec, act=lambda mats, points: spec.act(np.asarray(mats, dtype=float), points))
+    real = rebuilt(spec, act=lambda mats, points: spec.act(np.asarray(mats, dtype=float), points))
     with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match="^affine2/linear: .* rank 2$"):
         real.fiber_map
     with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match="^affine2/linear: the complex-step"):
@@ -507,7 +515,7 @@ def test_fiber_map_rejects_an_act_that_drops_imaginary_parts():
 def test_validate_rejects_a_coset_section_that_drops_imaginary_parts(spec):
     # the frame derivative of such a section is zero, which would solder
     # the flat structures by a wrong map instead of failing
-    real = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(np.asarray(zs, dtype=float)))
+    real = rebuilt(spec, coset_section=lambda zs: spec.coset_section(np.asarray(zs, dtype=float)))
     with pytest.warns(ComplexWarning), pytest.raises(GeometryError, match=f"^{spec.name}: the complex-step"):
         real.validate()
 
@@ -592,7 +600,7 @@ def test_reduction_frames_lie_in_the_reduction(space):
     cs = models._build_homogeneous(space=space)
     rng = np.random.default_rng(18)
     xs = 2.0 * rng.standard_normal((20, cs.base_dim))
-    gps = np.array([cs.spec.random_stabilizer_element(rng).mat for _ in xs])
+    gps = np.array([stabilizer_element(cs.spec, rng) for _ in xs])
     for frames in (cs._frames(xs), cs._reduction_point(xs, gps)[0]):
         for x, frame in zip(xs, frames):
             assert cs.in_reduction(pr.PrincipalPoint(x, lg.GroupElement(cs.spec.tag, frame)))
@@ -636,8 +644,8 @@ def test_reduced_form_matrix_invertible_at_many_points(gradient_gravity):
     rng = np.random.default_rng(10)
     for _ in range(50):
         x = rng.standard_normal(2)
-        gp = cs.spec.random_stabilizer_element(rng)
-        matrix = cs.reduced_form_matrix(x[None], gp.mat[None])[0]
+        gp = stabilizer_element(cs.spec, rng)
+        matrix = cs.reduced_form_matrix(x[None], gp[None])[0]
         assert abs(np.linalg.det(matrix)) > 1e-8
 
 
@@ -648,7 +656,7 @@ def test_projective_tangents_are_tangent_to_the_reduction():
     rng = np.random.default_rng(14)
     for _ in range(5):
         x = cs.conn.domain.sample(rng)
-        gprime = cs.spec.random_stabilizer_element(rng)
+        gprime = lg.GroupElement(cs.spec.tag, stabilizer_element(cs.spec, rng))
         frame = lg.GroupElement(cs.spec.tag, cs._frames(x[None])[0])
         p = pr.PrincipalPoint(x, lg.compose(frame, gprime))
         _, dxs, dgs, _ = cs._induced_coords(x[None], gprime.mat[None])

@@ -637,9 +637,26 @@ def test_start_up_loads_maxwell_and_acceptance_only_where_they_run():
                         "print(json.dumps([before, loaded()]))")
     assert done.returncode == 0, done.stderr
     package, cli_start = (set(names) for names in json.loads(done.stdout))
-    core = {"liegroup", "principal", "transport", "cartan", "models", "errors", "settings"}
+    core = {"liegroup", "principal", "transport", "cartan", "models", "errors", "settings", "_records"}
     assert package == {"cartanconn"} | {f"cartanconn.{name}" for name in core}
     assert cli_start == package | {"cartanconn.fieldexpr", "cartanconn.cli"}
+
+
+def test_start_up_generates_no_dataclass_code():
+    # a dataclass compiles its methods when its module is imported; the
+    # records are plain classes, in every module the CLI can load
+    done = fresh_python("-c", "import inspect, json, sys\n"
+                        "import cartanconn.cli, cartanconn.maxwell, cartanconn.acceptance\n"
+                        "classes = {f'{name}.{key}': value for name, module in list(sys.modules.items())\n"
+                        "           if name.startswith('cartanconn') for key, value in vars(module).items()\n"
+                        "           if inspect.isclass(value)}\n"
+                        "print(json.dumps([sorted(classes), sorted(name for name, value in classes.items()\n"
+                        "                                   if hasattr(value, '__dataclass_fields__'))]))")
+    assert done.returncode == 0, done.stderr
+    classes, dataclasses = json.loads(done.stdout)
+    assert {"cartanconn.liegroup.GroupTag", "cartanconn.maxwell.MaxwellReport",
+            "cartanconn.acceptance.CriterionResult"} <= set(classes)
+    assert dataclasses == []
 
 
 def test_maxwell_scenario_and_selftest_run_in_fresh_processes(tmp_path):

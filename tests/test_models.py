@@ -1,7 +1,5 @@
 """Tests for the shipped geometries."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from cartanconn.errors import (
     SingularFieldError,
 )
 
-from conftest import trig_path
+from conftest import rebuilt, trig_path
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +31,13 @@ def test_every_model_passes_axiom_audit(name):
 
 def test_validate_rejects_a_bad_coset_section():
     spec = models.affine_homogeneous_spec(2)
-    shifted = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs + 0.1))
+    shifted = rebuilt(spec, coset_section=lambda zs: spec.coset_section(zs + 0.1))
     with pytest.raises(GeometryError, match="right inverse"):
         shifted.validate()
-    sheared = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs) + 0.1)
+    sheared = rebuilt(spec, coset_section=lambda zs: spec.coset_section(zs) + 0.1)
     with pytest.raises(GeometryError, match="leaves the group"):
         sheared.validate()
-    scaled = dataclasses.replace(spec, coset_section=lambda zs: spec.coset_section(zs) * [2.0, 2.0, 1.0])
+    scaled = rebuilt(spec, coset_section=lambda zs: spec.coset_section(zs) * [2.0, 2.0, 1.0])
     with pytest.raises(GeometryError, match="not the identity"):
         scaled.validate()
 
@@ -226,7 +224,7 @@ def test_constant_and_per_point_gravity_fields_broadcast(points):
                   models.GravityField(lambda t, x, y: (0.5, -9.81))):
         for W in (pr.batched(lambda t, x, y: 0.25), pr.batched(lambda t, x, y: np.full(len(t), 0.25)),
                   lambda t, x, y: 0.25):
-            conn = models.galilean_gravity(dataclasses.replace(field, W=W), pr.ChartDomain.unbounded(3)).conn
+            conn = models.galilean_gravity(rebuilt(field, W=W), pr.ChartDomain.unbounded(3)).conn
             assert np.array_equal(pr.coeff_matrices(conn, xs, ds), want)
     assert models.GravityField.constant(9.81).V(0.0, 1.0).shape == (1, 1)
     assert models.GravityField.constant((0.5, -9.81)).V(np.zeros(points), xs[:, 1], xs[:, 2]).shape == (1, 2)

@@ -1,6 +1,5 @@
 """Tests for horizontal lifts, parallel transport, holonomy and development."""
 
-import dataclasses
 import functools
 import itertools
 import re
@@ -27,6 +26,7 @@ from conftest import (
     freefall_path,
     gravity_connection,
     perturbed_freefall_path,
+    rebuilt,
     trig_path,
 )
 
@@ -1027,7 +1027,7 @@ def test_fiber_action_validation():
     assert np.allclose(GALILEO.act(g.mat, [0.5, 1.0]), [0.5 + 0.2, 1.0 - 0.3 + 0.7 * 0.5], rtol=0, atol=1e-15)
 
     # fixes every point under the identity but does not compose
-    bad = dataclasses.replace(GALILEO, act=lambda mats, points: points + mats[..., 0, -1, None] ** 2)
+    bad = rebuilt(GALILEO, act=lambda mats, points: points + mats[..., 0, -1, None] ** 2)
     with pytest.raises(GeometryError, match="composition law"):
         bad.validate(rng)
 
