@@ -5,7 +5,8 @@ sets them in a hand-written ``__init__``, so importing a module generates
 and compiles no code. :class:`FrozenRecord` fields are set once, through
 :data:`set_field` (``object.__setattr__``); a cached property still
 stores into the instance's ``__dict__``. :class:`ValueRecord` adds
-equality and a hash on the fields, for records that stand for their values.
+equality and a hash on the shown fields, for records that stand for their
+values.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ class FrozenRecord(Record):
 
 
 class ValueRecord(FrozenRecord):
-    """A frozen record equal to a record of the same class with equal fields,
-    and hashed by its fields."""
+    """A frozen record equal to a record of the same class with equal shown
+    fields, and hashed by them: a ``_hidden`` field (a report's witness
+    arrays, say) is a diagnostic, not part of the value."""
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return tuple([getattr(self, name) for name in self._fields if name not in self._hidden])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

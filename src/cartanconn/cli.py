@@ -5,7 +5,8 @@ Usage:
     cartanconn run <config.json> [--seed N] [--out DIR]
     cartanconn --selftest [--seed N]
 
-A scenario configuration is a JSON document; unknown keys are rejected.
+A scenario configuration is a JSON document; unknown keys are rejected,
+and so is a section that its scenario does not read (see ``_RUNNERS``).
 Outputs are a CSV table plus a ``summary.json`` with stable key order, and
 runs are byte-identical given the same configuration and seed (no clocks,
 no unseeded randomness). Exit codes: 0 success, 2 configuration error,
@@ -135,6 +136,9 @@ def validate_config(config: dict) -> dict:
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
+    for key in config:
+        if key not in ("scenario", "seed", "output", *_RUNNERS[scenario][1]):
+            raise ConfigError(f"scenario '{scenario}' does not read the section '{key}'")
 
     return {
         "scenario": scenario,
@@ -154,20 +158,18 @@ def validate_config(config: dict) -> dict:
 def _expression_field(source, variables) -> callable:
     """Compile an expression string (or a number) into a batched function of
     ``variables``: scalars give a float, arrays an array of their shape."""
-    if isinstance(source, (int, float)):
-        tree = fe.Num(float(source))
-    else:
-        try:
-            tree = fe.parse(source)
-        except ExprSyntaxError as exc:
-            raise ConfigError(f"bad expression {source!r}: {exc}") from exc
-    unknown = fe.free_variables(tree) - set(variables)
+    try:
+        # float -> repr -> parse is exact, and so is the negation of a negative
+        expr = fe.parse(repr(float(source)) if isinstance(source, (int, float)) else source)
+    except ExprSyntaxError as exc:
+        raise ConfigError(f"bad expression {source!r}: {exc}") from exc
+    unknown = expr.variables - set(variables)
     if unknown:
         raise ConfigError(f"expression {source!r} uses unknown variables {sorted(unknown)}")
 
     @pr.batched
     def fn(*args):
-        return fe.evaluate(tree, dict(zip(variables, args)))
+        return fe.evaluate(expr, dict(zip(variables, args)))
 
     return fn
 
@@ -515,13 +517,15 @@ def _run_homogeneous_demo(cfg: dict, out_dir: Path) -> dict:
     return _emit(out_dir, "homogeneous-demo", header, rows, summary, cfg["format"])
 
 
+# each scenario's runner and the sections it reads besides "scenario", "seed"
+# and "output", which all read; a document with any other section is rejected
 _RUNNERS = {
-    "develop-gravity": _run_develop_gravity,
-    "develop-kepler": _run_develop_kepler,
-    "holonomy": _run_holonomy,
-    "check-axioms": _run_check_axioms,
-    "maxwell": _run_maxwell,
-    "homogeneous-demo": _run_homogeneous_demo,
+    "develop-gravity": (_run_develop_gravity, ("integrator", "model", "trajectory", "tolerance")),
+    "develop-kepler": (_run_develop_kepler, ("integrator", "model", "tolerance")),
+    "holonomy": (_run_holonomy, ("integrator", "model", "loop", "tolerance")),
+    "check-axioms": (_run_check_axioms, ("model", "samples")),
+    "maxwell": (_run_maxwell, ("model", "grid")),
+    "homogeneous-demo": (_run_homogeneous_demo, ("integrator", "model", "tolerance")),
 }
 SCENARIOS = tuple(_RUNNERS)
 
@@ -533,7 +537,7 @@ def run(config: dict, seed: int | None = None, out_dir: str | None = None) -> di
         cfg["seed"] = int(seed)
     if out_dir is not None:
         cfg["out_dir"] = out_dir
-    return _RUNNERS[cfg["scenario"]](cfg, Path(cfg["out_dir"]))
+    return _RUNNERS[cfg["scenario"]][0](cfg, Path(cfg["out_dir"]))
 
 
 def _selftest(seed: int) -> int:

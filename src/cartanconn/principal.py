@@ -39,6 +39,16 @@ class ChartDomain(ValueRecord):
     def __init__(self, dim: int, lower: tuple[float, ...] | None = None, upper: tuple[float, ...] | None = None):
         if dim < 1:
             raise ValueError("chart domain needs dimension >= 1")
+        if (lower is None) != (upper is None):
+            raise ValueError("a box needs both its lower and its upper bounds")
+        if lower is not None:
+            lower, upper = tuple(map(float, lower)), tuple(map(float, upper))
+            if len(lower) != len(upper):
+                raise ValueError("box bounds must have equal lengths")
+            if len(lower) != dim:
+                raise ValueError(f"box bounds must have {dim} entries, one per axis")
+            if not all(lo < hi for lo, hi in zip(lower, upper)):
+                raise ValueError("box lower bounds must be below upper bounds")
         set_field(self, "dim", dim)
         set_field(self, "lower", lower)
         set_field(self, "upper", upper)
@@ -49,12 +59,7 @@ class ChartDomain(ValueRecord):
 
     @staticmethod
     def box(lower, upper) -> "ChartDomain":
-        lower = tuple(float(v) for v in lower)
-        upper = tuple(float(v) for v in upper)
-        if len(lower) != len(upper):
-            raise ValueError("box bounds must have equal lengths")
-        if any(lo >= hi for lo, hi in zip(lower, upper)):
-            raise ValueError("box lower bounds must be below upper bounds")
+        lower = tuple(lower)
         return ChartDomain(len(lower), lower, upper)
 
     def contains(self, x):

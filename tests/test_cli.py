@@ -252,6 +252,47 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.main(["run", write_config(tmp_path, doc)]) == 2
 
 
+# a section each scenario does not read, in a document it would run without it
+FOREIGN_SECTIONS = [
+    ("develop-gravity", {"model": {"V": "9.81"}}, "samples", 5),
+    ("develop-kepler", {}, "trajectory", {"anything": [1, 2]}),
+    ("develop-kepler", {}, "loop", {"side": -3, "bogus": 1}),
+    ("holonomy", {"model": {"V": "9.81"}}, "trajectory", {"preset": "nope"}),
+    ("check-axioms", {"samples": 5}, "integrator", {"step": 0.01}),
+    ("maxwell", {}, "tolerance", 1e-3),
+    ("homogeneous-demo", {}, "grid", {"t": [0.0]}),
+]
+
+
+@pytest.mark.parametrize("scenario, doc, section, value", FOREIGN_SECTIONS,
+                         ids=[f"{s}-{k}" for s, _, k, _ in FOREIGN_SECTIONS])
+def test_a_section_the_scenario_does_not_read_is_rejected(tmp_path, capsys, scenario, doc, section, value):
+    # such a section was accepted and ignored, so a typo in it went unseen
+    out = tmp_path / "out"
+    doc = {"scenario": scenario, **doc, section: value, "output": {"path": str(out)}}
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 2
+    assert f"scenario '{scenario}' does not read the section '{section}'" in capsys.readouterr().err
+    assert not out.exists()
+    del doc[section]
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+
+
+def documented_configs():
+    """The example configurations of the ``cli`` docstring and of README."""
+    docstring = cli.__doc__.split("Example configuration::", 1)[1]
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    readme = readme.split("## Command-line scenarios", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    return [json.loads(docstring), json.loads(readme)]
+
+
+def test_documented_configs_run_straight(tmp_path):
+    docs = documented_configs()
+    assert docs[0]["scenario"] == docs[1]["scenario"] == "develop-gravity"
+    for i, doc in enumerate(docs):
+        summary = cli.run(doc, out_dir=str(tmp_path / str(i)))
+        assert summary["status"] == "STRAIGHT"
+
+
 @pytest.mark.parametrize("where, key", [
     ("integrator", "step"), (None, "tolerance"), (None, "samples"), (None, "seed"),
     ("trajectory", "t1"), ("model", "V"),

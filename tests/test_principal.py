@@ -97,6 +97,28 @@ def test_box_sample_shrinks_about_the_centre():
             box.sample(rng, scale=scale)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, (0.0,), (1.0,)), "2 entries"),                 # one bound for both axes
+    ((1, (0.0, 0.0), (1.0, 1.0)), "1 entries"),         # two bounds on one axis
+    ((2, (0.0, 0.0)), "both its lower and its upper"),  # no upper bound
+    ((2, None, (1.0, 1.0)), "both its lower and its upper"),
+    ((1, (1.0,), (0.0,)), "below upper"),               # an empty box
+    ((2, (0.0, 0.0), (1.0, 0.0)), "below upper"),
+    ((2, (0.0, 0.0), (1.0,)), "equal lengths"),
+])
+def test_chart_domain_rejects_bounds_that_do_not_make_a_box(args, message):
+    with pytest.raises(ValueError, match=message):
+        pr.ChartDomain(*args)
+
+
+def test_chart_domain_stores_its_bounds_as_float_tuples():
+    domain = pr.ChartDomain(2, [0, -1], np.array([1, 2]))
+    assert domain == pr.ChartDomain.box([0.0, -1.0], [1.0, 2.0])
+    assert domain.lower == (0.0, -1.0) and domain.upper == (1.0, 2.0)
+    assert all(type(v) is float for v in domain.lower + domain.upper)
+    assert domain.contains([0.5, 1.5]) is True
+
+
 def test_fundamental_vector_basics():
     rng = np.random.default_rng(1)
     g = lg.random_element(lg.GALILEO2, rng)
