@@ -401,11 +401,11 @@ class CartanStructure(Record):
         only the lift reads the path; the constant section frames every node
         by the identity.
         """
-        return self._develop_lift(horizontal_lift(self.conn, path, None, step))
+        return self._develop_lift(horizontal_lift(self.conn, path, step))
 
     def _develop_lift(self, lifted: LiftedPath) -> DevelopedPath:
-        """:meth:`develop_base_path` from a lift started at the identity, so that a
-        caller can also transport along the path (``act(lifted.mats[-1], z0)``).
+        """:meth:`develop_base_path` from a lift, which starts at the identity, so that
+        a caller can also transport along the path (``act(lifted.mats[-1], z0)``).
         A Galileo space with the affine action and the origin 0, under the
         constant section, reads ``act(g^{-1}, 0) = (0.0 - a, (0.0 - b) + v a)``
         from the nodes as :func:`~cartanconn.liegroup.inverse_matrix` rounds it

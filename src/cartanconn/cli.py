@@ -494,7 +494,7 @@ def _run_homogeneous_demo(cfg: dict, out_dir: Path) -> dict:
         return 2 * np.pi * (coeff[0] * np.cos(phase) - coeff[1] * np.sin(phase))
 
     # one lift serves the development and the transport of z0 (parallel_transport's act)
-    lifted = tp.horizontal_lift(cs.conn, tp.SmoothPath(0.0, 1.0, x, xdot), None, cfg["step"])
+    lifted = tp.horizontal_lift(cs.conn, tp.SmoothPath(0.0, 1.0, x, xdot), cfg["step"])
     dev = cs._develop_lift(lifted)
     gap = float(np.max(np.abs(dev.values - dev.points)))
     z0 = cs.spec.origin + 0.2 * rng.standard_normal(dim)

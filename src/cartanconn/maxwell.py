@@ -143,7 +143,10 @@ def build_G(D, Hm) -> Form2Field:
 def _partials(fields: Sequence[ScalarField], points, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Values ``(K, N)`` and central-difference partials ``(K, 4, N)`` of
     ``K`` scalar fields at ``N`` points. Each field is evaluated once, by
-    :func:`stacked`, on the points and their 8 neighbours ``points +- h e_a``."""
+    :func:`stacked`, on the points and their 8 neighbours ``points +- h e_a``.
+    A step ``h`` that is not positive (NaN included) raises ``ValueError``."""
+    if not h > 0:
+        raise ValueError(f"the difference step h must be positive, got {h}")
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     stencil = np.repeat(points[None], 9, axis=0)
     for axis in range(4):
@@ -173,7 +176,8 @@ def d_numeric(form: Form2Field, point, h: float = 1e-4) -> np.ndarray:
     """Exterior derivative of a two-form at a point ``(4,)`` or at each of a
     stack of points ``(N, 4)``, as coefficients on :data:`BASIS_3FORMS`,
     ``(4,)`` or ``(N, 4)``; central differences, O(h^2) and exact for
-    polynomial coefficients of degree at most two."""
+    polynomial coefficients of degree at most two. A step ``h`` that is
+    not positive raises ``ValueError``."""
     d = _d2(_partials(form.coeffs, point, h)[1]).T
     return d if np.ndim(point) == 2 else d[0]
 
@@ -233,7 +237,8 @@ class MaxwellReport(ValueRecord):
 
     @property
     def satisfied(self) -> bool:
-        return max(self.max_dF, self.max_dG_minus_4piJ) < 1e-5
+        # each residual on its own: max(0.0, nan) is 0.0, and a NaN must read violated
+        return self.max_dF < 1e-5 and self.max_dG_minus_4piJ < 1e-5
 
 
 def _report(values: np.ndarray, partials: np.ndarray) -> MaxwellReport:
@@ -284,7 +289,7 @@ def maxwell_check(
     worst gap of the componentwise identification between the two, and the
     charge-continuity residual d(4 pi J) / 4 pi. Each field is evaluated
     once on all points ``+- h e_a``: one call if :func:`batched`, else one per point.
-    No probe point raises ``ValueError``.
+    No probe point, or a step ``h`` that is not positive, raises ``ValueError``.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     if not len(points):
@@ -377,7 +382,7 @@ class GridSampledField(FrozenRecord):
     @classmethod
     def from_csv(cls, path) -> "GridSampledField":
         """Load from a CSV file with header ``t,x1,x2,x3,value``; the rows
-        must fill a complete lattice."""
+        must fill a complete lattice with finite samples."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -387,6 +392,9 @@ class GridSampledField(FrozenRecord):
         if not rows:
             raise GeometryError(f"{path}: no samples")
         data = np.asarray(rows)
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise GeometryError(f"{path}: non-finite sample in data row {np.argmin(finite) + 1}")
         axes = tuple(np.unique(data[:, i]) for i in range(4))
         shape = tuple(len(a) for a in axes)
         if len(rows) != int(np.prod(shape)):

@@ -175,13 +175,6 @@ class LocalConnection(FrozenRecord):
         set_field(self, "tag", tag)
         set_field(self, "coeff", coeff)
 
-    def __call__(self, x, dx) -> lg.AlgebraElement:
-        x = np.asarray(x, dtype=float)
-        dx = np.asarray(dx, dtype=float)
-        if not self.domain.contains(x):
-            raise DomainError(f"base point {x} lies outside the chart domain")
-        return self.coeff(x, dx)
-
 
 def zero_connection(domain: ChartDomain, tag: lg.GroupTag) -> LocalConnection:
     """The connection with ``A = 0`` (Maurer-Cartan only)."""

@@ -11,16 +11,18 @@ lifted tangent,
 with a fourth-order Magnus method on the matrix representation: the
 equation is linear in ``g`` and ``A`` does not depend on ``g``, so the lift
 is an ordered product of per-step exponentials, which stays on the group
-without re-projection. A lift reads its whole path once, then runs in
-blocks of steps that may span segments, on arrays over each block's nodes.
+without re-projection. Every lift starts at the identity: the connection
+form is ``Ad``-equivariant, so the lift from another start is the lift
+from the identity times that start. A lift reads its whole path once,
+then runs in blocks of steps that may span segments, on arrays over each
+block's nodes.
 A Galileo block whose coefficients are finite and exactly on the algebra
-pattern, from a start exactly on the group's pattern, runs in algebra
-coordinates, where the algebra is nilpotent: each step's ``Omega`` and
-exponential in closed form, and the block's product as three running sums
-composed with the start's coordinates, written into the nodes' pattern
-entries with no matrix stack of its own. Any other block, and every block
-after it, takes its step exponentials by matrices and their product by a
-doubling scan. Through
+pattern runs in algebra coordinates, where the algebra is nilpotent: each
+step's ``Omega`` and exponential in closed form, and the block's product as
+three running sums composed with the block start's coordinates, written
+into the nodes' pattern entries with no matrix stack of its own. Any other
+block, and every block after it, takes its step exponentials by matrices
+and their product by a doubling scan. Through
 :func:`~cartanconn.principal.stacked`, the coefficient map is called once
 per block and a path once per segment per lift when declared
 :func:`~cartanconn.principal.batched`, else once per node.
@@ -144,10 +146,6 @@ class SmoothPath(FrozenRecord):
         """Velocities at the times ``ts`` (N,), shape (N, dim), written into ``out`` if given."""
         return stacked(self.xdot, np.asarray(ts, dtype=float), out=out, what="path")
 
-    def reverse(self) -> "SmoothPath":
-        """Time reversal on the same parameter interval (batched)."""
-        return _reparameterized(self, self.t0, self.t1, self.t1, -1.0)
-
 
 class PiecewisePath:
     """Concatenation of time-contiguous smooth pieces.
@@ -175,29 +173,8 @@ class PiecewisePath:
     def segments(self) -> tuple[SmoothPath, ...]:
         return self.pieces
 
-    def point(self, t: float) -> np.ndarray:
-        if not self.t0 <= t <= self.t1:
-            raise ValueError("time outside path interval")
-        return next(seg for seg in self.pieces if t <= seg.t1).point(t)
-
-    def reverse(self) -> "PiecewisePath":
-        # each piece, reversed, on the mirrored slot of the interval
-        total = self.t0 + self.t1
-        return PiecewisePath([_reparameterized(seg, total - seg.t1, total - seg.t0, seg.t1, -1.0)
-                              for seg in reversed(self.pieces)])
-
 
 Path = SmoothPath | PiecewisePath
-
-
-def _reparameterized(path: SmoothPath, a: float, b: float, s0: float, scale: float) -> SmoothPath:
-    """``path`` read at the times ``s0 + (t - a) scale`` for ``t`` in [a, b] (batched)."""
-    return SmoothPath(
-        a,
-        b,
-        batched(lambda t: path.points(s0 + (t - a) * scale)),
-        batched(lambda t: scale * path.velocities(s0 + (t - a) * scale)),
-    )
 
 
 def line_segment(p, q, t0: float, t1: float) -> SmoothPath:
@@ -213,19 +190,19 @@ def line_segment(p, q, t0: float, t1: float) -> SmoothPath:
     )
 
 
-def square_loop(corner, side: float, t0: float = 0.0) -> PiecewisePath:
+def square_loop(corner, side: float) -> PiecewisePath:
     """Closed square loop of side ``side`` in the plane of the first two
     coordinates, starting at ``corner`` and traversing the first axis's leg
     first.
 
-    Parameter time equals arc length, so the loop closes at
-    ``t0 + 4 side``; closure is exact.
+    Parameter time equals arc length from 0, so the loop closes at
+    ``4 side``; closure is exact.
     """
     corner = np.asarray(corner, dtype=float)
     legs = np.zeros((2, corner.size))
     legs[0, 0] = legs[1, 1] = side
     corners = [corner, corner + legs[0], corner + legs[0] + legs[1], corner + legs[1], corner]
-    return PiecewisePath([line_segment(p, q, t0 + k * side, t0 + (k + 1) * side)
+    return PiecewisePath([line_segment(p, q, k * side, (k + 1) * side)
                           for k, (p, q) in enumerate(zip(corners, corners[1:]))])
 
 
@@ -304,10 +281,10 @@ def _galilean_product(tag: lg.GroupTag, h, c0: np.ndarray, ch: np.ndarray, c1: n
     in ``b``, and ``exp(Omega)`` adds ``v a / 2`` to ``b``. ``P g`` for
     ``g = [[1, 0, a], [v, I, b], [0, 0, 1]]`` has ``a + a(P)``, ``v + v(P)``
     and ``b + b(P) + v(P) a``: three running sums from the identity, to
-    round at the block's scale, then the start's ``a + a0``, ``v + v0`` and
-    ``(v a0 + b0) + b``, the order in which ``P @ out[0]`` rounds them. The
-    start and the entries of ``out[1:]`` off the pattern must be exactly
-    those of the group: they are not read or written.
+    round at the block's scale, then the block start's ``a + a0``, ``v + v0``
+    and ``(v a0 + b0) + b``, the order in which ``P @ out[0]`` rounds them.
+    The entries of ``out`` off the pattern must be exactly those of the
+    group: they are not read or written.
     """
     s = tag.dims[0] - 1
     coords = np.multiply(ch, 4)   # -(h/6)(c0 + 4 ch + c1), in place
@@ -336,14 +313,13 @@ def _galilean_product(tag: lg.GroupTag, h, c0: np.ndarray, ch: np.ndarray, c1: n
     return coords
 
 
-def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarray):
+def _magnus_path(conn, segments: Sequence[SmoothPath], step: float):
     """Node times ``(N,)``, matrices ``(N, n, n)`` and points ``(N, dim)``
-    of the lift from ``g0`` along ``segments``, and whether every block ran
-    in algebra coordinates, which implies a start exactly on the pattern.
-    Each segment is cut into the fewest equal steps no longer than
-    ``step``; a segment of ``n`` steps has its own ``2 n + 1`` Simpson
-    nodes, the last at ``t1`` exactly, so a corner is a node of both its
-    segments.
+    of the lift from the identity along ``segments``, and whether every
+    block ran in algebra coordinates. Each segment is cut into the fewest
+    equal steps no longer than ``step``; a segment of ``n`` steps has its
+    own ``2 n + 1`` Simpson nodes, the last at ``t1`` exactly, so a corner
+    is a node of both its segments.
 
     Magnus-4 step, with ``M = -A`` and the step ``h`` of its segment:
     ``Omega = (h/6)(M0 + 4 Mh + M1) + (h^2/12)[M1, M0]``,
@@ -355,11 +331,10 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     first non-finite node. A Galileo block whose coefficients are finite and
     exactly on the algebra pattern runs in algebra coordinates
     (:func:`_galilean_product`, whose coordinates the finiteness check
-    reads) while every block before it did, from a start whose entries off
-    the pattern are exactly the identity's; the lift writes the identity
-    there once for all its nodes. Any other block, and every later one,
-    takes every ``Omega``, one batched exponential and
-    :func:`_block_product`, which carry an off-pattern start or node. A
+    reads) while every block before it did; the lift writes the identity
+    into every node once, for the entries off the pattern. Any other block,
+    and every later one, takes every ``Omega``, one batched exponential and
+    :func:`_block_product`, which carry an off-pattern node. A
     block that continues a segment reuses the previous block's last
     coefficient, so a step costs two coefficient evaluations.
     """
@@ -383,14 +358,11 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     seg_of = np.repeat(np.arange(len(segments)), counts)   # each step's segment
     row0, h_of = 2 * np.arange(total) + seg_of, hs[seg_of]   # each step's first row and its h
     lift_rows = np.concatenate([[0], row0 + 2])   # the lift's nodes: the start and each step's end
-    ts, mats = node_ts[lift_rows], np.empty((total + 1,) + g0.shape)
+    ts, mats = node_ts[lift_rows], np.empty((total + 1, tag.size, tag.size))
     coeffs = np.empty((2 * min(total, _BLOCK) + min(len(segments), _BLOCK), tag.size, tag.size))
     by_coords = tag.kind is lg.GroupKind.GALILEO
-    if by_coords:   # the running sums carry only a start exactly on the pattern
-        off, identity = _off_pattern(tag), np.eye(tag.size)
-        by_coords = np.array_equal(g0.reshape(-1)[off], identity.reshape(-1)[off])
-        mats[1:] = identity   # off the pattern, what the coordinate blocks leave unwritten
-    mats[0] = g0
+    # the start, and on a coordinate route every node's entries off the pattern
+    mats[:len(mats) if by_coords else 1] = np.eye(tag.size)
     for k0 in range(0, total, _BLOCK):
         k1 = min(k0 + _BLOCK, total)
         r0, rows = row0[k0], row0[k1 - 1] + 3 - row0[k0]   # the block's first row and row count
@@ -419,36 +391,27 @@ def _magnus_path(conn, segments: Sequence[SmoothPath], step: float, g0: np.ndarr
     return ts, mats, xs[lift_rows], by_coords
 
 
-def horizontal_lift(
-    conn: LocalConnection,
-    path: Path,
-    g0: lg.GroupElement | None = None,
-    step: float = 1e-3,
-) -> LiftedPath:
-    """Horizontal lift of ``path`` starting at ``g0`` (identity by default).
+def horizontal_lift(conn: LocalConnection, path: Path, step: float = 1e-3) -> LiftedPath:
+    """Horizontal lift of ``path`` starting at the identity.
 
+    The lift from another start is ``lift.mats @ start.mat``: the
+    connection form is ``Ad``-equivariant, so lifts are right-invariant.
     Each smooth segment is cut into the fewest equal steps no longer than
     ``step``, and the whole path is integrated in one pass with a
     fourth-order Magnus method, which keeps the nodes on the group without
     re-projection (the path read once, then one coefficient call,
     exponential and product per block of steps, across segments: in algebra
     coordinates on a Galileo block whose coefficients are finite and on the
-    algebra pattern while every block before it did, from a start exactly
-    on the group's pattern, else by matrices and a doubling scan). A path
-    point outside the chart raises ``DomainError`` before any coefficient is
-    evaluated; a non-finite step, or a node whose group defect exceeds
-    ``settings.ROUNDTRIP``, raises ``LiftDivergedError``. The node defects
-    are skipped only where they are 0.0 by construction: every block ran in
-    algebra coordinates, which it does only from an exact start.
+    algebra pattern while every block before it did, else by matrices and a
+    doubling scan). A path point outside the chart raises ``DomainError``
+    before any coefficient is evaluated; a non-finite step, or a node whose
+    group defect exceeds ``settings.ROUNDTRIP``, raises
+    ``LiftDivergedError``. The node defects are skipped only where they are
+    0.0 by construction: where every block ran in algebra coordinates.
     """
-    if step <= 0:
+    if not step > 0:   # NaN too
         raise ValueError("step must be positive")
-    if g0 is None:
-        g0 = lg.identity(conn.tag)
-    if g0.tag != conn.tag:
-        raise lg.TagMismatchError("initial element tag does not match the connection")
-
-    ts, mats, points, by_coords = _magnus_path(conn, path.segments, step, g0.mat)
+    ts, mats, points, by_coords = _magnus_path(conn, path.segments, step)
     if conn.tag.kind is lg.GroupKind.PGL:
         # scaling commutes with left multiplication: normalizing once at the
         # end picks the same representatives as normalizing every step
@@ -461,12 +424,7 @@ def horizontal_lift(
     return lifted
 
 
-def lift_error_estimate(
-    conn: LocalConnection,
-    path: Path,
-    g0: lg.GroupElement | None = None,
-    step: float = 1e-3,
-) -> float:
+def lift_error_estimate(conn: LocalConnection, path: Path, step: float = 1e-3) -> float:
     """Richardson estimate ``|g_h - g_{h/2}| / 15`` of the endpoint error of
     the lift at ``step / 2`` (``g_h`` is the lift's endpoint at step ``h``).
 
@@ -478,8 +436,8 @@ def lift_error_estimate(
     against a step-1e-4 reference), while from step 0.02 the estimate is
     7.65e-5 against a true 7.54e-5 at step 0.01.
     """
-    full = horizontal_lift(conn, path, g0, step)
-    half = horizontal_lift(conn, path, g0, step / 2)
+    full = horizontal_lift(conn, path, step)
+    half = horizontal_lift(conn, path, step / 2)
     gap = np.max(np.abs(full.end.mat - half.end.mat))
     return float(gap / (2 ** 4 - 1))
 
@@ -501,7 +459,7 @@ def parallel_transport(
     In the trivialization the transport map is ``act(g(t1) g(t0)^{-1}, .)``
     where ``g`` is any horizontal lift: ``act(g(t1), .)`` for the lift from the identity.
     """
-    return spec.act(horizontal_lift(conn, path, None, step).mats[-1], z0)
+    return spec.act(horizontal_lift(conn, path, step).mats[-1], z0)
 
 
 def holonomy(conn: LocalConnection, loop: Path, step: float = 1e-3) -> lg.GroupElement:
@@ -511,7 +469,7 @@ def holonomy(conn: LocalConnection, loop: Path, step: float = 1e-3) -> lg.GroupE
     gap = np.max(np.abs(ends[0][0] - ends[-1][1]))
     if gap > LOOP_CLOSURE:
         raise LoopNotClosedError(f"loop endpoints differ by {gap:.3e}")
-    return horizontal_lift(conn, loop, None, step).end
+    return horizontal_lift(conn, loop, step).end
 
 
 class DevelopedPath(Record):
@@ -519,7 +477,7 @@ class DevelopedPath(Record):
 
     ``values[i]`` are fibre-chart coordinates at time ``ts[i]``, and
     ``points[i]`` the base point the lift read there (its
-    :attr:`LiftedPath.points`); ``base_point`` is ``points[0]``.
+    :attr:`LiftedPath.points`).
     ``initial_tangent`` is a one-sided finite-difference estimate of the
     development's velocity at ``t0`` from the leading uniformly spaced nodes
     (fourth order from five, second order from three or four).
@@ -531,10 +489,6 @@ class DevelopedPath(Record):
         self.ts = ts
         self.values = values
         self.points = points
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return self.points[0]
 
     @property
     def initial_tangent(self) -> np.ndarray:

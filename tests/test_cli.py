@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -124,13 +125,17 @@ def test_maxwell_preset_scenario(tmp_path):
     assert (out / "maxwell.json").exists()
 
 
-def test_maxwell_csv_grid_scenario(tmp_path):
+def write_static_field_csvs(tmp_path, **overrides):
+    """The sixteen component CSVs of the linear static solution E = D = x,
+    rho = 3 / (4 pi), on the lattice {0, 0.5, 1}^4; ``overrides`` replaces
+    a component's function. Returns the ``model.csv`` section."""
     axes = [[0.0, 0.5, 1.0]] * 4
     comps = {
         "E1": lambda t, x1, x2, x3: x1,
         "E2": lambda t, x1, x2, x3: x2,
         "E3": lambda t, x1, x2, x3: x3,
         "rho": lambda t, x1, x2, x3: 3.0 / (4.0 * math.pi),
+        **overrides,
     }
     zero = lambda t, x1, x2, x3: 0.0
     names = {}
@@ -143,16 +148,36 @@ def test_maxwell_csv_grid_scenario(tmp_path):
             for t, x1, x2, x3 in itertools.product(*axes):
                 fh.write(f"{t},{x1},{x2},{x3},{fn(t, x1, x2, x3)}\n")
         names[comp] = str(path)
+    return names
+
+
+def test_maxwell_csv_grid_scenario(tmp_path):
     out = tmp_path / "out"
     doc = {
         "scenario": "maxwell",
-        "model": {"csv": names},
+        "model": {"csv": write_static_field_csvs(tmp_path)},
         "output": {"path": str(out)},
     }
     assert cli.main(["run", write_config(tmp_path, doc)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["source"] == "csv"
     assert summary["status"] == "SATISFIED"
+
+
+def test_maxwell_csv_with_an_infinite_sample_exits_3(tmp_path, capsys):
+    # inf at two lattice points two steps apart along x2 would make the
+    # central x2-difference of H1 at the point between them inf - inf = NaN,
+    # a NaN residual that read SATISFIED; the loader rejects the file instead
+    spike = lambda t, x1, x2, x3: math.inf if (t, x1, x3) == (0.5, 0.5, 0.5) and x2 != 0.5 else 0.0
+    doc = {
+        "scenario": "maxwell",
+        "model": {"csv": write_static_field_csvs(tmp_path, H1=spike)},
+        "output": {"path": str(tmp_path / "out")},
+    }
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 3
+    assert re.search(r"H1\.csv: non-finite sample in data row \d+$", capsys.readouterr().err.strip())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("space", ["galileo", "affine", "projective", "mobius"])

@@ -306,6 +306,25 @@ def test_check_without_probe_points_is_rejected(points):
         mx.maxwell_check(zero, zero, zero, zero, 0.0, zero, points=points)
 
 
+def test_a_nan_residual_reads_violated():
+    # a NaN charge density makes dG - 4 pi J NaN while dF stays 0.0; the
+    # largest of the two would drop the NaN (max(0.0, nan) is 0.0)
+    zero = (0.0, 0.0, 0.0)
+    report = mx.maxwell_check(zero, zero, zero, zero, float("nan"), zero,
+                              points=mx.probe_grid([0, 0.4], [1, 1.4, 1.8]))
+    assert report.max_dF == 0.0 and math.isnan(report.max_dG_minus_4piJ)
+    assert not report.satisfied
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, float("nan")])
+def test_difference_step_must_be_positive(h):
+    zero, point = (0.0, 0.0, 0.0), (0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="step h must be positive"):
+        mx.maxwell_check(zero, zero, zero, zero, 0.0, zero, points=[point], h=h)
+    with pytest.raises(ValueError, match="step h must be positive"):
+        mx.d_numeric(mx.build_F(zero, zero), point, h=h)
+
+
 # ---------------------------------------------------------------------------
 # Grid-sampled fields
 # ---------------------------------------------------------------------------
@@ -358,6 +377,18 @@ def test_grid_csv_rejects_duplicate_with_missing_point(tmp_path):
         fh.write("t,x1,x2,x3,value\n")
         fh.writelines(f"{t},{x1},{x2},{x3},1.0\n" for t, x1, x2, x3 in rows)
     with pytest.raises(GeometryError, match="duplicate or missing"):
+        mx.GridSampledField.from_csv(p)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", [1, 4])
+def test_grid_csv_rejects_non_finite_samples(tmp_path, bad, column):
+    # a coordinate or value that is not finite, in the third data row
+    rows = [[*point, 1.0] for point in itertools.product([0.0, 1.0], repeat=4)]
+    rows[2][column] = bad
+    p = tmp_path / "inf.csv"
+    p.write_text("t,x1,x2,x3,value\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    with pytest.raises(GeometryError, match=r"inf\.csv: non-finite sample in data row 3$"):
         mx.GridSampledField.from_csv(p)
 
 

@@ -255,7 +255,7 @@ def test_registered_gravity_coefficients_are_the_closed_forms():
         want[:, 0, -1] = ds[:, 0]
         want[:, 1:-1, -1] = ds[:, 1:]
         assert np.array_equal(pr.coeff_matrices(cs.conn, xs, ds), want)
-        assert np.array_equal(cs.conn(xs[0], ds[0]).mat, want[0])
+        assert np.array_equal(cs.conn.coeff(xs[0], ds[0]).mat, want[0])
 
 
 def test_kepler_orbit_satisfies_equation_of_motion():
@@ -343,7 +343,6 @@ def test_kepler_batched_route_matches_per_point_wrappers():
 def test_library_maps_and_paths_are_batched():
     # library code evaluates through pr.stacked; a map or path of its own
     # that lost its declaration would fall back to one call per node
-    per_node_paths = [trig_path(np.random.default_rng(1), 2)]
     structures = [models.build_model(name) for name in sorted(models.MODEL_BUILDERS)] + [
         models.affine_structure(2, gamma=lambda x: np.zeros((2, 2, 2)), sigma0=lambda x: np.eye(2)),
         models.galilean_gravity(models.GravityField(lambda t, x: 9.81, lambda t, x: 0.1 * x)),
@@ -354,9 +353,6 @@ def test_library_maps_and_paths_are_batched():
     paths = [tp.line_segment([0.0, 0.0], [1.0, 2.0], 0.0, 1.0), models.kepler_orbit(),
              acceptance._random_smooth_path(rng, 2), acceptance._freefall(), acceptance._perturbed_freefall(),
              *tp.square_loop([0.0, 0.0], 0.5).segments]
-    paths += [p.reverse() for p in paths + per_node_paths]
-    paths += list(tp.square_loop([0.0, 0.0], 0.5).reverse().segments)
-    paths += list(tp.PiecewisePath(per_node_paths).reverse().segments)
     assert all(pr.is_batched(p.x) and pr.is_batched(p.xdot) for p in paths)
 
 

@@ -210,7 +210,7 @@ def per_sample_audit(conn, samples, seed, form=None):
     defaults to ``Ad_{g^{-1}} A(x, dx) + g^{-1} dg`` from validated group
     operations, independently of :func:`pr.full_form`."""
     tag = conn.tag
-    form = form or (lambda p, v: lg.Ad(p.g.inv(), conn(p.x, v.dx)) + lg.maurer_cartan(p.g, v.dg))
+    form = form or (lambda p, v: lg.Ad(p.g.inv(), conn.coeff(p.x, v.dx)) + lg.maurer_cartan(p.g, v.dg))
     rng = np.random.default_rng(seed)
     worst_i = worst_ii = 0.0
     witness = ()
