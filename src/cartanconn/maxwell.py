@@ -382,13 +382,21 @@ class GridSampledField(FrozenRecord):
     @classmethod
     def from_csv(cls, path) -> "GridSampledField":
         """Load from a CSV file with header ``t,x1,x2,x3,value``; the rows
-        must fill a complete lattice with finite samples."""
+        must fill a complete lattice with finite samples. Each error names
+        the file, and a malformed row its number among the data rows."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if [h.strip() for h in header] != ["t", "x1", "x2", "x3", "value"]:
                 raise GeometryError(f"{path}: expected header t,x1,x2,x3,value")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for n, row in enumerate(filter(None, reader), 1):
+                if len(row) != 5:
+                    raise GeometryError(f"{path}: data row {n} has {len(row)} fields, not 5")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise GeometryError(f"{path}: data row {n}: {exc}") from None
         if not rows:
             raise GeometryError(f"{path}: no samples")
         data = np.asarray(rows)

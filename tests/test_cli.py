@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanconn import acceptance, cli, models
+from cartanconn import _floatcells, acceptance, cli, models
 from cartanconn import principal as pr
 from cartanconn import transport as tp
 
@@ -486,17 +486,70 @@ def test_missing_config_file_is_io_error():
     assert cli.main(["run", "/nonexistent/config.json"]) == 4
 
 
+def hard_cells() -> np.ndarray:
+    """Cells at the edges of the array formatter, five to a row: signed
+    zeros and non-finite values, subnormals, powers of two (asymmetric
+    rounding intervals), the ends of the fast path, the doubles nearest
+    10^k and their neighbours, the classic 0.1 + 0.2, and two exact ties
+    between the nearest shortest decimals (2^40 + 3/32 = ...776.09375 and
+    2^49 + 3/4 = ...312.75, which repr rounds to even)."""
+    tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    cells = np.concatenate([
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308],
+        2.0 ** np.arange(-60, 61), -(2.0 ** np.arange(-60, 61)),
+        [1e15, np.nextafter(1e15, 0), 1e16, 1e22, 1e-290, np.nextafter(1e-290, 0), 0.1 + 0.2],
+        [2.0 ** 40 + 3 / 32, 2.0 ** 49 + 0.75],
+        np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf),
+    ])
+    return np.concatenate([cells, np.zeros(-len(cells) % 5)]).reshape(-1, 5)
+
+
 @pytest.mark.parametrize("table", [
     np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e16, 1e-05], [5e-324, 0.1, -2.5]]),
     np.array([[1.0, -0.0, 1e-05, 5e-324]]),
     np.array([[np.nan], [1e16], [-np.inf]]),
-], ids=["table", "row", "column"])
+    hard_cells(),
+], ids=["table", "row", "column", "hard"])
 def test_csv_cells_are_the_shortest_reprs_of_each_row(tmp_path, table):
     path = tmp_path / "t.csv"
     cli._write_csv(path, [f"c{j}" for j in range(table.shape[1])], table)
     reference = [",".join(f"c{j}" for j in range(table.shape[1]))]
     reference += [",".join(map(repr, row)) for row in table.tolist()]
     assert path.read_bytes() == ("\n".join(reference) + "\n").encode()
+
+
+def test_array_cells_match_repr_on_every_kind_of_double():
+    # 200k cells: random bit patterns (every exponent, NaNs and infinities
+    # among them), log-uniform magnitudes from 1e-300 to 1e20, short
+    # decimals (up to 15 digits) and dyadic rationals (exact binary fractions)
+    rng = np.random.default_rng(35)
+    n = 50_000
+    digits = rng.integers(1, 10 ** rng.integers(1, 16, n))
+    cells = np.concatenate([
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-300.0, 20.0, n) * rng.choice([-1.0, 1.0], n),
+        [float(f"{d}e{e}") for d, e in zip(digits.tolist(), rng.integers(-30, 1, n).tolist())],
+        rng.integers(-2 ** 40, 2 ** 40, n) / 2.0 ** rng.integers(0, 60, n),
+    ])
+    table = cells.reshape(-1, 8)
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    assert _floatcells.rows_text(table) == expected
+
+
+def test_a_develop_gravity_table_sends_few_cells_to_repr(tmp_path, monkeypatch):
+    # the array passes decide all but a handful of the 40,004 cells (the
+    # powers of two among the times and the like, so repr is called at
+    # least once); a formatter that sent every cell back to repr would be
+    # correct, and as slow as the per-cell writer
+    calls = []
+    monkeypatch.setattr(_floatcells, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    doc = gravity_config(tmp_path / "out", integrator={"step": 1e-4},
+                         model={"V": "9.81 - 0.3*x*(0.5 + 9.81*t)", "W": "0.3*x"},
+                         trajectory={"x": "0.2 + 0.5*t + 0.5*9.81*t^2", "xdot": "0.5 + 9.81*t"})
+    assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+    table = np.loadtxt(tmp_path / "out" / "develop-gravity.csv", delimiter=",", skiprows=1)
+    assert table.shape == (10_001, 4)
+    assert 0 < len(calls) <= 0.01 * table.size, len(calls)
 
 
 def test_invalid_json_is_config_error(tmp_path):

@@ -392,6 +392,17 @@ def test_grid_csv_rejects_non_finite_samples(tmp_path, bad, column):
         mx.GridSampledField.from_csv(p)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("ragged.csv", "0,0,0,0,1.0\n0,0,0,1\n", r"ragged\.csv: data row 2 has 4 fields, not 5$"),
+    ("word.csv", "0,0,abc,0,1.0\n", r"word\.csv: data row 1: could not convert string to float: 'abc'$"),
+], ids=["ragged", "non-numeric"])
+def test_grid_csv_names_the_file_and_row_of_a_malformed_sample(tmp_path, name, text, message):
+    p = tmp_path / name
+    p.write_text("t,x1,x2,x3,value\n" + text)
+    with pytest.raises(GeometryError, match=message):
+        mx.GridSampledField.from_csv(p)
+
+
 def _quadratic_fields(seed=5):
     """Sixteen random quadratics in (t, x1, x2, x3): a field set with
     nonzero sources and nonzero residuals on every face, on which central
