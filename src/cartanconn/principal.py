@@ -204,9 +204,6 @@ class PrincipalTangent(FrozenRecord):
         set_field(self, "dg", np.asarray(dg, dtype=float))
 
 
-FormFunction = Callable[[PrincipalPoint, PrincipalTangent], lg.AlgebraElement]
-
-
 def coeff_matrices(conn: LocalConnection, xs, dxs, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficient matrices ``A(x_i, dx_i)`` of stacks ``(N, m)`` of points
     and tangents as ``(N, n, n)``, filled into ``out`` when given, through
@@ -280,7 +277,7 @@ def check_axioms(
     samples: int = 200,
     seed: int = 0,
     *,
-    form: FormFunction | None = None,
+    form: Callable[[PrincipalPoint, PrincipalTangent], lg.AlgebraElement] | None = None,
 ) -> AxiomReport:
     """Audit the two defining properties of a connection form on random
     samples, drawn once in the order ``x``, ``g``, ``eta``, ``dx``, ``zeta``,

@@ -1,5 +1,7 @@
 """Tests for the scenario runner: schema, exit codes, determinism, outputs."""
 
+import decimal
+import fractions
 import itertools
 import json
 import math
@@ -536,6 +538,24 @@ def test_array_cells_match_repr_on_every_kind_of_double():
     assert _floatcells.rows_text(table) == expected
 
 
+def test_exact_ties_round_to_even_in_the_array_passes(monkeypatch):
+    # 2^b + m 2^(b - 52) for b in 40..49 are dyadic with few fraction bits,
+    # and many lie exactly halfway between the two nearest shortest
+    # decimals; y is exact there (10^k is a double), so the passes round
+    # those to even as repr does instead of handing them to repr
+    cells = np.array([2.0 ** b + m * 2.0 ** (b - 52) for b in range(40, 50) for m in range(1, 400)])
+    ties = set()
+    for v in cells.tolist():
+        digits = decimal.Decimal(repr(v))
+        if fractions.Fraction(v) / fractions.Fraction(10) ** digits.as_tuple().exponent % 1 == 0.5:
+            ties.add(v)
+    calls = []
+    monkeypatch.setattr(_floatcells, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    table = cells.reshape(-1, 10)
+    assert _floatcells.rows_text(table) == "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    assert len(ties) > 100 and not ties & set(calls)
+
+
 def test_a_develop_gravity_table_sends_few_cells_to_repr(tmp_path, monkeypatch):
     # the array passes decide all but a handful of the 40,004 cells (the
     # powers of two among the times and the like, so repr is called at
@@ -708,6 +728,28 @@ def test_csv_writer_memory_is_bounded_by_one_chunk(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, (n_rows, peak)
+
+
+FIRST_WRITE = """\
+import sys, tracemalloc
+import numpy as np
+from cartanconn import cli
+table = np.random.default_rng(31).standard_normal((10_001, 4))
+assert "cartanconn._floatcells" not in sys.modules
+tracemalloc.start()
+cli._write_csv(sys.argv[1], ["t", "a", "b", "c"], table)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_the_first_csv_write_is_bounded_too(tmp_path):
+    # the first array table imports the formatter, and compiling its source
+    # is the largest allocation of that call; a fresh interpreter that reads
+    # and writes no cached bytecode (an empty pycache prefix, -B) compiles it
+    done = fresh_python("-B", "-X", f"pycache_prefix={tmp_path / 'pycache'}", "-c", FIRST_WRITE,
+                        str(tmp_path / "t.csv"))
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2 ** 20
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -51,3 +51,28 @@ def test_the_package_runs_on_numpy_alone(tmp_path):
     assert set(modules) == {f"cartanconn.{p.stem}" for p in sources if p.stem != "__init__"}
     assert codes == [0, 0]
     assert loaded == []
+
+
+REIMPORT = """\
+import gc, importlib, json, sys, types
+def purge():
+    for name in [m for m in sys.modules if m.partition(".")[0] == "cartanconn"]:
+        del sys.modules[name]
+importlib.import_module("cartanconn.cli")
+for _ in range(3):
+    purge()
+    importlib.import_module("cartanconn.cli")
+gc.collect()
+print(json.dumps(sorted(m.__name__ for m in gc.get_objects() if isinstance(m, types.ModuleType)
+                        and m.__name__ in ("cartanconn.liegroup", "cartanconn.principal"))))
+"""
+
+
+def test_a_purged_package_is_freed_when_imported_again():
+    # a module-level typing alias over the package's classes is kept by
+    # typing's cache, and with it each earlier copy of liegroup and
+    # principal; after three purges and imports only the last copy is left
+    env = dict(os.environ, PYTHONPATH=str(Path(cartanconn.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", REIMPORT], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["cartanconn.liegroup", "cartanconn.principal"]
